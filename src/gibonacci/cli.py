@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .exactnum import (
     ExactError,
+    check_digits,
     decimal_str,
     format_rational,
     poly_to_strings,
@@ -79,6 +80,8 @@ def _emit(text: str):
 
 
 def cmd_array(args) -> int:
+    if args.rows < 1:
+        raise ExactError(f"--rows must be at least 1 (got {args.rows})")
     params = _params(args)
     arr = GibonacciArray(params)
     rows = [arr.row(k) for k in range(args.rows)]
@@ -273,6 +276,8 @@ def cmd_poset_check(args) -> int:
 
 
 def cmd_triangle(args) -> int:
+    if args.n <= args.alpha:
+        raise ExactError(f"n must exceed alpha (got n={args.n}, alpha={args.alpha})")
     fmt = _format_choice(args)
     if args.as_poly:
         poly = triangle_polynomial(args.alpha, args.n, args.k)
@@ -327,8 +332,19 @@ def _add_game_config(p):
     p.add_argument("--q", required=True, help="multiplier applied by node g2")
 
 
+class _Digits(argparse.Action):
+    """Store --digits, refusing counts below 1 as a domain error."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        check_digits(value)
+        setattr(namespace, self.dest, value)
+
+
 def _add_digits(p):
-    p.add_argument("--digits", type=int, default=DEFAULT_DIGITS, help="significant digits for decimal rendering")
+    p.add_argument(
+        "--digits", type=int, default=DEFAULT_DIGITS, action=_Digits,
+        help="significant digits for decimal rendering (at least 1)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -442,8 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.handler(args)
     except ExactError as exc:
         sys.stderr.write(f"error: {exc}\n")

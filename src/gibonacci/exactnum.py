@@ -10,6 +10,14 @@ Root counting and isolation use Sturm chains with bisection.  The chains are
 normalized to primitive integer coefficient vectors (positive content divided
 out after each signed pseudo-remainder step) so that sign evaluation at a
 rational point n/d reduces to integer arithmetic.
+
+Every sign decision goes through that one integer path: a Poly caches its
+own primitive integer coefficient vector, and `Poly.sign_at` evaluates only
+the integer numerator of p(n/d); `Poly.__call__` (Fraction Horner) is kept
+for computing values.  Every refinement of an algebraic number runs one
+integer bisection kernel, `AlgebraicNumber.bisected`, on integer endpoints
+over a common denominator D*2^s; it builds no Fraction per step, and
+`refined()` is one step of it.
 """
 
 from __future__ import annotations
@@ -60,8 +68,15 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def check_digits(digits: int) -> None:
+    """Refuse a significant-digit count below 1."""
+    if digits < 1:
+        raise ExactError(f"digits must be at least 1 (got {digits})")
+
+
 def decimal_str(x: Fraction, digits: int = 30) -> str:
     """Round x to `digits` significant decimal digits, half-away-from-zero."""
+    check_digits(digits)
     if x == 0:
         return "0"
     sign = "-" if x < 0 else ""
@@ -94,24 +109,22 @@ def decimal_str(x: Fraction, digits: int = 30) -> str:
     return sign + mant[0] + ("." + tail if tail else "") + f"e{e}"
 
 
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
-
-
 class Poly:
     """Dense univariate polynomial with Fraction coefficients.
 
     coeffs[i] is the coefficient of x^i; the tuple carries no trailing zeros,
-    and the zero polynomial is the empty tuple (degree -1).
+    and the zero polynomial is the empty tuple (degree -1).  The primitive
+    integer coefficient vector is filled in lazily and kept.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_ints")
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -208,16 +221,17 @@ class Poly:
 
     def primitive_int_coeffs(self) -> tuple:
         """Integer coefficient vector with content 1, same sign pattern."""
-        if not self.coeffs:
-            return ()
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, v)
-        return tuple(v // g for v in ints)
+        if self._ints is None:
+            den = 1
+            for c in self.coeffs:
+                den = den * c.denominator // math.gcd(den, c.denominator)
+            ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
+            object.__setattr__(self, "_ints", _int_primitive(ints))
+        return self._ints
+
+    def sign_at(self, x: RationalLike) -> int:
+        """Exact sign of p(x) at a rational point, in integer arithmetic."""
+        return _sign_at_point(self.primitive_int_coeffs(), x.numerator, x.denominator)
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
@@ -371,22 +385,21 @@ class Interval:
         return cls(rational(lo), rational(hi))
 
 
-def _sign_at_point(int_coeffs: Sequence[int], x: Fraction) -> int:
-    """Sign of an integer-coefficient polynomial at a rational point.
+def _sign_at_point(int_coeffs: Sequence[int], n: int, d: int) -> int:
+    """Sign of an integer-coefficient polynomial at the point n/d, d > 0.
 
     Only the integer numerator sum(c_i * n^i * d^(deg-i)) is evaluated; the
     denominator d^deg is positive and cannot change the sign.
     """
-    n, d = x.numerator, x.denominator
     acc = 0
     dpow = 1
     for c in reversed(int_coeffs):
         acc = acc * n + c * dpow
         dpow *= d
-    return _sign(acc)
+    return (acc > 0) - (acc < 0)
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=64)
 def sturm_chain(p: Poly) -> tuple:
     """Sturm chain of p as primitive integer coefficient tuples.
 
@@ -415,7 +428,8 @@ def sturm_chain(p: Poly) -> tuple:
 
 
 def _variations(chain, x: Fraction) -> int:
-    signs = [s for s in (_sign_at_point(c, x) for c in chain) if s != 0]
+    n, d = x.numerator, x.denominator
+    signs = [s for s in (_sign_at_point(c, n, d) for c in chain) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -429,7 +443,7 @@ def sturm_count(p: Poly, iv: Interval) -> int:
         raise ExactError("root counting needs a nonzero polynomial")
     if p.degree < 1:
         return 0
-    if p(iv.lo) == 0 or p(iv.hi) == 0:
+    if p.sign_at(iv.lo) == 0 or p.sign_at(iv.hi) == 0:
         raise EndpointRootError(f"endpoint of {iv} is a root; perturb and retry")
     chain = sturm_chain(p)
     return _variations(chain, iv.lo) - _variations(chain, iv.hi)
@@ -443,7 +457,7 @@ def _non_root_point(p: Poly, a: Fraction, b: Fraction) -> Fraction:
     """
     m = (a + b) / 2
     shrink = 2
-    while p(m) == 0:
+    while p.sign_at(m) == 0:
         m = (a + b) / 2 - (b - a) / 2**shrink
         shrink += 1
     return m
@@ -464,11 +478,11 @@ def isolate_real_roots(p: Poly, within: Interval) -> list:
         return []
     lo, hi = within.lo, within.hi
     shrink = 2
-    while p(lo) == 0:
+    while p.sign_at(lo) == 0:
         lo = lo + (hi - lo) / 2**shrink
         shrink += 1
     shrink = 2
-    while p(hi) == 0:
+    while p.sign_at(hi) == 0:
         hi = hi - (hi - lo) / 2**shrink
         shrink += 1
     if lo >= hi:
@@ -510,7 +524,7 @@ class AlgebraicNumber:
     def __init__(self, defining: Poly, enclosure: Interval, _checked=False):
         if not _checked:
             if enclosure.lo == enclosure.hi:
-                if defining(enclosure.lo) != 0:
+                if defining.sign_at(enclosure.lo) != 0:
                     raise ExactError("point enclosure is not a root of the defining polynomial")
             else:
                 if sturm_count(defining, enclosure) != 1:
@@ -536,27 +550,54 @@ class AlgebraicNumber:
             raise ExactError("not a rational point")
         return self.enclosure.lo
 
-    def refined(self) -> "AlgebraicNumber":
-        """Halve the enclosure by sign bisection (may collapse to a point)."""
+    def bisected(self, stop=None, steps=None) -> "AlgebraicNumber":
+        """The integer bisection kernel behind every refinement.
+
+        The enclosure is held as integer endpoints a/den < b/den over one
+        common denominator den = D*2^s.  A step takes the integer sign of the
+        defining polynomial at the midpoint (a+b)/(2den) and keeps the half
+        whose endpoint signs differ; the sign at a is fixed, so one sign per
+        step suffices.  Bisection stops as soon as stop(a, b, den) holds,
+        after `steps` steps, or when a midpoint is the root itself (the
+        enclosure then collapses to that point).  The Interval is built once,
+        when the loop stops.
+        """
         if self.is_rational:
             return self
-        a, b = self.enclosure.lo, self.enclosure.hi
-        m = (a + b) / 2
-        fm = self.defining(m)
-        if fm == 0:
-            return AlgebraicNumber(self.defining, Interval(m, m), _checked=True)
-        if _sign(self.defining(a)) != _sign(fm):
-            return AlgebraicNumber(self.defining, Interval(a, m), _checked=True)
-        return AlgebraicNumber(self.defining, Interval(m, b), _checked=True)
+        lo, hi = self.enclosure.lo, self.enclosure.hi
+        den = lo.denominator * hi.denominator // math.gcd(lo.denominator, hi.denominator)
+        a = lo.numerator * (den // lo.denominator)
+        b = hi.numerator * (den // hi.denominator)
+        cs = self.defining.primitive_int_coeffs()
+        sign_a = _sign_at_point(cs, a, den)
+        taken = 0
+        while taken != steps and not (stop is not None and stop(a, b, den)):
+            taken += 1
+            m = a + b
+            a, b, den = a << 1, b << 1, den << 1
+            sign_m = _sign_at_point(cs, m, den)
+            if sign_m == 0:
+                point = Fraction(m, den)
+                return AlgebraicNumber(self.defining, Interval(point, point), _checked=True)
+            if sign_m == sign_a:
+                a = m
+            else:
+                b = m
+        return AlgebraicNumber(
+            self.defining, Interval(Fraction(a, den), Fraction(b, den)), _checked=True
+        )
+
+    def refined(self) -> "AlgebraicNumber":
+        """Halve the enclosure: one step of the bisection kernel."""
+        return self.bisected(steps=1)
 
     def refined_below(self, width) -> "AlgebraicNumber":
         width = Fraction(width)
-        cur = self
-        while cur.enclosure.width > width:
-            cur = cur.refined()
-        return cur
+        wn, wd = width.numerator, width.denominator
+        return self.bisected(lambda a, b, den: (b - a) * wd <= wn * den)
 
     def decimal(self, digits: int = 30) -> str:
+        check_digits(digits)
         cur = self.refined_below(Fraction(1, 10 ** (digits + 2)))
         return decimal_str(cur.enclosure.mid, digits)
 
@@ -580,7 +621,7 @@ def sign_at_algebraic(p: Poly, theta: AlgebraicNumber) -> int:
     if p.is_zero:
         return 0
     if theta.is_rational:
-        return _sign(p(theta.rational_value))
+        return p.sign_at(theta.rational_value)
     g = poly_gcd(p, theta.defining)
     if g.degree >= 1 and sturm_count(g, theta.enclosure) == 1:
         return 0
@@ -588,10 +629,10 @@ def sign_at_algebraic(p: Poly, theta: AlgebraicNumber) -> int:
     while True:
         iv = cur.enclosure
         if cur.is_rational:
-            return _sign(p(cur.rational_value))
+            return p.sign_at(cur.rational_value)
         try:
             inside = sturm_count(p, iv)
-            lo_sign = _sign(p(iv.lo))
+            lo_sign = p.sign_at(iv.lo)
         except EndpointRootError:
             cur = cur.refined()
             continue

@@ -25,7 +25,10 @@ from .exactnum import (
     AlgebraicNumber,
     ExactError,
     Poly,
+    check_digits,
+    decimal_str,
     format_rational,
+    poly_to_text,
     sign_at_algebraic,
 )
 from .polys import GibParams
@@ -113,9 +116,8 @@ class RingElement:
     def decimal(self, digits: int = 30) -> str:
         # rendering only: the defining root is boxed far tighter than the
         # requested digits, so evaluating at the box midpoint is enough
+        check_digits(digits)
         theta = self.ring.theta.refined_below(Fraction(1, 10 ** (digits + 6)))
-        from .exactnum import decimal_str
-
         return decimal_str(self.poly(theta.enclosure.mid), digits)
 
     def to_json(self):
@@ -570,8 +572,6 @@ def value_to_json(v: Value):
 
 
 def value_to_text(v: Value, digits: int = 30) -> str:
-    from .exactnum import decimal_str, poly_to_text
-
     if isinstance(v, LinearForm):
         return f"({value_to_text(v.ca)})*a + ({value_to_text(v.cb)})*b"
     if isinstance(v, RingElement):

@@ -300,6 +300,8 @@ def _triangle_rows(alpha: int, n: int, k: int) -> dict:
     is zero.  Row 0 is {0: alpha}, row 1 is all ones, and row k sums the n
     entries of row k-1 one window-step away and subtracts the row k-2 entry.
     """
+    if alpha < 1 or n < 2 or k < 0:
+        raise ExactError("need alpha >= 1, n >= 2, k >= 0")
     if k == 0:
         return {0: alpha}
     if k == 1:
@@ -318,8 +320,6 @@ def _triangle_rows(alpha: int, n: int, k: int) -> dict:
 
 def triangle_row(alpha: int, n: int, k: int) -> list:
     """Regular entries of row k, listed for ascending row index."""
-    if alpha < 1 or n < 2 or k < 0:
-        raise ExactError("need alpha >= 1, n >= 2, k >= 0")
     row = _triangle_rows(alpha, n, k)
     return [row[r] for r in sorted(row)]
 

@@ -3,14 +3,21 @@
 Root sets are isolated with Sturm bisection inside (0, B) where B is the
 exact rational bound 4 (seed ratio <= 2) or ratio^2/(ratio-1) (ratio > 2).
 Interlacing between consecutive root sets is decided by refining isolating
-intervals until the two sets separate; no floating point is involved.
+intervals until the two sets separate; no floating point is involved.  Both
+root lists are ascending and internally disjoint, so one sorted merge sweep
+visits each overlapping pair once instead of testing all pairs.
 
 The closed trigonometric root forms of the unit-seed and (2,1)-seed families
 are handled as high-precision rational enclosures: pi comes from a Machin
 arctangent combination with an alternating-series error bound, cosine from a
 Taylor sum with a Lagrange remainder, and square roots from integer isqrt
-with directed rounding.  Enclosures are matched to isolating intervals by
-containment after refinement, never by equality of approximations.
+with directed rounding.  The pi and cosine enclosures are rounded outward to
+the dyadic grid 2^-(bits+4), so they stay certified while every later
+comparison works on small dyadic rationals instead of series sums with huge
+denominators.
+Enclosures are matched to isolating intervals by containment after
+refinement (the integer bisection kernel of `exactnum`), never by equality
+of approximations.
 """
 
 from __future__ import annotations
@@ -63,7 +70,7 @@ class RootSet:
         return len(self.roots)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=128)
 def roots_of(params: GibParams, k: int) -> RootSet:
     """Isolate the floor(k/2) distinct positive roots of the row-k polynomial."""
     if k < 2:
@@ -82,10 +89,9 @@ def roots_of(params: GibParams, k: int) -> RootSet:
         raise ExactError("window count disagrees with isolation")
     roots = [AlgebraicNumber(defining, iv, _checked=True) for iv in intervals]
     # enclosures strictly inside (0, bound): only the rim intervals can touch
-    while not roots[0].is_rational and roots[0].enclosure.lo <= 0:
-        roots[0] = roots[0].refined()
-    while not roots[-1].is_rational and roots[-1].enclosure.hi >= bound:
-        roots[-1] = roots[-1].refined()
+    bn, bd = bound.numerator, bound.denominator
+    roots[0] = roots[0].bisected(lambda a, b, den: a > 0)
+    roots[-1] = roots[-1].bisected(lambda a, b, den: b * bd < bn * den)
     return RootSet(k, params, tuple(roots))
 
 
@@ -94,30 +100,28 @@ def largest_root(params: GibParams, k: int) -> AlgebraicNumber:
     return roots_of(params, k).roots[-1]
 
 
-def _overlaps(x: Interval, y: Interval) -> bool:
-    # enclosure roots are strictly interior, so touching endpoints separate
-    return x.lo < y.hi and y.lo < x.hi
-
-
 def _separate(a_roots, b_roots, max_rounds: int = 512):
-    """Refine two enclosure lists until no interval crosses between the lists."""
+    """Refine two enclosure lists until no interval crosses between the lists.
+
+    Each list is ascending with disjoint enclosures, and refinement only
+    shrinks an enclosure, so a merge sweep suffices: the enclosure that lies
+    wholly left of the other cannot meet anything later in the other list.
+    Enclosure roots are strictly interior, so touching endpoints separate.
+    """
     a = list(a_roots)
     b = list(b_roots)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(a)):
-            for j in range(len(b)):
-                rounds = 0
-                while _overlaps(a[i].enclosure, b[j].enclosure):
-                    a[i] = a[i].refined()
-                    b[j] = b[j].refined()
-                    changed = True
-                    rounds += 1
-                    if rounds > max_rounds:
-                        raise ExactError(
-                            "enclosures refuse to separate; the two sets share a root"
-                        )
+    i = j = rounds = 0
+    while i < len(a) and j < len(b):
+        x, y = a[i].enclosure, b[j].enclosure
+        if x.hi <= y.lo:
+            i, rounds = i + 1, 0
+        elif y.hi <= x.lo:
+            j, rounds = j + 1, 0
+        else:
+            rounds += 1
+            if rounds > max_rounds:
+                raise ExactError("enclosures refuse to separate; the two sets share a root")
+            a[i], b[j] = a[i].refined(), b[j].refined()
     return a, b
 
 
@@ -173,6 +177,14 @@ def interval_sqrt(iv: Interval, bits: int = DEFAULT_ENCLOSURE_BITS) -> Interval:
     return Interval(sqrt_enclosure(iv.lo, bits).lo, sqrt_enclosure(iv.hi, bits).hi)
 
 
+def _round_out(lo: Fraction, hi: Fraction, grid: int) -> Interval:
+    """Smallest interval on the dyadic grid 2^-grid that contains [lo, hi]."""
+    return Interval(
+        Fraction((lo.numerator << grid) // lo.denominator, 1 << grid),
+        Fraction(-((-hi.numerator << grid) // hi.denominator), 1 << grid),
+    )
+
+
 def _arctan_inv_enclosure(x: int, bits: int) -> Interval:
     """Enclosure of arctan(1/x) for integer x >= 2 (alternating series)."""
     target = Fraction(1, 1 << bits)
@@ -189,10 +201,11 @@ def _arctan_inv_enclosure(x: int, bits: int) -> Interval:
 
 @lru_cache(maxsize=64)
 def pi_enclosure(bits: int = DEFAULT_ENCLOSURE_BITS) -> Interval:
-    """Machin: pi = 16 arctan(1/5) - 4 arctan(1/239), outward rounded."""
+    """Machin: pi = 16 arctan(1/5) - 4 arctan(1/239), outward rounded to the
+    dyadic grid 2^-(bits+4); the width stays below 2^-bits."""
     a = _arctan_inv_enclosure(5, bits + 8)
     b = _arctan_inv_enclosure(239, bits + 8)
-    return Interval(16 * a.lo - 4 * b.hi, 16 * a.hi - 4 * b.lo)
+    return _round_out(16 * a.lo - 4 * b.hi, 16 * a.hi - 4 * b.lo, bits + 4)
 
 
 def _cos_point_enclosure(x: Fraction, bits: int) -> Interval:
@@ -213,7 +226,11 @@ def _cos_point_enclosure(x: Fraction, bits: int) -> Interval:
 
 @lru_cache(maxsize=100_000)
 def cos_pi_enclosure(t: Fraction, bits: int = DEFAULT_ENCLOSURE_BITS) -> Interval:
-    """Enclosure of cos(t*pi) for rational t in [0, 1/2], width <= 2^-bits."""
+    """Dyadic enclosure of cos(t*pi) for rational t in [0, 1/2], width <= 2^-bits.
+
+    The Taylor enclosure is rounded outward to the grid 2^-(bits+4) before
+    the width test, so the result stays certified and has small denominators.
+    """
     t = Fraction(t)
     if not 0 <= t <= Fraction(1, 2):
         raise ExactError("argument must lie in [0, 1/2] turns of pi")
@@ -226,8 +243,9 @@ def cos_pi_enclosure(t: Fraction, bits: int = DEFAULT_ENCLOSURE_BITS) -> Interva
         # cos is decreasing on [0, pi], and theta_hi < pi here
         lo = _cos_point_enclosure(theta_hi, work).lo
         hi = _cos_point_enclosure(theta_lo, work).hi
-        if hi - lo <= Fraction(1, 1 << bits):
-            return Interval(lo, hi)
+        iv = _round_out(lo, hi, bits + 4)
+        if iv.width <= Fraction(1, 1 << bits):
+            return iv
         work *= 2
 
 
@@ -291,14 +309,15 @@ def lucas_closed_roots_sine(k: int, bits: int = DEFAULT_ENCLOSURE_BITS) -> list:
 def refine_root_into(root: AlgebraicNumber, target: Interval) -> bool:
     """Refine an isolating interval until it sits inside `target` (or proves
     it never will).  Returns True when the root's value lies in target."""
-    cur = root
-    while True:
-        e = cur.enclosure
-        if target.lo <= e.lo and e.hi <= target.hi:
-            return True
-        if e.hi <= target.lo or e.lo >= target.hi:
-            return False
-        cur = cur.refined()
+    ln, ld = target.lo.numerator, target.lo.denominator
+    hn, hd = target.hi.numerator, target.hi.denominator
+
+    def settled(a, b, den):
+        inside = ln * den <= a * ld and b * hd <= hn * den
+        return inside or b * ld <= ln * den or a * hd >= hn * den
+
+    e = root.bisected(settled).enclosure
+    return target.lo <= e.lo and e.hi <= target.hi
 
 
 def match_closed_forms(rootset: RootSet, enclosures: list) -> bool:

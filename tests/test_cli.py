@@ -267,3 +267,29 @@ class TestRepl:
         assert code == 0
         assert "illegal:" in text  # g1 opening refused when a = 0
         assert "terminated after 5 moves" in text
+
+
+class TestDomainErrors:
+    @pytest.mark.parametrize("digits", ["0", "-3"])
+    def test_digits_below_one(self, capsys, digits):
+        code, out, err = run_cli(
+            capsys, "roots", "--alpha", "1", "--beta", "1", "--k", "6", "--digits", digits
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "digits" in err and len(err.splitlines()) == 1
+
+    def test_negative_rows(self, capsys):
+        code, out, err = run_cli(capsys, "array", "--alpha", "1", "--beta", "1", "--rows", "-3")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "rows" in err
+
+    def test_triangle_needs_n_above_alpha(self, capsys):
+        code, out, err = run_cli(capsys, "triangle", "--alpha", "3", "--n", "2", "--k", "3")
+        assert code == 1 and out == ""
+        assert "n must exceed alpha" in err
+
+    def test_triangle_negative_k(self, capsys):
+        code, out, err = run_cli(
+            capsys, "triangle", "--alpha", "1", "--n", "3", "--k", "-1", "--as-poly"
+        )
+        assert code == 1 and out == "" and err.startswith("error:")

@@ -337,3 +337,90 @@ class TestQuadraticElement:
         with pytest.raises(ExactError):
             x.rational_part()
         assert (x * x.conjugate()).rational_part() == 7
+
+
+def _fraction_bisection(theta: AlgebraicNumber, steps: int) -> Interval:
+    """Oracle: plain Fraction bisection with Horner values at both ends."""
+    p = theta.defining
+    lo, hi = theta.enclosure.lo, theta.enclosure.hi
+    for _ in range(steps):
+        if lo == hi:
+            break
+        m = (lo + hi) / 2
+        fm = p(m)
+        if fm == 0:
+            lo = hi = m
+        elif (p(lo) > 0) != (fm > 0):
+            hi = m
+        else:
+            lo = m
+    return Interval(lo, hi)
+
+
+class TestIntegerCore:
+    def test_integer_coefficients_cached(self):
+        p = P(Fraction(1, 2), Fraction(-3, 4), 6)
+        ints = p.primitive_int_coeffs()
+        assert ints == (2, -3, 24)
+        assert p.primitive_int_coeffs() is ints
+        assert Poly().primitive_int_coeffs() == ()
+
+    def test_sign_at_fixtures(self):
+        p = P(-2, 0, 1)  # x^2 - 2
+        assert p.sign_at(0) == -1
+        assert p.sign_at(Fraction(3, 2)) == 1
+        assert P(Fraction(-1, 3), 1).sign_at(Fraction(1, 3)) == 0
+        assert Poly().sign_at(Fraction(7, 5)) == 0
+
+    def test_sign_at_matches_horner(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        rationals = st.fractions(min_value=-20, max_value=20, max_denominator=60)
+
+        @hyp.settings(max_examples=120, deadline=None, derandomize=True)
+        @hyp.given(st.lists(rationals, max_size=9), rationals, rationals)
+        def check(coeffs, root, x):
+            # multiplying by (x - root) puts one exact root among the points
+            p = Poly(coeffs) * P(-root, 1)
+            for point in (x, root):
+                value = p(point)
+                assert p.sign_at(point) == (value > 0) - (value < 0)
+
+        check()
+
+    def test_kernel_matches_fraction_bisection(self):
+        cases = [
+            (P(-2, 0, 1), Interval(Fraction(1), Fraction(2))),
+            (P(-7, 14, -7, 1), Interval(Fraction(7, 2), Fraction(4))),
+            # a dyadic midpoint hits the root 3/4 exactly
+            (P(-3, 4) * P(-5, 0, 1), Interval(Fraction(1, 2), Fraction(1))),
+            # endpoints with different denominators
+            (P(-5, 0, 1), Interval(Fraction(2), Fraction(7, 3))),
+        ]
+        for p, iv in cases:
+            theta = AlgebraicNumber(p, iv)
+            for steps in (0, 1, 2, 5, 40, 130):
+                want = _fraction_bisection(theta, steps)
+                assert theta.bisected(steps=steps).enclosure == want
+            cur = theta
+            for steps in range(1, 41):
+                cur = cur.refined()
+                assert cur.enclosure == _fraction_bisection(theta, steps)
+
+    def test_kernel_stops_on_condition(self):
+        theta = AlgebraicNumber(P(-2, 0, 1), Interval(Fraction(1), Fraction(2)))
+        fine = theta.bisected(lambda a, b, den: (b - a) << 20 <= den)
+        assert fine.enclosure.width <= Fraction(1, 1 << 20)
+        assert fine.enclosure == _fraction_bisection(theta, 20)
+        assert sturm_count(fine.defining, fine.enclosure) == 1
+        point = AlgebraicNumber.from_rational(Fraction(5, 3))
+        assert point.bisected(steps=10) is point
+
+    def test_digits_below_one_rejected(self):
+        for digits in (0, -3):
+            with pytest.raises(ExactError, match="digits"):
+                decimal_str(Fraction(1, 3), digits)
+        sqrt2 = AlgebraicNumber(P(-2, 0, 1), Interval(Fraction(1), Fraction(2)))
+        with pytest.raises(ExactError, match="digits"):
+            sqrt2.decimal(-3)
+        assert sqrt2.decimal(1) == "1"

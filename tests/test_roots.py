@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from gibonacci.exactnum import ExactError, Interval, Poly, sign_at_algebraic
+from gibonacci.exactnum import AlgebraicNumber, ExactError, Interval, Poly, sign_at_algebraic
 from gibonacci.polys import GibParams
+from gibonacci import roots as roots_module
 from gibonacci.roots import (
     bound_B,
     check_interlacing,
@@ -229,3 +230,82 @@ class TestCompanionDuality:
         for params in [UNIT, LUCAS, WIDE]:
             for k in range(2, 11):
                 assert companion_duality_holds(params, k)
+
+
+def _separate_all_pairs(a_roots, b_roots, max_rounds=512):
+    """Oracle: the all-pairs refinement loop the sorted sweep replaced."""
+    a, b = list(a_roots), list(b_roots)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(a)):
+            for j in range(len(b)):
+                rounds = 0
+                x, y = a[i].enclosure, b[j].enclosure
+                while x.lo < y.hi and y.lo < x.hi:
+                    a[i], b[j] = a[i].refined(), b[j].refined()
+                    x, y = a[i].enclosure, b[j].enclosure
+                    changed = True
+                    rounds += 1
+                    if rounds > max_rounds:
+                        raise ExactError("enclosures refuse to separate; the two sets share a root")
+    return a, b
+
+
+def _is_dyadic(x: Fraction) -> bool:
+    return x.denominator & (x.denominator - 1) == 0
+
+
+class TestIntegerDyadicCore:
+    def test_sweep_matches_all_pairs_oracle(self, monkeypatch):
+        pairs = [
+            (params, k, offset)
+            for params in (UNIT, LUCAS)
+            for k in range(2, 41)
+            for offset in (1, 2)
+        ]
+        sweep = [check_interlacing(roots_of(p, k + d), roots_of(p, k)) for p, k, d in pairs]
+        monkeypatch.setattr(roots_module, "_separate", _separate_all_pairs)
+        oracle = [check_interlacing(roots_of(p, k + d), roots_of(p, k)) for p, k, d in pairs]
+        assert sweep == oracle
+        assert set(sweep) <= {"both-sides", "right"}
+
+    def test_sweep_leaves_no_crossing_pair(self):
+        a, b = roots_module._separate(roots_of(WIDE, 21).roots, roots_of(WIDE, 20).roots)
+        for x in a:
+            for y in b:
+                ex, ey = x.enclosure, y.enclosure
+                assert ex.hi <= ey.lo or ey.hi <= ex.lo
+
+    def test_rim_enclosures_strictly_inside_window(self):
+        for params in (UNIT, LUCAS, WIDE):
+            for k in range(2, 24):
+                rs = roots_of(params, k)
+                bound = bound_B(params).value
+                assert rs.roots[0].enclosure.lo > 0 or rs.roots[0].is_rational
+                assert rs.roots[-1].enclosure.hi < bound or rs.roots[-1].is_rational
+
+    def test_cos_enclosure_dyadic_and_certified(self):
+        mpmath = pytest.importorskip("mpmath")
+        ts = [Fraction(j, k + 1) for k in range(2, 22) for j in range(1, k // 2 + 1)]
+        ts += [Fraction(1, 2), Fraction(1, 3), Fraction(1, 1000), Fraction(499, 1000)]
+        with mpmath.workdps(50):
+            for bits in (16, 64, 128):
+                for t in ts:
+                    iv = cos_pi_enclosure(t, bits)
+                    assert _is_dyadic(iv.lo) and _is_dyadic(iv.hi)
+                    assert iv.width <= Fraction(1, 1 << bits)
+                    exact = mpmath.cos(mpmath.mpf(t.numerator) / t.denominator * mpmath.pi)
+                    lo = mpmath.mpf(iv.lo.numerator) / iv.lo.denominator
+                    hi = mpmath.mpf(iv.hi.numerator) / iv.hi.denominator
+                    assert lo <= exact <= hi
+
+    def test_refine_root_into_verdicts(self):
+        root = largest_root(LUCAS, 4)  # 2 + sqrt2 = 3.41421356...
+        inside = Interval(Fraction(341, 100), Fraction(342, 100))
+        assert refine_root_into(root, inside)
+        assert not refine_root_into(root, Interval(Fraction(342, 100), Fraction(4)))
+        assert not refine_root_into(root, Interval(Fraction(3), Fraction(341, 100)))
+        three = AlgebraicNumber.from_rational(3)
+        assert refine_root_into(three, Interval(Fraction(3), Fraction(3)))
+        assert not refine_root_into(three, Interval(Fraction(31, 10), Fraction(4)))
