@@ -18,6 +18,11 @@ for computing values.  Every refinement of an algebraic number runs one
 integer bisection kernel, `AlgebraicNumber.bisected`, on integer endpoints
 over a common denominator D*2^s; it builds no Fraction per step, and
 `refined()` is one step of it.
+
+The sign of a polynomial at a real algebraic number is decided interval
+first (`sign_at_algebraic`): integer interval Horner over the number's kept
+enclosure settles every nonzero sign, and only a box that contains 0 pays
+for the exact zero test (a gcd and a Sturm count of the gcd).
 """
 
 from __future__ import annotations
@@ -399,6 +404,65 @@ def _sign_at_point(int_coeffs: Sequence[int], n: int, d: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
+def _common_box(iv: Interval) -> tuple:
+    """(a, b, den): the endpoints of iv as a/den and b/den, den > 0."""
+    lo, hi = iv.lo, iv.hi
+    den = lo.denominator * hi.denominator // math.gcd(lo.denominator, hi.denominator)
+    return lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den
+
+
+def _bisect(int_coeffs: Sequence[int], a: int, b: int, den: int, stop=None, steps=None) -> tuple:
+    """Bisect the root of int_coeffs isolated in (a/den, b/den]; returns (a, b, den).
+
+    A step takes the integer sign at the midpoint (a+b)/(2den) and keeps the
+    half whose endpoint signs differ; the sign at a is fixed, so one sign
+    per step suffices.  When a midpoint is the root itself the result is
+    the point box (m, m, den).
+    """
+    sign_a = _sign_at_point(int_coeffs, a, den)
+    taken = 0
+    while taken != steps and not (stop is not None and stop(a, b, den)):
+        taken += 1
+        m = a + b
+        a, b, den = a << 1, b << 1, den << 1
+        sign_m = _sign_at_point(int_coeffs, m, den)
+        if sign_m == 0:
+            return m, m, den
+        if sign_m == sign_a:
+            a = m
+        else:
+            b = m
+    return a, b, den
+
+
+def _box_sign(int_coeffs: Sequence[int], a: int, b: int, den: int) -> int:
+    """Sign of an integer polynomial over all of [a/den, b/den], or 0.
+
+    Integer interval Horner on the numerator sum(c_i * x^i * den^(deg-i)) for
+    x in [a, b]: the result is +1 or -1 only when the whole box lies on that
+    side of 0, and 0 whenever the box contains 0.  A point box (a == b) is
+    evaluated exactly, so there 0 means the value is zero.
+    """
+    lo = hi = int_coeffs[-1]
+    dpow = den
+    for c in int_coeffs[-2::-1]:
+        if a >= 0:
+            if lo >= 0:
+                lo, hi = lo * a, hi * b
+            elif hi <= 0:
+                lo, hi = lo * b, hi * a
+            else:
+                lo, hi = lo * b, hi * b
+        else:
+            ends = (lo * a, lo * b, hi * a, hi * b)
+            lo, hi = min(ends), max(ends)
+        t = c * dpow
+        lo += t
+        hi += t
+        dpow *= den
+    return 1 if lo > 0 else -1 if hi < 0 else 0
+
+
 @lru_cache(maxsize=64)
 def sturm_chain(p: Poly) -> tuple:
     """Sturm chain of p as primitive integer coefficient tuples.
@@ -516,10 +580,15 @@ class AlgebraicNumber:
 
     The enclosure either contains exactly one (simple) root of `defining`
     with endpoints that are not roots, or is a degenerate point [r, r] when
-    the number is rational.  All operations return new values.
+    the number is rational.  All operations return new values, and
+    `enclosure` never changes.
+
+    The tightest enclosure computed for sign decisions is filled in lazily
+    and kept, as integer endpoints (a, b, den) over one common denominator;
+    it lies inside `enclosure`, isolates the same root, and only shrinks.
     """
 
-    __slots__ = ("defining", "enclosure")
+    __slots__ = ("defining", "enclosure", "_kept")
 
     def __init__(self, defining: Poly, enclosure: Interval, _checked=False):
         if not _checked:
@@ -531,6 +600,7 @@ class AlgebraicNumber:
                     raise ExactError("enclosure does not isolate exactly one root")
         object.__setattr__(self, "defining", defining)
         object.__setattr__(self, "enclosure", enclosure)
+        object.__setattr__(self, "_kept", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraicNumber is immutable")
@@ -554,35 +624,16 @@ class AlgebraicNumber:
         """The integer bisection kernel behind every refinement.
 
         The enclosure is held as integer endpoints a/den < b/den over one
-        common denominator den = D*2^s.  A step takes the integer sign of the
-        defining polynomial at the midpoint (a+b)/(2den) and keeps the half
-        whose endpoint signs differ; the sign at a is fixed, so one sign per
-        step suffices.  Bisection stops as soon as stop(a, b, den) holds,
-        after `steps` steps, or when a midpoint is the root itself (the
-        enclosure then collapses to that point).  The Interval is built once,
-        when the loop stops.
+        common denominator den = D*2^s (see `_bisect`).  Bisection stops as
+        soon as stop(a, b, den) holds, after `steps` steps, or when a
+        midpoint is the root itself (the enclosure then collapses to that
+        point).  The Interval is built once, when the loop stops.
         """
         if self.is_rational:
             return self
-        lo, hi = self.enclosure.lo, self.enclosure.hi
-        den = lo.denominator * hi.denominator // math.gcd(lo.denominator, hi.denominator)
-        a = lo.numerator * (den // lo.denominator)
-        b = hi.numerator * (den // hi.denominator)
-        cs = self.defining.primitive_int_coeffs()
-        sign_a = _sign_at_point(cs, a, den)
-        taken = 0
-        while taken != steps and not (stop is not None and stop(a, b, den)):
-            taken += 1
-            m = a + b
-            a, b, den = a << 1, b << 1, den << 1
-            sign_m = _sign_at_point(cs, m, den)
-            if sign_m == 0:
-                point = Fraction(m, den)
-                return AlgebraicNumber(self.defining, Interval(point, point), _checked=True)
-            if sign_m == sign_a:
-                a = m
-            else:
-                b = m
+        a, b, den = _bisect(
+            self.defining.primitive_int_coeffs(), *_common_box(self.enclosure), stop, steps
+        )
         return AlgebraicNumber(
             self.defining, Interval(Fraction(a, den), Fraction(b, den)), _checked=True
         )
@@ -614,31 +665,36 @@ class AlgebraicNumber:
 def sign_at_algebraic(p: Poly, theta: AlgebraicNumber) -> int:
     """Exact sign of p at the algebraic point theta: -1, 0, or +1.
 
-    Zero is decided exactly: theta is a root of p iff gcd(p, theta.defining)
-    still has theta as a root, which a Sturm count over the enclosure settles.
-    Otherwise the enclosure is refined until p has constant sign across it.
+    Interval first: p's primitive integer coefficients are evaluated by
+    integer interval Horner over theta's kept enclosure (`_box_sign`), and a
+    box that excludes 0 is the sign.  Only when the box contains 0 is zero
+    decided exactly, once: theta is a root of p iff gcd(p, theta.defining)
+    still has theta as a root, which a Sturm count over the enclosure
+    settles.  Otherwise the enclosure is bisected with doubling step counts
+    until the box excludes 0, which happens because p is continuous and
+    p(theta) != 0; the tighter enclosure is kept on theta for later queries.
+    No floating point and no Sturm chain of p is involved.
     """
     if p.is_zero:
         return 0
     if theta.is_rational:
         return p.sign_at(theta.rational_value)
+    cs = p.primitive_int_coeffs()
+    box = theta._kept or _common_box(theta.enclosure)
+    sign = _box_sign(cs, *box)
+    if sign:
+        return sign
     g = poly_gcd(p, theta.defining)
     if g.degree >= 1 and sturm_count(g, theta.enclosure) == 1:
         return 0
-    cur = theta
-    while True:
-        iv = cur.enclosure
-        if cur.is_rational:
-            return p.sign_at(cur.rational_value)
-        try:
-            inside = sturm_count(p, iv)
-            lo_sign = p.sign_at(iv.lo)
-        except EndpointRootError:
-            cur = cur.refined()
-            continue
-        if inside == 0 and lo_sign != 0:
-            return lo_sign
-        cur = cur.refined()
+    defining = theta.defining.primitive_int_coeffs()
+    steps = 1
+    while not sign:
+        box = _bisect(defining, *box, steps=steps)
+        sign = _box_sign(cs, *box)
+        steps *= 2
+    object.__setattr__(theta, "_kept", box)
+    return sign
 
 
 def algebraic_equal(x: AlgebraicNumber, y: AlgebraicNumber) -> bool:

@@ -9,10 +9,17 @@ Node values live in one of three worlds, all exact:
     verify whole families of games at once.
 
 Sign decisions are never numeric guesses: rationals compare directly, ring
-elements go through the Sturm-backed sign of a polynomial at an algebraic
-point, and linear forms are signed when both coefficients agree (a mixed
-form means the outcome genuinely depends on the start pair, which callers
-treat as an error).
+elements go through the exact sign of a polynomial at an algebraic point
+(an integer interval box over the root's kept enclosure, with a gcd and
+Sturm zero test only when the box contains 0), and linear forms are signed
+when both coefficients agree (a mixed form means the outcome genuinely
+depends on the start pair, which callers treat as an error).
+
+The row values at pq are scanned once per config: `_scan` keeps the first
+non-positive row, its sign and the two rows it needs in the frozen config's
+instance dict, so classify, predicted_moves and terminal_numbers share it.
+Move-count predictions hold for seeds with alpha >= beta only; below that
+the count depends on the strategy, and the predictions refuse.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .exactnum import (
     decimal_str,
     format_rational,
     poly_to_text,
+    rational,
     sign_at_algebraic,
 )
 from .polys import GibParams
@@ -79,7 +87,7 @@ class RingElement:
             if other.ring is not self.ring and other.ring.defining != self.ring.defining:
                 raise ExactError("elements of different rings")
             return other
-        return RingElement(self.ring, Poly.constant(Fraction(other)))
+        return RingElement(self.ring, Poly.constant(rational(other)))
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -135,28 +143,20 @@ class LinearForm:
     cb: Scalar
 
     def __add__(self, other: "LinearForm") -> "LinearForm":
-        return LinearForm(_scalar_add(self.ca, other.ca), _scalar_add(self.cb, other.cb))
+        if not isinstance(other, LinearForm):
+            raise ExactError("cannot mix symbolic and concrete node values")
+        return LinearForm(self.ca + other.ca, self.cb + other.cb)
+
+    __radd__ = __add__
 
     def __neg__(self) -> "LinearForm":
-        return LinearForm(_scalar_neg(self.ca), _scalar_neg(self.cb))
+        return LinearForm(-self.ca, -self.cb)
 
     def scaled(self, c: Scalar) -> "LinearForm":
-        return LinearForm(_scalar_mul(c, self.ca), _scalar_mul(c, self.cb))
+        return LinearForm(c * self.ca, c * self.cb)
 
 
 Value = Union[Fraction, RingElement, LinearForm]
-
-
-def _scalar_add(x: Scalar, y: Scalar) -> Scalar:
-    return x + y
-
-
-def _scalar_neg(x: Scalar) -> Scalar:
-    return -x
-
-
-def _scalar_mul(x: Scalar, y: Scalar) -> Scalar:
-    return x * y
 
 
 def scalar_sign(x: Scalar) -> int:
@@ -180,28 +180,15 @@ def value_sign(v: Value) -> int:
     return scalar_sign(v)
 
 
-def _neg(v: Value) -> Value:
-    return -v
-
-
-def _add(u: Value, v: Value) -> Value:
-    if isinstance(u, LinearForm) != isinstance(v, LinearForm):
-        raise ExactError("cannot mix symbolic and concrete node values")
-    return u + v
-
-
 def _scale(c: Scalar, v: Value) -> Value:
     if isinstance(v, LinearForm):
         return v.scaled(c)
-    return _scalar_mul(c, v)
+    return c * v
 
 
-def eval_poly_at_scalar(p: Poly, s: Scalar) -> Scalar:
-    """Horner evaluation of a rational polynomial at a rational or ring point."""
-    acc: Scalar = Fraction(0)
-    for c in reversed(p.coeffs):
-        acc = _scalar_add(_scalar_mul(acc, s), c)
-    return acc
+def _next_row(x: Scalar, l: int, prev: Scalar, prev2: Scalar) -> Scalar:
+    """Row l at x from rows l-1 and l-2: x^((l-1) mod 2) * prev - prev2."""
+    return (x * prev if l % 2 == 0 else prev) - prev2
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +227,7 @@ class GameConfig:
 
     @property
     def pq(self) -> Scalar:
-        return _scalar_mul(Fraction(self.p), self.q)
+        return self.p * self.q
 
     def g_hat(self, upto: int) -> list:
         """[g_hat_{-1}, g_hat_0, ..., g_hat_upto]: row values at x = p*q.
@@ -251,9 +238,7 @@ class GameConfig:
         x = self.pq
         out: list = [alpha - beta, alpha, beta]
         for l in range(2, upto + 1):
-            prev, prev2 = out[-1], out[-2]
-            term = _scalar_mul(x, prev) if l % 2 == 0 else prev
-            out.append(_scalar_add(term, _scalar_neg(prev2)))
+            out.append(_next_row(x, l, out[-1], out[-2]))
         return out[: upto + 2]
 
 
@@ -311,26 +296,26 @@ def fire(state: GameState, node: str, config: GameConfig) -> GameState:
         s = value_sign(state.u)
         if s <= 0:
             raise ExactError(f"illegal firing: node {NODE1} value has sign {s}")
-        new_u = _neg(state.u)
-        new_v = _add(_scale(config.p, state.u), state.v)
+        new_u = -state.u
+        new_v = _scale(config.p, state.u) + state.v
     else:
         s = value_sign(state.v)
         if s <= 0:
             raise ExactError(f"illegal firing: node {NODE2} value has sign {s}")
-        new_u = _add(state.u, _scale(config.q, state.v))
-        new_v = _neg(state.v)
+        new_u = state.u + _scale(config.q, state.v)
+        new_v = -state.v
     return GameState(new_u, new_v, state.moves_made + 1, True)
 
 
 def _seeded_transition(a: Value, b: Value, node: str, config: GameConfig):
     alpha, beta = config.params.alpha, config.params.beta
-    p, q = Fraction(config.p), config.q
+    p, q = config.p, config.q
     if node == NODE1:
-        new_u = _neg(_add(_scale(alpha, a), _scale(_scalar_mul(q, alpha - beta), b)))
-        new_v = _add(_scale(p * beta, a), _scale(alpha, b))
+        new_u = -(_scale(alpha, a) + _scale(q * (alpha - beta), b))
+        new_v = _scale(p * beta, a) + _scale(alpha, b)
     else:
-        new_u = _add(_scale(alpha, a), _scale(_scalar_mul(q, beta), b))
-        new_v = _neg(_add(_scale(p * (alpha - beta), a), _scale(alpha, b)))
+        new_u = _scale(alpha, a) + _scale(q * beta, b)
+        new_v = -(_scale(p * (alpha - beta), a) + _scale(alpha, b))
     return new_u, new_v
 
 
@@ -399,7 +384,7 @@ def _pick(legal: Sequence[str], strategy, last: str, move_index: int) -> str:
 def _certify_divergence(config: GameConfig, budget: int) -> bool:
     """True when pq >= B and every row value at pq up to the budget is positive."""
     bound = bound_B(config.params).value
-    gap = _scalar_add(config.pq, -bound)
+    gap = config.pq - bound
     if scalar_sign(gap) < 0:
         return False
     return all(scalar_sign(g) > 0 for g in config.g_hat(budget)[1:])
@@ -460,21 +445,44 @@ class Classification:
     k_if_root: Optional[int]
 
 
+def _scan(config: GameConfig) -> tuple:
+    """(k, sign, row k-1, row k) for the first k >= 2 whose row value at pq
+    is not positive.
+
+    The rows are scanned once per config: the result is kept in the frozen
+    config's instance dict, so classify, predicted_moves and
+    terminal_numbers share one scan.
+    """
+    found = config.__dict__.get("_row_scan")
+    if found is None:
+        x = config.pq
+        prev2: Scalar = config.params.alpha
+        prev: Scalar = config.params.beta
+        k = 1
+        while True:
+            k += 1
+            cur = _next_row(x, k, prev, prev2)
+            s = scalar_sign(cur)
+            if s <= 0:
+                break
+            prev2, prev = prev, cur
+        found = config.__dict__["_row_scan"] = (k, s, prev, cur)
+    return found
+
+
 def _locate(config: GameConfig):
     """(first k >= 2 with row value at pq not positive, its sign)."""
+    k, s, _, _ = _scan(config)
+    return k, s
+
+
+def _check_seed_order(config: GameConfig):
     alpha, beta = config.params.alpha, config.params.beta
-    x = config.pq
-    prev2: Scalar = alpha
-    prev: Scalar = beta
-    k = 1
-    while True:
-        k += 1
-        term = _scalar_mul(x, prev) if k % 2 == 0 else prev
-        cur = _scalar_add(term, _scalar_neg(prev2))
-        s = scalar_sign(cur)
-        if s <= 0:
-            return k, s
-        prev2, prev = prev, cur
+    if alpha < beta:
+        raise ExactError(
+            f"move-count predictions need alpha >= beta (seeds {format_rational(alpha)}, "
+            f"{format_rational(beta)}): below that the count depends on the strategy"
+        )
 
 
 def classify(config: GameConfig) -> Classification:
@@ -484,9 +492,13 @@ def classify(config: GameConfig) -> Classification:
     below B everything terminates, strong convergence holding exactly when
     pq is the largest root of some row, located by scanning row values at pq
     until the first non-positive sign.
+
+    The classification holds for any seeds, but with alpha < beta the move
+    count of a strongly convergent game still depends on the strategy, so
+    predicted_moves and terminal_numbers refuse those seeds.
     """
     bound = bound_B(config.params).value
-    gap = _scalar_add(config.pq, -bound)
+    gap = config.pq - bound
     if scalar_sign(gap) >= 0:
         return Classification("all-diverge", True, None)
     k, s = _locate(config)
@@ -501,9 +513,10 @@ def predicted_moves(config: GameConfig, a, b, first_node: str) -> int:
     At pq equal to a largest root: k+1 moves for strongly dominant pairs and
     k otherwise.  Strictly between consecutive largest roots (bracket index
     j), the count is j or j+1 depending on which side of the proof threshold
-    the start ratio falls.
+    the start ratio falls.  Seeds with alpha < beta are refused.
     """
     _check_node(first_node)
+    _check_seed_order(config)
     a, b = Fraction(a), Fraction(b)
     if a < 0 or b < 0 or (a == 0 and b == 0):
         raise ExactError("start pair must be nonzero dominant")
@@ -513,24 +526,22 @@ def predicted_moves(config: GameConfig, a, b, first_node: str) -> int:
     if cls.k_if_root is not None:
         k = cls.k_if_root
         return k + 1 if (a > 0 and b > 0) else k
-    j, _ = _locate(config)
-    gh = config.g_hat(j)
-    gj, gj1 = gh[j + 1], gh[j]  # row j and row j-1 values at pq
-    p, q = Fraction(config.p), config.q
+    j, _, gj1, gj = _scan(config)  # rows j-1 and j at pq
+    p, q = config.p, config.q
     if first_node == NODE1:
         if a == 0:
             raise ExactError("seeded firing of g1 needs a > 0")
         if j % 2 == 0:
-            margin = _scalar_add(_scalar_mul(_scalar_neg(gj), a), _scalar_neg(_scalar_mul(q, _scalar_mul(gj1, b))))
+            margin = -gj * a - q * (gj1 * b)
         else:
-            margin = _scalar_add(_scalar_mul(_scalar_neg(gj), p * a), _scalar_neg(_scalar_mul(gj1, b)))
+            margin = -gj * (p * a) - gj1 * b
     else:
         if b == 0:
             raise ExactError("seeded firing of g2 needs b > 0")
         if j % 2 == 0:
-            margin = _scalar_add(_scalar_mul(_scalar_neg(gj), b), _scalar_neg(_scalar_mul(p, _scalar_mul(gj1, a))))
+            margin = -gj * b - p * (gj1 * a)
         else:
-            margin = _scalar_add(_scalar_mul(_scalar_neg(gj), _scalar_mul(q, b)), _scalar_neg(_scalar_mul(gj1, a)))
+            margin = -gj * (q * b) - gj1 * a
     return j if scalar_sign(margin) >= 0 else j + 1
 
 
@@ -539,22 +550,23 @@ def terminal_numbers(config: GameConfig, a, b):
 
     Row parity selects the displayed form; its twin (via the identity that
     row k+1 and row k-1 values at the root are negatives) is equal in the
-    quotient ring and is checked by the test suite.
+    quotient ring and is checked by the test suite.  Seeds with
+    alpha < beta are refused.
     """
+    _check_seed_order(config)
     cls = classify(config)
     if cls.k_if_root is None:
         raise ExactError("terminal formulas need pq equal to a largest root")
-    k = cls.k_if_root
+    k, _, g_km1, g_k = _scan(config)
+    g_kp1 = _next_row(config.pq, k + 1, g_k, g_km1)
     a, b = Fraction(a), Fraction(b)
-    gh = config.g_hat(k + 1)
-    g_km1, g_kp1 = gh[k], gh[k + 2]
-    p, q = Fraction(config.p), config.q
+    p, q = config.p, config.q
     if k % 2 == 0:
-        final_u = _scalar_mul(q, _scalar_mul(g_kp1, b))
-        final_v = _scalar_neg(_scalar_mul(p, _scalar_mul(g_km1, a)))
+        final_u = q * (g_kp1 * b)
+        final_v = -(p * (g_km1 * a))
     else:
-        final_u = _scalar_neg(_scalar_mul(g_km1, a))
-        final_v = _scalar_mul(g_kp1, b)
+        final_u = -(g_km1 * a)
+        final_v = g_kp1 * b
     return final_u, final_v
 
 

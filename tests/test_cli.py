@@ -293,3 +293,17 @@ class TestDomainErrors:
             capsys, "triangle", "--alpha", "1", "--n", "3", "--k", "-1", "--as-poly"
         )
         assert code == 1 and out == "" and err.startswith("error:")
+
+    def test_predict_refuses_alpha_below_beta(self, capsys):
+        # pq = 3/2 is the largest root of row 3 for seeds (1, 2); greedy-g1
+        # plays one move more than alternate there
+        config = ["--alpha", "1", "--beta", "2", "--p", "1", "--q", "3/2", "--a", "1", "--b", "1", "--first", "g1"]
+        plays = {}
+        for strategy in ("alternate", "greedy-g1"):
+            code, out, _ = run_cli(capsys, "game", "play", *config, "--strategy", strategy, "--format", "json")
+            assert code == 0
+            plays[strategy] = json.loads(out.splitlines()[-1])["moves"]
+        assert plays == {"alternate": 4, "greedy-g1": 5}
+        code, out, err = run_cli(capsys, "game", "predict", *config)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "alpha >= beta" in err and len(err.splitlines()) == 1

@@ -424,3 +424,156 @@ class TestIntegerCore:
         with pytest.raises(ExactError, match="digits"):
             sqrt2.decimal(-3)
         assert sqrt2.decimal(1) == "1"
+
+
+def _sturm_loop_sign(p: Poly, theta: AlgebraicNumber) -> int:
+    """Oracle: the former sign_at_algebraic, with a gcd zero test on every
+    query and a Sturm count of p after every one-step refinement."""
+    if p.is_zero:
+        return 0
+    if theta.is_rational:
+        return p.sign_at(theta.rational_value)
+    g = poly_gcd(p, theta.defining)
+    if g.degree >= 1 and sturm_count(g, theta.enclosure) == 1:
+        return 0
+    cur = theta
+    while True:
+        iv = cur.enclosure
+        if cur.is_rational:
+            return p.sign_at(cur.rational_value)
+        try:
+            inside = sturm_count(p, iv)
+            lo_sign = p.sign_at(iv.lo)
+        except EndpointRootError:
+            cur = cur.refined()
+            continue
+        if inside == 0 and lo_sign != 0:
+            return lo_sign
+        cur = cur.refined()
+
+
+def _fresh(theta: AlgebraicNumber) -> AlgebraicNumber:
+    """The same number without a kept enclosure (roots_of caches its roots)."""
+    return AlgebraicNumber(theta.defining, theta.enclosure, _checked=True)
+
+
+ORACLE_SEEDS = [(1, 1), (2, 1), (5, 2), (1, 2), (Fraction(7, 3), Fraction(1, 2))]
+
+
+class TestIntervalFirstSign:
+    def test_matches_sturm_loop_on_row_roots(self):
+        from gibonacci.polys import GibParams, sign_alternating_poly
+        from gibonacci.roots import roots_of
+
+        zeros = 0
+        for alpha, beta in ORACLE_SEEDS:
+            params = GibParams.of(alpha, beta)
+            rows = [sign_alternating_poly(params, j).poly for j in range(2, 22)]
+            for k in range(2, 22):
+                for root in roots_of(params, k).roots:
+                    theta = _fresh(root)  # shared by all rows: the kept path
+                    for p in rows:
+                        want = _sturm_loop_sign(p, root)
+                        assert sign_at_algebraic(p, theta) == want
+                        assert sign_at_algebraic(p, _fresh(root)) == want
+                        zeros += want == 0
+        assert zeros > 500  # every row vanishes at its own roots, and more
+
+    def test_matches_sturm_loop_on_random_polynomials(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        from gibonacci.polys import GibParams
+        from gibonacci.roots import roots_of
+
+        thetas = [
+            root
+            for alpha, beta in ORACLE_SEEDS
+            for k in (5, 12, 19)
+            for root in roots_of(GibParams.of(alpha, beta), k).roots
+        ]
+        # negative roots and enclosures around 0 take the general interval product
+        for p in (P(-2, 0, 1), P(1, -3, 0, 1), P(-1, 3, 7, -2, -5)):
+            window = Interval(Fraction(-3), Fraction(3))
+            thetas += [AlgebraicNumber(p, iv) for iv in isolate_real_roots(p, window)]
+        assert any(t.enclosure.lo < 0 for t in thetas)
+        rationals = st.fractions(min_value=-30, max_value=30, max_denominator=40)
+
+        @hyp.settings(max_examples=120, deadline=None, derandomize=True)
+        @hyp.given(
+            st.lists(rationals, max_size=8),
+            st.integers(min_value=0, max_value=len(thetas) - 1),
+            st.booleans(),
+        )
+        def check(coeffs, index, through_theta):
+            root = thetas[index]
+            p = Poly(coeffs)
+            if through_theta:
+                p = p * root.defining  # vanishes at theta unless p was zero
+            theta = _fresh(root)
+            assert sign_at_algebraic(p, theta) == _sturm_loop_sign(p, root)
+            assert sign_at_algebraic(p, theta) == _sturm_loop_sign(p, root)
+
+        check()
+
+    def test_box_sign_is_sound(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        from gibonacci.exactnum import _box_sign
+
+        ints = st.integers(min_value=-40, max_value=40)
+
+        @hyp.settings(max_examples=300, deadline=None, derandomize=True)
+        @hyp.given(st.lists(ints, min_size=1, max_size=7), ints, st.integers(0, 30), st.integers(1, 12))
+        def check(coeffs, a, width, den):
+            if coeffs[-1] == 0:
+                coeffs[-1] = 1
+            p = Poly(coeffs)
+            b = a + width
+            sign = _box_sign(tuple(coeffs), a, b, den)
+            # a nonzero answer must hold at every point of the box
+            for i in range(9):
+                x = Fraction(a * 8 + (b - a) * i, 8 * den)
+                if sign:
+                    assert p.sign_at(x) == sign
+            if a == b:
+                assert sign == p.sign_at(Fraction(a, den))
+
+        check()
+
+    def test_kept_enclosure_shrinks_inside_and_isolates(self):
+        from gibonacci.polys import GibParams, sign_alternating_poly
+        from gibonacci.roots import largest_root
+
+        params = GibParams.of(2, 1)
+        theta = _fresh(largest_root(params, 16))
+        lo, hi = theta.enclosure.lo, theta.enclosure.hi
+        assert theta._kept is None
+        width = hi - lo
+        refined = 0
+        # rows close to 16 at its largest root need ever finer enclosures
+        for j in list(range(2, 30)) + [16, 17, 15]:
+            sign_at_algebraic(sign_alternating_poly(params, j).poly, theta)
+            assert theta.enclosure == Interval(lo, hi)  # never changes
+            if theta._kept is None:
+                continue
+            a, b, den = theta._kept
+            kept = Interval(Fraction(a, den), Fraction(b, den))
+            assert lo <= kept.lo and kept.hi <= hi
+            assert kept.width <= width
+            refined += kept.width < width
+            width = kept.width
+            if kept.lo == kept.hi:
+                assert theta.defining.sign_at(kept.lo) == 0
+            else:
+                assert sturm_count(theta.defining, kept) == 1
+        assert refined >= 2
+
+    def test_kept_enclosure_not_filled_by_coarse_or_zero_queries(self):
+        iv = isolate_real_roots(P(-2, 0, 1), Interval(Fraction(0), Fraction(2)))[0]
+        sqrt2 = AlgebraicNumber(P(-2, 0, 1), iv)
+        assert sign_at_algebraic(P(-2, 0, 1), sqrt2) == 0
+        assert sign_at_algebraic(P(-3, 1), sqrt2) == -1
+        assert sqrt2._kept is None
+        assert sign_at_algebraic(P(-Fraction(141421, 100000), 1), sqrt2) == 1
+        assert sqrt2._kept is not None
+        assert sqrt2.to_json()["enclosure"] == iv.to_json()

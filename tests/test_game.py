@@ -16,7 +16,6 @@ from gibonacci.game import (
     NumberRing,
     RingElement,
     classify,
-    eval_poly_at_scalar,
     fire,
     play,
     play_symbolic,
@@ -67,6 +66,15 @@ class TestFire:
         nxt = fire(state, NODE1, SIX_MOVE)
         assert nxt.u == form(-3, Fraction(-16, 7))
         assert nxt.v == form(Fraction(7, 2), 3)
+
+    def test_mixing_symbolic_and_concrete_rejected(self):
+        cfg = GameConfig.at_largest_root(LUCAS, 4)
+        root = cfg.q
+        for u, v in [(form(1, 0), F(2)), (F(2), form(1, 0)), (root, form(1, 0)), (form(1, 0), root)]:
+            state = GameState(u, v, 1, True)
+            for node in (NODE1, NODE2):
+                with pytest.raises(ExactError):
+                    fire(state, node, cfg)
 
     def test_opening_requires_seeded_move(self):
         cfg = GameConfig.rational(UNIT, 1, 1)
@@ -227,6 +235,84 @@ class TestPredictedMoves:
             predicted_moves(GameConfig.rational(UNIT, 2, 2), 1, 1, NODE1)
 
 
+class TestSeedOrder:
+    """Below alpha/beta = 1 the move count depends on the strategy, so
+    predictions are refused there (classification still answers)."""
+
+    HALF = GibParams.of(1, 2)
+
+    def assert_refused(self, cfg, a, b, first):
+        for call in (lambda: predicted_moves(cfg, a, b, first), lambda: terminal_numbers(cfg, a, b)):
+            with pytest.raises(ExactError, match="alpha >= beta") as err:
+                call()
+            assert "\n" not in str(err.value)
+
+    def test_root_of_row_six(self):
+        cfg = GameConfig.at_largest_root(self.HALF, 6, 1)
+        assert classify(cfg) == Classification("all-terminate", True, 6)
+        moves = {s: play(2, 1, NODE1, cfg, strategy=s, budget=20) for s in ("alternate", "greedy-g1")}
+        assert moves["alternate"].moves == 7 and moves["greedy-g1"].moves == 8
+        assert moves["alternate"].final != moves["greedy-g1"].final
+        self.assert_refused(cfg, 2, 1, NODE1)
+
+    def test_root_of_row_twenty_five(self):
+        cfg = GameConfig.at_largest_root(self.HALF, 25, Fraction(4, 3))
+        assert play(2, 1, NODE1, cfg, strategy="greedy-g1", budget=40).moves == 27
+        assert play(2, 1, NODE1, cfg, strategy="alternate", budget=40).moves == 26
+        self.assert_refused(cfg, 2, 1, NODE1)
+
+    def test_rational_root(self):
+        # pq = 3/2 is the largest root of row 3 for seeds (1, 2)
+        cfg = GameConfig.rational(self.HALF, 1, Fraction(3, 2))
+        assert classify(cfg) == Classification("all-terminate", True, 3)
+        assert play(1, 1, NODE1, cfg, strategy="alternate").moves == 4
+        assert play(1, 1, NODE1, cfg, strategy="greedy-g1").moves == 5
+        self.assert_refused(cfg, 1, 1, NODE1)
+        self.assert_refused(GameConfig.rational(self.HALF, 1, Fraction(5, 2)), 1, 1, NODE2)
+
+    def test_equal_seeds_still_predicted(self):
+        assert predicted_moves(GameConfig.rational(GibParams.of(3, 3), 1, 1), 1, 1, NODE1) == 3
+
+
+class TestRowScan:
+    def count_rows(self, monkeypatch):
+        from gibonacci import game
+
+        calls = []
+        real = game._next_row
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(game, "_next_row", counting)
+        return calls
+
+    def test_root_config_scans_once(self, monkeypatch):
+        from gibonacci.game import _locate
+
+        cfg = GameConfig.at_largest_root(LUCAS, 9, Fraction(3, 2))
+        calls = self.count_rows(monkeypatch)
+        assert classify(cfg).k_if_root == 9
+        assert predicted_moves(cfg, 2, 3, NODE1) == 10
+        final = terminal_numbers(cfg, 2, 3)
+        assert classify(cfg).k_if_root == 9 and _locate(cfg) == (9, 0)
+        # rows 2..9 once, then row 10 for the terminal pair
+        assert calls == list(range(2, 11))
+        trace = play(2, 3, NODE1, cfg, budget=20)
+        assert trace.moves == 10 and _values_equal(trace.final, final)
+
+    def test_gap_config_scans_once(self, monkeypatch):
+        cfg = GameConfig.rational(UNIT, 1, Fraction(5, 2))
+        calls = self.count_rows(monkeypatch)
+        counts = [predicted_moves(cfg, a, b, NODE1) for a, b in [(5, 1), (5, 2), (1, 0)]]
+        assert counts == [4, 5, 4]
+        assert calls == [2, 3, 4]
+        # the memo lives on the config: an equal config scans again
+        predicted_moves(GameConfig.rational(UNIT, 1, Fraction(5, 2)), 5, 1, NODE1)
+        assert calls == [2, 3, 4] * 2
+
+
 class TestTerminalNumbers:
     def test_six_move_terminal(self):
         assert terminal_numbers(SIX_MOVE, 1, 1) == (F(-1), F(-1))
@@ -372,7 +458,7 @@ class TestValueSign:
         root = ring.generator()
         assert (root - 3).sign() == 1  # 2 + sqrt2 > 3
         assert (root - 4).sign() == -1
-        assert eval_poly_at_scalar(Poly([2, -4, 1]), root).sign() == 0
+        assert (root * root - 4 * root + 2).sign() == 0
 
 
 def _values_equal(got, expected) -> bool:
