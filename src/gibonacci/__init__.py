@@ -8,7 +8,6 @@ from .exactnum import (
     ExactError,
     Interval,
     Poly,
-    QuadraticElement,
     isolate_real_roots,
     poly_gcd,
     rational,
@@ -32,7 +31,6 @@ from .game import (
 from .polys import (
     GibonacciArray,
     GibParams,
-    SAPolynomial,
     binet_eval,
     binomial_entry,
     companion_poly,

@@ -56,18 +56,20 @@ from .verify import run_suite
 DEFAULT_DIGITS = 30
 
 
-def _rat(text: str) -> Fraction:
-    return rational(text)
-
-
 def _format_choice(args) -> str:
-    if getattr(args, "format", None):
+    """--format, else GIBONACCI_FORMAT (checked against the same choices), else text."""
+    if args.format:
         return args.format
-    return os.environ.get("GIBONACCI_FORMAT", "text")
+    fmt = os.environ.get("GIBONACCI_FORMAT") or "text"
+    if fmt not in args.format_choices:
+        raise ExactError(
+            f"GIBONACCI_FORMAT={fmt!r} is not a format of this command; use {', '.join(args.format_choices)}"
+        )
+    return fmt
 
 
 def _params(args) -> GibParams:
-    return GibParams.of(_rat(args.alpha), _rat(args.beta))
+    return GibParams.of(rational(args.alpha), rational(args.beta))
 
 
 def _emit(text: str):
@@ -95,7 +97,7 @@ def cmd_array(args) -> int:
 
 def cmd_poly(args) -> int:
     params = _params(args)
-    poly = sign_alternating_poly(params, args.k).poly
+    poly = sign_alternating_poly(params, args.k)
     if _format_choice(args) == "json":
         _emit(json.dumps(poly_to_strings(poly)))
     else:
@@ -131,7 +133,7 @@ def cmd_roots(args) -> int:
 
 def cmd_binet(args) -> int:
     params = _params(args)
-    value = binet_eval(params, args.k, _rat(args.x), precision=args.precision)
+    value = binet_eval(params, args.k, rational(args.x))
     if _format_choice(args) == "json":
         _emit(json.dumps({"value": format_rational(value), "decimal": decimal_str(value, args.digits)}))
     else:
@@ -140,12 +142,12 @@ def cmd_binet(args) -> int:
 
 
 def _config(args) -> GameConfig:
-    return GameConfig.rational(_params(args), _rat(args.p), _rat(args.q))
+    return GameConfig.rational(_params(args), rational(args.p), rational(args.q))
 
 
 def cmd_game_play(args) -> int:
     cfg = _config(args)
-    trace = play(_rat(args.a), _rat(args.b), args.first, cfg, strategy=args.strategy, budget=args.budget)
+    trace = play(rational(args.a), rational(args.b), args.first, cfg, strategy=args.strategy, budget=args.budget)
     if _format_choice(args) == "json":
         for firing in trace.firings:
             _emit(json.dumps({"node": firing.node, "u": value_to_json(firing.u), "v": value_to_json(firing.v)}))
@@ -172,7 +174,7 @@ def cmd_game_classify(args) -> int:
 
 def cmd_game_predict(args) -> int:
     cfg = _config(args)
-    moves = predicted_moves(cfg, _rat(args.a), _rat(args.b), args.first)
+    moves = predicted_moves(cfg, rational(args.a), rational(args.b), args.first)
     if _format_choice(args) == "json":
         _emit(json.dumps({"moves": moves}))
     else:
@@ -228,7 +230,7 @@ def run_repl(cfg: GameConfig, a, b, lines, write, digits: int = DEFAULT_DIGITS) 
 def cmd_game_repl(args) -> int:
     cfg = _config(args)
     lines = iter(sys.stdin)
-    return run_repl(cfg, _rat(args.a), _rat(args.b), lines, sys.stdout.write, args.digits)
+    return run_repl(cfg, rational(args.a), rational(args.b), lines, sys.stdout.write, args.digits)
 
 
 def cmd_poset_enum(args) -> int:
@@ -297,13 +299,7 @@ def cmd_triangle(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ok, results = run_suite(
-        args.suite,
-        fast=args.fast,
-        roots_k_max=args.roots_k_max,
-        grid_n=args.grid_n,
-        grid_k=args.grid_k,
-    )
+    ok, results = run_suite(args.suite, fast=args.fast)
     for result in results:
         _emit(result.line())
         for detail in result.details:
@@ -319,6 +315,7 @@ def cmd_verify(args) -> int:
 
 def _add_format(p, choices=("text", "json")):
     p.add_argument("--format", choices=choices, default=None, help="output format (env GIBONACCI_FORMAT)")
+    p.set_defaults(format_choices=choices)
 
 
 def _add_seeds(p):
@@ -374,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seeds(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--x", required=True, help="evaluation point, integer or num/den")
-    p.add_argument("--precision", type=int, default=100)
     _add_digits(p)
     _add_format(p)
     p.set_defaults(handler=cmd_binet)
@@ -448,9 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=("arrays", "polys", "roots", "game", "posets", "all"))
     p.add_argument("--fast", action="store_true", help="smaller grids for quick runs")
-    p.add_argument("--roots-k-max", type=int, default=40, help="largest row for the root-geometry grid")
-    p.add_argument("--grid-n", type=int, default=5, help="largest window size for the poset grids")
-    p.add_argument("--grid-k", type=int, default=6, help="largest string length for the poset grids")
     p.set_defaults(handler=cmd_verify)
 
     return parser

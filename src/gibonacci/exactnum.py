@@ -23,6 +23,11 @@ The sign of a polynomial at a real algebraic number is decided interval
 first (`sign_at_algebraic`): integer interval Horner over the number's kept
 enclosure settles every nonzero sign, and only a box that contains 0 pays
 for the exact zero test (a gcd and a Sturm count of the gcd).
+
+Algebraic extensions have one representation, the quotient ring Q[t]/(m)
+(`NumberRing`, `RingElement`): the Binet closed forms compute in
+Q[t]/(t^2 - d) and the game at a largest root in Q[t]/(P_k).  Signs and
+decimals of ring elements are taken at a designated real root of m.
 """
 
 from __future__ import annotations
@@ -31,9 +36,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
-Rational = Fraction
 RationalLike = Union[Fraction, int]
 
 
@@ -181,6 +185,11 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly()
+        if len(a) < len(b):
+            a, b = b, a
+        if not any(b[:-1]):  # b is c*x^n: shift (and scale) a
+            c = b[-1]
+            return Poly([0] * (len(b) - 1) + (list(a) if c == 1 else [c * ca for ca in a]))
         out = [Fraction(0)] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
@@ -377,9 +386,6 @@ class Interval:
     @property
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
-
-    def contains(self, x) -> bool:
-        return self.lo <= x <= self.hi
 
     def to_json(self) -> list:
         return [format_rational(self.lo), format_rational(self.hi)]
@@ -697,140 +703,84 @@ def sign_at_algebraic(p: Poly, theta: AlgebraicNumber) -> int:
     return sign
 
 
-def algebraic_equal(x: AlgebraicNumber, y: AlgebraicNumber) -> bool:
-    """Exact equality of two algebraic numbers."""
-    if x.is_rational and y.is_rational:
-        return x.rational_value == y.rational_value
-    if x.is_rational:
-        return sign_at_algebraic(Poly([-x.rational_value, 1]), y) == 0
-    if y.is_rational:
-        return sign_at_algebraic(Poly([-y.rational_value, 1]), x) == 0
-    g = poly_gcd(x.defining, y.defining)
-    if g.degree < 1:
-        return False
-    try:
-        if sturm_count(g, x.enclosure) != 1 or sturm_count(g, y.enclosure) != 1:
-            return False
-    except EndpointRootError:
-        return algebraic_equal(x.refined(), y.refined())
-    # Both numbers are roots of g; they are equal iff their enclosures can
-    # never be separated, i.e. the union keeps holding a single root of g.
-    cx, cy = x, y
-    while True:
-        if cx.enclosure.hi < cy.enclosure.lo or cy.enclosure.hi < cx.enclosure.lo:
-            return False
-        hull = Interval(min(cx.enclosure.lo, cy.enclosure.lo), max(cx.enclosure.hi, cy.enclosure.hi))
-        try:
-            n = sturm_count(g, hull)
-        except EndpointRootError:
-            cx, cy = cx.refined(), cy.refined()
-            continue
-        if n == 1:
-            return True
-        if n >= 2:
-            return False
-        cx, cy = cx.refined(), cy.refined()
 
 
-def compare_algebraic(x: AlgebraicNumber, y: AlgebraicNumber) -> int:
-    """-1, 0, +1 ordering; refines enclosures until they separate.
+# ---------------------------------------------------------------------------
+# quotient rings Q[t]/(m)
+# ---------------------------------------------------------------------------
 
-    A non-point enclosure holds its root strictly inside (the endpoints are
-    never roots), so touching endpoints still decide the order.
+
+class NumberRing:
+    """Arithmetic in the quotient ring Q[t]/(defining).
+
+    The defining polynomial need not be irreducible, so the ring need not
+    be a field, and signs are answered at the designated real root theta of
+    defining rather than by ring representation.  `RingElement.sign` and
+    `RingElement.decimal` need theta; without it elements support ring
+    arithmetic only.
     """
-    if algebraic_equal(x, y):
-        return 0
-    cx, cy = x, y
-    while True:
-        if cx.is_rational and cy.is_rational:
-            return -1 if cx.rational_value < cy.rational_value else 1
-        # At least one enclosure is a proper interval, whose root is strictly
-        # interior, so touching endpoints already separate the two numbers.
-        if cx.enclosure.hi <= cy.enclosure.lo:
-            return -1
-        if cy.enclosure.hi <= cx.enclosure.lo:
-            return 1
-        cx, cy = cx.refined(), cy.refined()
 
+    def __init__(self, defining: Poly, theta: Optional[AlgebraicNumber] = None):
+        if theta is not None and theta.defining != defining and sign_at_algebraic(defining, theta):
+            raise ExactError("the designated root is not a root of the defining polynomial")
+        self.defining = defining
+        self.theta = theta
 
-# ---------------------------------------------------------------------------
-# quadratic field elements a + b*sqrt(disc)
-# ---------------------------------------------------------------------------
+    def element(self, poly: Poly) -> "RingElement":
+        return RingElement(self, poly % self.defining)
+
+    def from_rational(self, r) -> "RingElement":
+        return RingElement(self, Poly.constant(Fraction(r)))
+
+    def generator(self) -> "RingElement":
+        """The residue class of t (the designated root, when there is one)."""
+        return self.element(Poly([0, 1]))
+
+    def __repr__(self):
+        return f"NumberRing({self.defining!r})"
 
 
 @dataclass(frozen=True)
-class QuadraticElement:
-    """Element a + b*sqrt(disc) of Q(sqrt(disc)), disc a fixed rational.
+class RingElement:
+    """Residue class of `poly` (reduced modulo the defining polynomial)."""
 
-    Supports the ring operations needed for Binet-type evaluation; division
-    is by rationals or by invertible elements via the conjugate.
-    """
+    ring: NumberRing
+    poly: Poly
 
-    a: Fraction
-    b: Fraction
-    disc: Fraction
-
-    @classmethod
-    def of(cls, a, b, disc) -> "QuadraticElement":
-        return cls(Fraction(a), Fraction(b), Fraction(disc))
-
-    def _check(self, other: "QuadraticElement"):
-        if self.disc != other.disc:
-            raise ExactError("mixed quadratic fields")
+    def _coerce(self, other) -> "RingElement":
+        if isinstance(other, RingElement):
+            if other.ring is not self.ring and other.ring.defining != self.ring.defining:
+                raise ExactError("elements of different rings")
+            return other
+        return RingElement(self.ring, Poly.constant(rational(other)))
 
     def __add__(self, other):
         other = self._coerce(other)
-        return QuadraticElement(self.a + other.a, self.b + other.b, self.disc)
+        return RingElement(self.ring, self.poly + other.poly)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return QuadraticElement(self.a - other.a, self.b - other.b, self.disc)
+        return RingElement(self.ring, self.poly - other.poly)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return QuadraticElement(-self.a, -self.b, self.disc)
+        return RingElement(self.ring, -self.poly)
 
     def __mul__(self, other):
         other = self._coerce(other)
-        return QuadraticElement(
-            self.a * other.a + self.b * other.b * self.disc,
-            self.a * other.b + self.b * other.a,
-            self.disc,
-        )
+        return self.ring.element(self.poly * other.poly)
 
     __rmul__ = __mul__
 
-    def _coerce(self, other) -> "QuadraticElement":
-        if isinstance(other, QuadraticElement):
-            self._check(other)
-            return other
-        return QuadraticElement(Fraction(other), Fraction(0), self.disc)
-
-    def conjugate(self) -> "QuadraticElement":
-        return QuadraticElement(self.a, -self.b, self.disc)
-
-    def norm(self) -> Fraction:
-        return self.a * self.a - self.b * self.b * self.disc
-
-    def inverse(self) -> "QuadraticElement":
-        n = self.norm()
-        if n == 0:
-            raise ExactError("element is not invertible")
-        return QuadraticElement(self.a / n, -self.b / n, self.disc)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inverse()
-
-    def power(self, n: int) -> "QuadraticElement":
+    def __pow__(self, n: int) -> "RingElement":
+        """Square-and-multiply power, n >= 0."""
         if n < 0:
-            return self.inverse().power(-n)
-        result = QuadraticElement(Fraction(1), Fraction(0), self.disc)
-        base = self
+            raise ExactError("ring elements have nonnegative powers only")
+        result, base = self.ring.from_rational(1), self
         while n:
             if n & 1:
                 result = result * base
@@ -838,13 +788,24 @@ class QuadraticElement:
             n >>= 1
         return result
 
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0 or self.disc == 0
+    def _theta(self) -> AlgebraicNumber:
+        if self.ring.theta is None:
+            raise ExactError("sign and decimal need a ring with a designated root")
+        return self.ring.theta
 
-    def rational_part(self) -> Fraction:
-        if self.disc == 0:
-            return self.a
-        if self.b != 0:
-            raise ExactError("element has an irrational component")
-        return self.a
+    def sign(self) -> int:
+        return sign_at_algebraic(self.poly, self._theta())
+
+    @property
+    def is_zero(self) -> bool:
+        return self.poly.is_zero
+
+    def decimal(self, digits: int = 30) -> str:
+        # rendering only: the defining root is boxed far tighter than the
+        # requested digits, so evaluating at the box midpoint is enough
+        check_digits(digits)
+        theta = self._theta().refined_below(Fraction(1, 10 ** (digits + 6)))
+        return decimal_str(self.poly(theta.enclosure.mid), digits)
+
+    def to_json(self):
+        return {"coeffs": [format_rational(c) for c in self.poly.coeffs]}

@@ -3,8 +3,9 @@
 Node values live in one of three worlds, all exact:
 
   * plain rationals, when the product of the two multipliers is rational;
-  * the quotient ring Q[x]/(defining) attached to a chosen largest root,
-    when the multiplier product equals that (typically irrational) root;
+  * the quotient ring Q[t]/(P_k) of `exactnum` (`RingElement`), with the
+    largest root of row k as its designated root, when the multiplier
+    product equals that (typically irrational) root;
   * linear forms c_a*a + c_b*b over formal nonnegative start values, used to
     verify whole families of games at once.
 
@@ -15,9 +16,11 @@ Sturm zero test only when the box contains 0), and linear forms are signed
 when both coefficients agree (a mixed form means the outcome genuinely
 depends on the start pair, which callers treat as an error).
 
-The row values at pq are scanned once per config: `_scan` keeps the first
-non-positive row, its sign and the two rows it needs in the frozen config's
-instance dict, so classify, predicted_moves and terminal_numbers share it.
+Row values at pq come from the row step `polys._next_row`, the same one
+that builds the row polynomials.  They are scanned once per config: `_scan`
+keeps the first non-positive row, its sign and the two rows it needs in the
+frozen config's instance dict, so classify, predicted_moves and
+terminal_numbers share it.
 Move-count predictions hold for seeds with alpha >= beta only; below that
 the count depends on the strategy, and the predictions refuse.
 """
@@ -29,17 +32,14 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .exactnum import (
-    AlgebraicNumber,
     ExactError,
-    Poly,
-    check_digits,
+    NumberRing,
+    RingElement,
     decimal_str,
     format_rational,
     poly_to_text,
-    rational,
-    sign_at_algebraic,
 )
-from .polys import GibParams
+from .polys import GibParams, _next_row
 from .roots import bound_B, largest_root
 
 NODE1 = "g1"
@@ -49,87 +49,6 @@ NODES = (NODE1, NODE2)
 
 class IndeterminateSign(ExactError):
     """A symbolic value's sign depends on the specific start pair."""
-
-
-class NumberRing:
-    """Arithmetic in Q[x]/(defining) with a designated real root of defining.
-
-    The defining polynomial is square-free but need not be irreducible; sign
-    queries are therefore answered at the designated root rather than by ring
-    representation.
-    """
-
-    def __init__(self, theta: AlgebraicNumber):
-        self.theta = theta
-        self.defining = theta.defining
-
-    def element(self, poly: Poly) -> "RingElement":
-        return RingElement(self, poly % self.defining)
-
-    def from_rational(self, r) -> "RingElement":
-        return RingElement(self, Poly.constant(Fraction(r)))
-
-    def generator(self) -> "RingElement":
-        """The residue class of x, i.e. the designated root itself."""
-        return self.element(Poly([0, 1]))
-
-    def __repr__(self):
-        return f"NumberRing({self.defining!r})"
-
-
-@dataclass(frozen=True)
-class RingElement:
-    ring: NumberRing
-    poly: Poly
-
-    def _coerce(self, other) -> "RingElement":
-        if isinstance(other, RingElement):
-            if other.ring is not self.ring and other.ring.defining != self.ring.defining:
-                raise ExactError("elements of different rings")
-            return other
-        return RingElement(self.ring, Poly.constant(rational(other)))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return RingElement(self.ring, self.poly + other.poly)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return RingElement(self.ring, self.poly - other.poly)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        return RingElement(self.ring, -self.poly)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return self.ring.element(self.poly * other.poly)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "RingElement":
-        return RingElement(self.ring, self.poly.scale(Fraction(c)))
-
-    def sign(self) -> int:
-        return sign_at_algebraic(self.poly, self.ring.theta)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.poly.is_zero
-
-    def decimal(self, digits: int = 30) -> str:
-        # rendering only: the defining root is boxed far tighter than the
-        # requested digits, so evaluating at the box midpoint is enough
-        check_digits(digits)
-        theta = self.ring.theta.refined_below(Fraction(1, 10 ** (digits + 6)))
-        return decimal_str(self.poly(theta.enclosure.mid), digits)
-
-    def to_json(self):
-        return {"coeffs": [format_rational(c) for c in self.poly.coeffs]}
 
 
 Scalar = Union[Fraction, RingElement]
@@ -186,11 +105,6 @@ def _scale(c: Scalar, v: Value) -> Value:
     return c * v
 
 
-def _next_row(x: Scalar, l: int, prev: Scalar, prev2: Scalar) -> Scalar:
-    """Row l at x from rows l-1 and l-2: x^((l-1) mod 2) * prev - prev2."""
-    return (x * prev if l % 2 == 0 else prev) - prev2
-
-
 # ---------------------------------------------------------------------------
 # configuration and state
 # ---------------------------------------------------------------------------
@@ -222,8 +136,8 @@ class GameConfig:
         theta = largest_root(params, k)
         if theta.is_rational:
             return cls(params, p, theta.rational_value / p)
-        ring = NumberRing(theta)
-        return cls(params, p, ring.generator().scale(1 / p))
+        ring = NumberRing(theta.defining, theta)
+        return cls(params, p, ring.generator() * (1 / p))
 
     @property
     def pq(self) -> Scalar:

@@ -9,8 +9,14 @@ recurrence
 
     P_k = x^((k-1) mod 2) * P_{k-1} - P_{k-2},   P_0 = alpha, P_1 = beta,
 
-which is how they are built here.  The closed binomial form for array entries
-is kept separate so tests can confront the two routes.
+which is how they are built here; `_next_row` is that one row step, shared
+with the game's row scan.  The closed binomial form for array entries is
+kept separate so tests can confront the two routes.
+
+The Binet-type closed form evaluates a row at x through the eigenvalues of
+the step matrix, computed in the quotient ring Q[t]/(t^2 - (x^2 - 4x)); the
+result is exact whether the discriminant is a rational square, irrational
+or negative.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import ExactError, Poly, QuadraticElement, rational
+from .exactnum import ExactError, NumberRing, Poly, rational
 
 
 @dataclass(frozen=True)
@@ -88,22 +94,13 @@ class GibonacciArray:
             self._rows.append(row)
         return list(self._rows[k])
 
-    def entry(self, k: int, j: int) -> Fraction:
-        if k < 0 or j < 0 or j > k // 2:
-            return Fraction(0)
-        return self.row(k)[j]
 
-    def row_sum(self, k: int) -> Fraction:
-        return sum(self.row(k), Fraction(0))
+_X = Poly([0, 1])
 
 
-@dataclass(frozen=True)
-class SAPolynomial:
-    """A sign-alternating row polynomial together with its row index."""
-
-    k: int
-    params: GibParams
-    poly: Poly
+def _next_row(x, l: int, prev, prev2):
+    """The one row step, over any ring: row l at x from rows l-1 and l-2."""
+    return (x * prev if l % 2 == 0 else prev) - prev2
 
 
 @lru_cache(maxsize=4096)
@@ -114,18 +111,16 @@ def _sa_poly_cached(params: GibParams, k: int) -> Poly:
         return Poly.constant(params.alpha)
     if k == 1:
         return Poly.constant(params.beta)
-    prev = _sa_poly_cached(params, k - 1)
-    prev2 = _sa_poly_cached(params, k - 2)
-    if (k - 1) % 2 == 1:
-        prev = Poly([0] + list(prev.coeffs))  # multiply by x
-    return prev - prev2
+    if k > 256:  # fill the memo 256 rows down first: bounded recursion depth
+        _sa_poly_cached(params, k - 256)
+    return _next_row(_X, k, _sa_poly_cached(params, k - 1), _sa_poly_cached(params, k - 2))
 
 
-def sign_alternating_poly(params: GibParams, k: int) -> SAPolynomial:
+def sign_alternating_poly(params: GibParams, k: int) -> Poly:
     """Row polynomial built by the fundamental three-term recurrence."""
     if k < -1:
         raise ExactError("row index must be at least -1")
-    return SAPolynomial(k, params, _sa_poly_cached(params, k))
+    return _sa_poly_cached(params, k)
 
 
 def fibonacci_decomposition_holds(params: GibParams, k: int) -> bool:
@@ -136,12 +131,9 @@ def fibonacci_decomposition_holds(params: GibParams, k: int) -> bool:
     if k < 2:
         raise ExactError("decomposition identity needs k >= 2")
     unit = GibParams.of(1, 1)
-    lhs = sign_alternating_poly(params, k).poly
-    f1 = sign_alternating_poly(unit, k - 1).poly.scale(params.beta)
-    if (k - 1) % 2 == 1:
-        f1 = Poly([0] + list(f1.coeffs))
-    f2 = sign_alternating_poly(unit, k - 2).poly.scale(params.alpha)
-    return lhs == f1 - f2
+    f1 = sign_alternating_poly(unit, k - 1).scale(params.beta)
+    f2 = sign_alternating_poly(unit, k - 2).scale(params.alpha)
+    return sign_alternating_poly(params, k) == _next_row(_X, k, f1, f2)
 
 
 @lru_cache(maxsize=4096)
@@ -160,7 +152,9 @@ def companion_poly(ratio: Fraction, k: int) -> Poly:
         return Poly([1])
     if k == 1:
         return Poly([1, ratio])
-    return companion_poly(ratio, k - 1) + Poly([0, 1]) * companion_poly(ratio, k - 2)
+    if k > 256:  # fill the memo 256 rows down first: bounded recursion depth
+        companion_poly(ratio, k - 256)
+    return companion_poly(ratio, k - 1) + _X * companion_poly(ratio, k - 2)
 
 
 def reciprocal_transform_holds(ratio: Fraction, k: int) -> bool:
@@ -175,82 +169,46 @@ def reciprocal_transform_holds(ratio: Fraction, k: int) -> bool:
     transformed = [Fraction(0)] * (d + 1)
     for i, c in enumerate(w.coeffs):
         transformed[d - i] = c if i % 2 == 0 else -c
-    target = sign_alternating_poly(GibParams(ratio, Fraction(1)), k).poly
+    target = sign_alternating_poly(GibParams(ratio, Fraction(1)), k)
     return Poly(transformed) == target
 
 
-@dataclass(frozen=True)
-class EigenPair:
-    """Eigenvalues lam, kap of the step matrix at input x, in Q(sqrt(x^2-4x)).
+def eigen_pair(x) -> tuple:
+    """Eigenvalues (lam, kap) of the step matrix at input x.
 
-    They satisfy lam*kap = 1 and lam + kap = x - 2 exactly.
+    They are (x - 2 + t)/2 and (x - 2 - t)/2 in Q[t]/(t^2 - (x^2 - 4x)), so
+    lam*kap = 1 and lam + kap = x - 2 exactly, whether or not x^2 - 4x is a
+    rational square.
     """
-
-    x: Fraction
-    lam: QuadraticElement
-    kap: QuadraticElement
-
-
-def eigen_pair(x) -> EigenPair:
     x = Fraction(x)
-    disc = x * x - 4 * x
+    ring = NumberRing(Poly([4 * x - x * x, 0, 1]))
     half = Fraction(1, 2)
-    lam = QuadraticElement.of((x - 2) * half, half, disc)
-    kap = QuadraticElement.of((x - 2) * half, -half, disc)
-    return EigenPair(x, lam, kap)
+    return ring.element(Poly([(x - 2) * half, half])), ring.element(Poly([(x - 2) * half, -half]))
 
 
-def _rational_sqrt(x: Fraction):
-    """Exact square root if x is the square of a rational, else None."""
-    if x < 0:
-        return None
-    n, d = x.numerator, x.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
-def binet_eval(params: GibParams, k: int, x, precision: int = 100) -> Fraction:
+def binet_eval(params: GibParams, k: int, x) -> Fraction:
     """Evaluate the row-k polynomial at x through the eigenvalue closed form.
 
-    When x^2 - 4x is a rational square the two eigenvalues are rational and
-    the arithmetic stays in Q.  Otherwise the computation runs in the
-    quadratic extension, where the irrational components provably cancel, so
-    the returned value is exact either way (well inside any 2^-precision
-    request; the argument is kept for interface stability).
+    The numerator is odd in t (swapping lam and kap negates it) and the
+    denominator kap - lam is -t, so the value is minus the numerator's t
+    coefficient; the constant part must cancel, and that is checked.
     """
     if k < 0:
         raise ExactError("row index must be nonnegative")
     x = Fraction(x)
     if x == 0 or x == 4:
         raise ExactError("repeated eigenvalue; use recurrence path")
-    if precision <= 0:
-        raise ExactError("precision must be positive")
-    disc = x * x - 4 * x
     alpha, beta = params.alpha, params.beta
     m = k // 2
-    s = _rational_sqrt(disc)
-    if s is not None:
-        lam = (x - 2 + s) / 2
-        kap = (x - 2 - s) / 2
-        if k % 2 == 0:
-            num = lam**m * ((kap + 1) * alpha - x * beta) - kap**m * ((lam + 1) * alpha - x * beta)
-        else:
-            num = lam**m * (alpha - (lam + 1) * beta) - kap**m * (alpha - (kap + 1) * beta)
-        return num / (kap - lam)
-    pair = eigen_pair(x)
-    lam, kap = pair.lam, pair.kap
+    lam, kap = eigen_pair(x)
     if k % 2 == 0:
-        num = lam.power(m) * ((kap + 1) * alpha - x * beta) - kap.power(m) * (
-            (lam + 1) * alpha - x * beta
-        )
+        num = lam**m * ((kap + 1) * alpha - x * beta) - kap**m * ((lam + 1) * alpha - x * beta)
     else:
-        num = lam.power(m) * ((alpha - (lam + 1) * beta)) - kap.power(m) * (
-            (alpha - (kap + 1) * beta)
-        )
-    value = num / (kap - lam)
-    return value.rational_part()
+        num = lam**m * (alpha - (lam + 1) * beta) - kap**m * (alpha - (kap + 1) * beta)
+    const, odd = (num.poly.coeffs + (Fraction(0), Fraction(0)))[:2]
+    if const != 0:
+        raise ExactError("closed form left an irrational component")
+    return -odd
 
 
 def value_at_four(params: GibParams, k: int) -> Fraction:

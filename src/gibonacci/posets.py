@@ -22,8 +22,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .exactnum import ExactError, Poly
-from .polys import GibParams, sign_alternating_poly
-from .exactnum import QuadraticElement
+from .polys import GibParams, eigen_pair, sign_alternating_poly
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,7 @@ def count_by_formula(n: int, k: int, alpha: int) -> int:
     if n <= alpha:
         raise ExactError(f"n must exceed alpha (got n={n}, alpha={alpha})")
     params = GibParams.of(alpha, 1)
-    value = sign_alternating_poly(params, k).poly(Fraction(n * n))
+    value = sign_alternating_poly(params, k)(Fraction(n * n))
     value = value * (n if k % 2 == 1 else 1)
     if value.denominator != 1:
         raise ExactError("count formula produced a non-integer")
@@ -292,7 +291,7 @@ def check_lattice(poset: SGPoset) -> LatticeReport:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _triangle_rows(alpha: int, n: int, k: int) -> dict:
     """Row k of the (alpha; n) triangle as a dict index -> entry.
 
@@ -306,6 +305,8 @@ def _triangle_rows(alpha: int, n: int, k: int) -> dict:
         return {0: alpha}
     if k == 1:
         return {r: 1 for r in range(-(n - 1), n, 2)}
+    if k > 256:  # fill the memo 256 rows down first: bounded recursion depth
+        _triangle_rows(alpha, n, k - 256)
     prev = _triangle_rows(alpha, n, k - 1)
     prev2 = _triangle_rows(alpha, n, k - 2)
     span = k * (n - 1)
@@ -361,15 +362,16 @@ def _poset_rgf(alpha: int, n: int, k: int) -> Poly:
 
 def _closed_form_value(alpha: int, n: int, k: int) -> int:
     """Value of the shared second-order recurrence via the roots of
-    x^2 - nx + 1, computed exactly in the quadratic extension."""
-    disc = Fraction(n * n - 4)
-    half = Fraction(1, 2)
-    r2 = QuadraticElement.of(n * half, half, disc)
-    r1 = QuadraticElement.of(n * half, -half, disc)
-    num = r2.power(k) * (n - alpha * r1) - r1.power(k) * (n - alpha * r2)
-    value = num / (r2 - r1)
-    out = value.rational_part()
-    if out.denominator != 1:
+    x^2 - nx + 1, computed exactly in Q[t]/(t^2 - (n^2 - 4)).
+
+    Those roots are the step eigenvalues at n + 2.  The numerator is odd in
+    t and r2 - r1 = t, so the value is the numerator's t coefficient; that
+    holds also at n = 2, where t^2 = 0 and the value is alpha + k(2 - alpha).
+    """
+    r2, r1 = eigen_pair(n + 2)
+    num = r2**k * (n - alpha * r1) - r1**k * (n - alpha * r2)
+    const, out = (num.poly.coeffs + (Fraction(0), Fraction(0)))[:2]
+    if const != 0 or out.denominator != 1:
         raise ExactError("closed form produced a non-integer")
     return int(out)
 
@@ -414,6 +416,7 @@ def verify_identity_suite(alpha: int, n: int, k_max: int) -> IdentityReport:
     sizes["triangle"] = [int(A[k](1)) for k in range(k_max + 1)]
     sizes["formula"] = [count_by_formula(n, k, alpha) for k in range(k_max + 1)]
     sizes["poset"] = [int(H[k](1)) for k in range(k_max + 1)]
+    closed = [_closed_form_value(alpha, n, k) for k in range(k_max + 1)]
     for name, seq in sizes.items():
         if seq[0] != alpha or seq[1] != n:
             failures.append((f"{name}-initial-values", 0))
@@ -421,10 +424,7 @@ def verify_identity_suite(alpha: int, n: int, k_max: int) -> IdentityReport:
             if seq[k] != n * seq[k - 1] - seq[k - 2]:
                 failures.append((f"{name}-cardinality-recurrence", k))
         for k in range(k_max + 1):
-            if n == 2:
-                if seq[k] != k + 1:
-                    failures.append((f"{name}-closed-form", k))
-            elif seq[k] != _closed_form_value(alpha, n, k):
+            if seq[k] != closed[k]:
                 failures.append((f"{name}-closed-form", k))
 
     return IdentityReport(alpha, n, k_max, failures, sizes["poset"])

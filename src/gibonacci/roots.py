@@ -75,7 +75,7 @@ def roots_of(params: GibParams, k: int) -> RootSet:
     """Isolate the floor(k/2) distinct positive roots of the row-k polynomial."""
     if k < 2:
         raise ExactError("root sets are defined for k >= 2")
-    p = sign_alternating_poly(params, k).poly
+    p = sign_alternating_poly(params, k)
     defining = square_free_part(p)
     bound = bound_B(params).value
     window = Interval(Fraction(0), bound)

@@ -9,19 +9,16 @@ Every comparison is exact; the only widths involved are the certified
 Sturm-isolated intervals.
 """
 
-from gibonacci.verify import (
-    check_array_fixtures,
-    check_binet_agreement,
-    check_classification_suite,
-    check_closed_form_roots,
-    check_identity_suite,
-    check_polynomial_fixtures,
-    check_poset_counts,
-    check_recurrence_identities,
-    check_root_geometry,
-    check_six_move_reproduction,
-    check_value_at_four,
-)
+from gibonacci.verify import SUITES
+
+# check name -> (check, full grid), from the table that `gibonacci verify`
+# runs, so the gate and the command share one set of grids
+FULL = {check.__name__: (check, full) for suite in SUITES.values() for check, full, _ in suite}
+
+
+def _run(name: str):
+    check, full = FULL[name]
+    return check(**full)
 
 
 def _report(criterion: str, result) -> None:
@@ -35,37 +32,37 @@ def _report(criterion: str, result) -> None:
 def test_criterion_01_array_fixtures():
     # rows 0-9 of both integer triangles, and the symbolic triangle through
     # the closed binomial form for five rational seed pairs
-    _report("criterion 1", check_array_fixtures())
+    _report("criterion 1", _run("check_array_fixtures"))
 
 
 def test_criterion_02_polynomial_fixtures():
     # the printed row-7 (seeds 2,1) and row-15 (seeds 1,1) polynomials
-    _report("criterion 2", check_polynomial_fixtures())
+    _report("criterion 2", _run("check_polynomial_fixtures"))
 
 
 def test_criterion_03_root_geometry():
     # five seed pairs, rows 2..40: count = floor(k/2), all roots inside
     # (0, B), offset-1 and offset-2 interlacing, largest roots increasing
-    _report("criterion 3", check_root_geometry(k_max=40))
+    _report("criterion 3", _run("check_root_geometry"))
 
 
 def test_criterion_04_closed_form_roots():
     # 128-bit cosine/sine enclosures land in exactly one isolating interval
     # for k <= 24, and the row-15 roots are the seven nested radicals
-    _report("criterion 4", check_closed_form_roots(k_max=24, bits=128))
+    _report("criterion 4", _run("check_closed_form_roots"))
 
 
 def test_criterion_05_binet_agreement():
-    # 200 random (seeds, k <= 30, x) agree with the recurrence within 2^-100
-    # (the eigenvalue path is exact), the rational-eigenvalue path agrees
-    # exactly, and the eigenvalue product/sum identities hold in Q(sqrt(D))
-    _report("criterion 5", check_binet_agreement(samples=200))
+    # 200 random (seeds, k <= 30, x) and square-discriminant points agree
+    # exactly with the recurrence, and the eigenvalue product/sum identities
+    # hold in Q[t]/(t^2 - D)
+    _report("criterion 5", _run("check_binet_agreement"))
 
 
 def test_criterion_06_six_move_game():
     # the worked (5,2,7/2,8/7) game: all displayed symbolic pairs for both
     # openings, six moves to (-a,-b), five moves from the boundary pairs
-    _report("criterion 6", check_six_move_reproduction())
+    _report("criterion 6", _run("check_six_move_reproduction"))
 
 
 def test_criterion_07_classification():
@@ -73,14 +70,14 @@ def test_criterion_07_classification():
     # threshold for gaps j <= 8 over three seed pairs, confirmed by play;
     # exact play at largest roots k <= 10 with terminal formulas and the
     # twin identity in the quotient ring
-    _report("criterion 7", check_classification_suite(j_max=8, k_max=10))
+    _report("criterion 7", _run("check_classification_suite"))
 
 
 def test_criterion_08_poset_counts():
     # the 48-element figure poset and its rank polynomial, the two named
     # n=3 size sequences, and enumeration = formula = inclusion-exclusion
     # over the full grid n <= 5, alpha < n, k <= 6
-    _report("criterion 8", check_poset_counts(n_max=5, k_grid=6))
+    _report("criterion 8", _run("check_poset_counts"))
 
 
 def test_criterion_09_identity_suite():
@@ -89,14 +86,14 @@ def test_criterion_09_identity_suite():
     # counterexample), the closed form for cardinalities, the (3;4)
     # triangle fixture, palindromic rows, positivity boundary, and the
     # meet/join closure dichotomy
-    _report("criterion 9", check_identity_suite(n_max=5, k_max=6))
+    _report("criterion 9", _run("check_identity_suite"))
 
 
 def test_criterion_10_value_at_four():
     # both x = 4 evaluation identities for m <= 50 and five rational ratios
-    _report("criterion 10", check_value_at_four(m_max=50))
+    _report("criterion 10", _run("check_value_at_four"))
 
 
 def test_supplement_recurrence_identities():
     # unit-family decomposition, companion transform, and root duality
-    _report("supplement", check_recurrence_identities(k_max=30))
+    _report("supplement", _run("check_recurrence_identities"))

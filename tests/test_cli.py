@@ -9,7 +9,9 @@ import pytest
 from gibonacci.cli import main, run_repl
 from gibonacci.exactnum import poly_from_strings, rational
 from gibonacci.game import GameConfig
-from gibonacci.polys import GibParams, sign_alternating_poly
+from gibonacci.polys import GibParams, _sa_poly_cached, sign_alternating_poly
+from gibonacci.posets import _triangle_rows
+from gibonacci.verify import SUITES, run_suite
 
 
 def run_cli(capsys, *argv):
@@ -30,12 +32,23 @@ class TestPoly:
         )
         assert code == 0
         parsed = poly_from_strings(json.loads(out))
-        assert parsed == sign_alternating_poly(GibParams.of(5, 2), 9).poly
+        assert parsed == sign_alternating_poly(GibParams.of(5, 2), 9)
 
     def test_rational_seeds(self, capsys):
         code, out, _ = run_cli(capsys, "poly", "--alpha", "7/3", "--beta", "1/2", "--k", "2")
         assert code == 0
         assert "7/3" in out or "x" in out
+
+    def test_deep_row(self, capsys):
+        # rows far past the recursion limit come out whole, not as a traceback
+        try:
+            code, out, _ = run_cli(
+                capsys, "poly", "--alpha", "1", "--beta", "1", "--k", "1000", "--format", "json"
+            )
+        finally:
+            _sa_poly_cached.cache_clear()
+        assert code == 0
+        assert len(json.loads(out)) == 501
 
 
 class TestArray:
@@ -81,7 +94,7 @@ class TestBinet:
             capsys, "binet", "--alpha", "1", "--beta", "1", "--k", "6", "--x", "5"
         )
         assert code == 0
-        want = sign_alternating_poly(GibParams.of(1, 1), 6).poly(Fraction(5))
+        want = sign_alternating_poly(GibParams.of(1, 1), 6)(Fraction(5))
         assert out.startswith(f"{want.numerator}/{want.denominator}")
 
     def test_repeated_eigenvalue_is_domain_error(self, capsys):
@@ -187,6 +200,18 @@ class TestTriangle:
         assert code == 0
         assert out.strip() == "q^2 + q + 1"
 
+    def test_deep_row(self, capsys):
+        # row k of the (alpha; n) triangle has k(n-1) + 1 entries
+        try:
+            code, out, _ = run_cli(
+                capsys, "triangle", "--alpha", "1", "--n", "3", "--k", "600", "--format", "json"
+            )
+        finally:
+            _triangle_rows.cache_clear()
+        assert code == 0
+        row = json.loads(out)
+        assert len(row) == 1201 and row == row[::-1] and row[0] == 1
+
 
 class TestErrorsAndEnv:
     def test_decimal_rejected(self, capsys):
@@ -205,6 +230,21 @@ class TestErrorsAndEnv:
         assert code == 0
         assert json.loads(out) == ["-7/1", "14/1", "-7/1", "1/1"]
 
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (["poly", "--alpha", "2", "--beta", "1", "--k", "7"], "xml"),
+            (["triangle", "--alpha", "1", "--n", "3", "--k", "2"], "dot"),
+            (["poset", "enum", "--n", "3", "--k", "2", "--alpha", "1"], "csv"),
+        ],
+    )
+    def test_env_format_outside_choices(self, capsys, monkeypatch, argv, value):
+        # the same choices as --format, which argparse enforces
+        monkeypatch.setenv("GIBONACCI_FORMAT", value)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "GIBONACCI_FORMAT" in err and len(err.splitlines()) == 1
+
 
 class TestVerifyCommand:
     def test_arrays_suite(self, capsys):
@@ -212,6 +252,11 @@ class TestVerifyCommand:
         assert code == 0
         assert "PASS  array-fixtures" in out
         assert "all checks passed" in out
+
+    def test_all_suites_on_fast_grids(self):
+        ok, results = run_suite("all", fast=True)
+        assert ok, [r.details for r in results if not r.ok]
+        assert len(results) == sum(len(checks) for checks in SUITES.values())
 
     def test_unknown_suite_exits_two(self):
         with pytest.raises(SystemExit) as exc:

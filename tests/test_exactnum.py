@@ -9,10 +9,8 @@ from gibonacci.exactnum import (
     EndpointRootError,
     ExactError,
     Interval,
+    NumberRing,
     Poly,
-    QuadraticElement,
-    algebraic_equal,
-    compare_algebraic,
     decimal_str,
     format_rational,
     isolate_real_roots,
@@ -103,6 +101,14 @@ class TestPolyArithmetic:
         assert P(-7, 14, -7, 1)(0) == -7
         # 32 - 44 + 12 = 0: x = 4 kills 2x^2 - 11x + 12
         assert P(12, -11, 2)(4) == 0
+
+    def test_monomial_products(self):
+        # the shift-and-scale path for c*x^n factors, on either side
+        p = P(1, -1, 0, 2)
+        assert P(0, 0, Fraction(3, 2)) * p == P(0, 0, Fraction(3, 2), Fraction(-3, 2), 0, 3)
+        assert p * P(0, 1) == P(0, 1, -1, 0, 2) == P(0, 1) * p
+        assert P(1) * p == p and p * P(-2) == P(-2, 2, 0, -4)
+        assert P(0, 1) * P(0, 0, 1) == P(0, 0, 0, 1)
 
     def test_trailing_zeros_stripped(self):
         assert Poly([1, 2, 0, 0]).degree == 1
@@ -281,20 +287,27 @@ class TestAlgebraicNumber:
         theta = self.theta_four()
         fine = theta.refined_below(Fraction(1, 1 << 40))
         assert fine.enclosure.width <= Fraction(1, 1 << 40)
-        assert fine.enclosure.contains(Fraction(4))
+        assert fine.enclosure.lo <= 4 <= fine.enclosure.hi
 
     def test_compare_and_equal(self):
         p = P(3, -4, 1)  # roots 1, 3
         one, three = [AlgebraicNumber(p, iv) for iv in isolate_real_roots(p, Interval(Fraction(0), Fraction(4)))]
-        assert compare_algebraic(one, three) == -1
-        assert compare_algebraic(three, one) == 1
-        assert not algebraic_equal(one, three)
+        # order and equality against a rational r are signs of x - r
+        assert sign_at_algebraic(P(-3, 1), one) == -1
+        assert sign_at_algebraic(P(-1, 1), three) == 1
+        assert sign_at_algebraic(P(-1, 1), one) == 0
         # same root through a different defining polynomial
         q = P(-3, 1)
         also_three = AlgebraicNumber.from_rational(Fraction(3))
-        assert algebraic_equal(three, also_three)
-        assert compare_algebraic(three, also_three) == 0
+        assert sign_at_algebraic(p, also_three) == 0
         assert sign_at_algebraic(q, three) == 0
+        # two irrational numbers: 1 + sqrt2 is a root of x^2 - 2x - 1
+        r = P(-1, -2, 1)
+        iv = isolate_real_roots(r, Interval(Fraction(2), Fraction(3)))[0]
+        one_plus_sqrt2 = AlgebraicNumber(r, iv)
+        sqrt2 = AlgebraicNumber(P(-2, 0, 1), isolate_real_roots(P(-2, 0, 1), Interval(Fraction(0), Fraction(2)))[0])
+        assert sign_at_algebraic(r, sqrt2) == -1  # (sqrt2)^2 - 2 sqrt2 - 1 < 0
+        assert sign_at_algebraic(P(-3, 0, 1) * P(-1, -2, 1), one_plus_sqrt2) == 0
 
     def test_decimal_rendering(self):
         iv = isolate_real_roots(P(-2, 0, 1), Interval(Fraction(0), Fraction(2)))[0]
@@ -317,26 +330,58 @@ class TestAlgebraicNumber:
 
 
 class TestQuadraticElement:
+    """Elements a + b*t of the quotient ring Q[t]/(t^2 - d)."""
+
+    @staticmethod
+    def ring(d):
+        return NumberRing(P(-d, 0, 1))
+
     def test_ring_ops(self):
-        d = Fraction(5)
-        x = QuadraticElement.of(1, 2, d)   # 1 + 2 sqrt5
-        y = QuadraticElement.of(-3, 1, d)  # -3 + sqrt5
-        assert x + y == QuadraticElement.of(-2, 3, d)
-        assert x * y == QuadraticElement.of(-3 + 2 * 5, 1 - 6, d)
+        ring = self.ring(5)
+        t = ring.generator()
+        x = 1 + 2 * t  # 1 + 2 sqrt5
+        y = t - 3  # -3 + sqrt5
+        assert x + y == ring.element(P(-2, 3))
+        assert x - y == ring.element(P(4, 1))
+        assert x * y == ring.element(P(-3 + 2 * 5, 1 - 6))
+        assert -x == ring.element(P(-1, -2))
 
     def test_inverse_and_power(self):
-        d = Fraction(2)
-        x = QuadraticElement.of(1, 1, d)  # 1 + sqrt2, norm -1
-        assert x * x.inverse() == QuadraticElement.of(1, 0, d)
-        assert x.power(2) == QuadraticElement.of(3, 2, d)
-        assert x.power(0) == QuadraticElement.of(1, 0, d)
+        ring = self.ring(2)
+        t = ring.generator()
+        x = 1 + t  # 1 + sqrt2, norm -1, so its inverse is t - 1
+        assert x * (t - 1) == ring.from_rational(1)
+        assert x**2 == ring.element(P(3, 2))
+        assert x**0 == ring.from_rational(1)
+        assert x**1 == x
+        assert x**13 == x * x**12 == (x**6) * (x**7)
+        with pytest.raises(ExactError):
+            x ** -1
 
     def test_rational_part_guard(self):
-        d = Fraction(2)
-        x = QuadraticElement.of(3, 1, d)
+        # 3 + sqrt2 has an irrational part; its product with the conjugate
+        # 3 - sqrt2 is the rational 7
+        ring = self.ring(2)
+        t = ring.generator()
+        x = 3 + t
+        assert x.poly.coeffs[1] != 0
+        assert (x * (3 - t)).poly == P(7)
+
+    def test_sign_and_decimal_need_a_root(self):
+        x = 3 + self.ring(2).generator()
+        for query in (x.sign, x.decimal):
+            with pytest.raises(ExactError, match="designated root"):
+                query()
+        iv = isolate_real_roots(P(-2, 0, 1), Interval(Fraction(0), Fraction(2)))[0]
+        sqrt2 = AlgebraicNumber(P(-2, 0, 1), iv)
+        y = 3 - NumberRing(P(-2, 0, 1), sqrt2).generator() * 3  # 3 - 3 sqrt2
+        assert y.sign() == -1 and y.decimal(6) == "-1.24264"
+        with pytest.raises(ExactError, match="not a root"):
+            NumberRing(P(-3, 0, 1), sqrt2)
+
+    def test_mixed_rings_rejected(self):
         with pytest.raises(ExactError):
-            x.rational_part()
-        assert (x * x.conjugate()).rational_part() == 7
+            self.ring(2).generator() + self.ring(3).generator()
 
 
 def _fraction_bisection(theta: AlgebraicNumber, steps: int) -> Interval:
@@ -468,7 +513,7 @@ class TestIntervalFirstSign:
         zeros = 0
         for alpha, beta in ORACLE_SEEDS:
             params = GibParams.of(alpha, beta)
-            rows = [sign_alternating_poly(params, j).poly for j in range(2, 22)]
+            rows = [sign_alternating_poly(params, j) for j in range(2, 22)]
             for k in range(2, 22):
                 for root in roots_of(params, k).roots:
                     theta = _fresh(root)  # shared by all rows: the kept path
@@ -552,7 +597,7 @@ class TestIntervalFirstSign:
         refined = 0
         # rows close to 16 at its largest root need ever finer enclosures
         for j in list(range(2, 30)) + [16, 17, 15]:
-            sign_at_algebraic(sign_alternating_poly(params, j).poly, theta)
+            sign_at_algebraic(sign_alternating_poly(params, j), theta)
             assert theta.enclosure == Interval(lo, hi)  # never changes
             if theta._kept is None:
                 continue

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gibonacci.exactnum import ExactError, Poly
+from gibonacci.exactnum import ExactError, NumberRing, Poly, RingElement
 from gibonacci.game import (
     NODE1,
     NODE2,
@@ -13,8 +13,6 @@ from gibonacci.game import (
     GameState,
     IndeterminateSign,
     LinearForm,
-    NumberRing,
-    RingElement,
     classify,
     fire,
     play,
@@ -188,7 +186,7 @@ class TestClassify:
         from gibonacci.roots import roots_of
 
         smallest = roots_of(UNIT, 7).roots[0]
-        ring = NumberRing(smallest)
+        ring = NumberRing(smallest.defining, smallest)
         cfg = GameConfig(UNIT, Fraction(1), ring.generator())
         assert classify(cfg) == Classification("all-terminate", False, None)
 
@@ -454,7 +452,8 @@ class TestValueSign:
         assert value_sign(form(0, 0)) == 0
 
     def test_ring_element_sign(self):
-        ring = NumberRing(largest_root(LUCAS, 4))  # 2 + sqrt2
+        theta = largest_root(LUCAS, 4)  # 2 + sqrt2
+        ring = NumberRing(theta.defining, theta)
         root = ring.generator()
         assert (root - 3).sign() == 1  # 2 + sqrt2 > 3
         assert (root - 4).sign() == -1

@@ -87,8 +87,8 @@ class TestArray:
         luc = [2, 1, 3, 4, 7, 11, 18, 29, 47, 76, 123, 199]
         fa, la = GibonacciArray(UNIT), GibonacciArray(LUCAS)
         for k in range(12):
-            assert fa.row_sum(k) == fib[k]
-            assert la.row_sum(k) == luc[k]
+            assert sum(fa.row(k)) == fib[k]
+            assert sum(la.row(k)) == luc[k]
 
     def test_seed_positivity_enforced(self):
         with pytest.raises(ExactError):
@@ -120,26 +120,26 @@ class TestBinomialEntry:
 
 class TestSignAlternatingPoly:
     def test_lucas_row_seven(self):
-        assert sign_alternating_poly(LUCAS, 7).poly == Poly([-7, 14, -7, 1])
+        assert sign_alternating_poly(LUCAS, 7) == Poly([-7, 14, -7, 1])
 
     def test_unit_row_fifteen(self):
         expected = Poly([-8, 84, -252, 330, -220, 78, -14, 1])
-        assert sign_alternating_poly(UNIT, 15).poly == expected
+        assert sign_alternating_poly(UNIT, 15) == expected
 
     def test_initial_conditions(self):
         params = GibParams.of(Fraction(5, 3), Fraction(7, 2))
-        assert sign_alternating_poly(params, -1).poly.is_zero
-        assert sign_alternating_poly(params, 0).poly == Poly.constant(Fraction(5, 3))
-        assert sign_alternating_poly(params, 1).poly == Poly.constant(Fraction(7, 2))
+        assert sign_alternating_poly(params, -1).is_zero
+        assert sign_alternating_poly(params, 0) == Poly.constant(Fraction(5, 3))
+        assert sign_alternating_poly(params, 1) == Poly.constant(Fraction(7, 2))
 
     def test_degree_and_leading_coefficient(self):
         for a, b in [(1, 1), (5, 2), (Fraction(2, 3), Fraction(3, 5))]:
             params = GibParams.of(a, b)
             for k in range(1, 41):
-                p = sign_alternating_poly(params, k).poly
+                p = sign_alternating_poly(params, k)
                 assert p.degree == k // 2
                 assert p.leading == params.beta
-        assert sign_alternating_poly(params, 0).poly.leading == params.alpha
+        assert sign_alternating_poly(params, 0).leading == params.alpha
 
     def test_coefficients_are_signed_rows(self):
         # coefficient of x^(floor(k/2)-j) must be (-1)^j * entry(k, j)
@@ -147,7 +147,7 @@ class TestSignAlternatingPoly:
             params = GibParams.of(a, b)
             arr = GibonacciArray(params)
             for k in range(61):
-                p = sign_alternating_poly(params, k).poly
+                p = sign_alternating_poly(params, k)
                 d = k // 2
                 for j, entry in enumerate(arr.row(k)):
                     assert p.coeffs[d - j] == (-1) ** j * entry
@@ -177,6 +177,16 @@ class TestCompanionSequence:
             for k in range(25):
                 assert companion_poly(ratio, k).degree == (k + 1) // 2
 
+    def test_deep_index_within_recursion_limit(self):
+        # the memo fills itself 256 rows at a time, so the recursion stays
+        # shallow far beyond the interpreter's default limit of 1000
+        try:
+            deep = companion_poly(Fraction(1), 1200)
+            assert deep.degree == 600
+            assert deep == companion_poly(Fraction(1), 1199) + Poly([0, 1]) * companion_poly(Fraction(1), 1198)
+        finally:
+            companion_poly.cache_clear()
+
     def test_reciprocal_transform(self):
         assert reciprocal_transform_holds(Fraction(2), 2)
         assert reciprocal_transform_holds(Fraction(1), 3)
@@ -188,12 +198,13 @@ class TestCompanionSequence:
 
 class TestEigenPair:
     def test_product_one_and_sum(self):
-        for x in [Fraction(5), Fraction(-3), Fraction(7, 2), Fraction(1, 5)]:
-            pair = eigen_pair(x)
-            prod = pair.lam * pair.kap
-            tot = pair.lam + pair.kap
-            assert prod.rational_part() == 1
-            assert tot.rational_part() == x - 2
+        # irrational, square (x = 9/2, 16/3) and negative discriminants
+        for x in [Fraction(5), Fraction(-3), Fraction(7, 2), Fraction(1, 5), Fraction(9, 2), Fraction(16, 3)]:
+            lam, kap = eigen_pair(x)
+            assert lam.ring.defining == Poly([4 * x - x * x, 0, 1])
+            assert (lam * kap - 1).is_zero
+            assert (lam + kap - (x - 2)).is_zero
+            assert (lam - kap).poly == Poly([0, 1])
 
 
 class TestBinetEvaluation:
@@ -203,16 +214,26 @@ class TestBinetEvaluation:
 
     def test_matches_recurrence_quadratic_irrational_path(self):
         # x=5 gives disc 5 (not a square); x=6 gives disc 12 (not a square)
-        p = sign_alternating_poly(UNIT, 6).poly
+        p = sign_alternating_poly(UNIT, 6)
         assert binet_eval(UNIT, 6, 5) == p(5)
-        q = sign_alternating_poly(GibParams.of(3, 2), 9).poly
+        q = sign_alternating_poly(GibParams.of(3, 2), 9)
         assert binet_eval(GibParams.of(3, 2), 9, 6) == q(6)
 
     def test_matches_recurrence_square_path(self):
         # x = 9/2 gives disc 81/4 - 18 = 9/4, a rational square
         params = GibParams.of(5, 2)
-        p = sign_alternating_poly(params, 11).poly
+        p = sign_alternating_poly(params, 11)
         assert binet_eval(params, 11, Fraction(9, 2)) == p(Fraction(9, 2))
+
+    def test_square_and_negative_discriminants(self):
+        # x = 4t^2/(t^2-1) makes x^2 - 4x = (4t/(t^2-1))^2 a rational square;
+        # 0 < x < 4 makes it negative
+        squares = [4 * t * t / (t * t - 1) for t in (Fraction(2), Fraction(3), Fraction(5, 2), Fraction(-7, 3))]
+        negatives = [Fraction(1), Fraction(2), Fraction(1, 7), Fraction(39, 10)]
+        for x in squares + negatives:
+            for params in (UNIT, LUCAS, GibParams.of(Fraction(7, 3), Fraction(1, 2))):
+                for k in range(0, 16):
+                    assert binet_eval(params, k, x) == sign_alternating_poly(params, k)(x)
 
     def test_repeated_eigenvalue_rejected(self):
         with pytest.raises(ExactError):
@@ -232,7 +253,7 @@ class TestBinetEvaluation:
             x = Fraction(rng.randint(-40, 40), rng.randint(1, 7))
             if x in (0, 4):
                 continue
-            assert binet_eval(params, k, x) == sign_alternating_poly(params, k).poly(x)
+            assert binet_eval(params, k, x) == sign_alternating_poly(params, k)(x)
 
 
 class TestValueAtFour:
@@ -252,4 +273,4 @@ class TestValueAtFour:
         for a, b in [(1, 1), (2, 1), (5, 2), (Fraction(3, 2), Fraction(5, 7))]:
             params = GibParams.of(a, b)
             for k in range(101):
-                assert value_at_four(params, k) == sign_alternating_poly(params, k).poly(4)
+                assert value_at_four(params, k) == sign_alternating_poly(params, k)(4)
