@@ -177,8 +177,8 @@ def eigen_pair(x) -> tuple:
     """Eigenvalues (lam, kap) of the step matrix at input x.
 
     They are (x - 2 + t)/2 and (x - 2 - t)/2 in Q[t]/(t^2 - (x^2 - 4x)), so
-    lam*kap = 1 and lam + kap = x - 2 exactly, whether or not x^2 - 4x is a
-    rational square.
+    lam*kap = 1 and lam + kap = x - 2 exactly, whether x^2 - 4x is a
+    rational square, a non-square or zero.
     """
     x = Fraction(x)
     ring = NumberRing(Poly([4 * x - x * x, 0, 1]))
@@ -191,13 +191,12 @@ def binet_eval(params: GibParams, k: int, x) -> Fraction:
 
     The numerator is odd in t (swapping lam and kap negates it) and the
     denominator kap - lam is -t, so the value is minus the numerator's t
-    coefficient; the constant part must cancel, and that is checked.
+    coefficient; the constant part must cancel, and that is checked.  This
+    holds at the repeated eigenvalue too (x = 0 or 4, where t^2 = 0).
     """
     if k < 0:
         raise ExactError("row index must be nonnegative")
     x = Fraction(x)
-    if x == 0 or x == 4:
-        raise ExactError("repeated eigenvalue; use recurrence path")
     alpha, beta = params.alpha, params.beta
     m = k // 2
     lam, kap = eigen_pair(x)

@@ -12,17 +12,35 @@ row polynomials of a recursively defined symmetric integer triangle.
 The end-pair condition is applied only for k >= 2: with a single coordinate
 the two ends collapse onto one cell and the poset is required to be the full
 n-chain.
+
+Internally a string is its digit code.  The digits d_j = T_j - (j-1)n - 1
+lie in [0, n); the no-successor rule becomes "no adjacent digit pair
+(n-1, 0)", the end-pair rule becomes "not (d_1 <= alpha-2 and
+d_1 + d_k = n-1)", and the rank is k(n-1) minus the digit sum.  The code
+reads the digits in radix n + 1 with d_1 most significant, so numeric order
+is lexicographic order.  Adding (n+1)^(k-j) to a code raises d_j by one, and
+a raised top digit reads n, which no member has: the cover lookup never
+carries into the next digit, exactly like bumping T_j in a tuple.  Tuples
+are decoded only when a caller reads SGPoset.elements.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .exactnum import ExactError, Poly
 from .polys import GibParams, eigen_pair, sign_alternating_poly
+
+# build_poset refuses posets with more elements than this and check_lattice
+# refuses more element pairs than this, naming the size and the budget.  The
+# verify grids build at most about 13,000 elements and check the lattice
+# closure of posets with at most a few hundred.
+POSET_ELEMENT_BUDGET = 2_000_000
+LATTICE_PAIR_BUDGET = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -76,35 +94,27 @@ class SGPoset:
     n: int
     k: int
     alpha: int
-    elements: list  # tuples, lexicographically ordered
-    ranks: list  # per element
+    codes: list  # digit codes in radix n + 1, ascending (= lexicographic order)
+    ranks: list  # per element: k(n-1) minus the digit sum
     hasse_edges: list  # (cover_index, covered_index)
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.codes)
+
+    @cached_property
+    def elements(self) -> list:
+        """The strings as tuples, decoded from the codes on first read."""
+        return [_decode(c, self.n, self.k) for c in self.codes]
 
 
-def _enumerate_strings(n: int, k: int, alpha: int):
-    """Backtracking enumeration in lexicographic order of (T_1, ..., T_k)."""
-    forbidden = set(_forbidden_end_pairs(n, k, alpha)) if k >= 2 else set()
-    out = []
-
-    def extend(prefix):
-        j = len(prefix) + 1
-        if j > k:
-            if k >= 2 and (prefix[0], prefix[-1]) in forbidden:
-                return
-            out.append(prefix)
-            return
-        lo, hi = (j - 1) * n + 1, j * n
-        for t in range(lo, hi + 1):
-            if prefix and t == prefix[-1] + 1:
-                continue
-            extend(prefix + (t,))
-
-    extend(())
-    return out
+def _decode(code: int, n: int, k: int) -> tuple:
+    """The string (T_1, ..., T_k) of a radix-(n+1) digit code."""
+    out = [0] * k
+    for j in range(k - 1, -1, -1):
+        code, d = divmod(code, n + 1)
+        out[j] = d + j * n + 1
+    return tuple(out)
 
 
 def rank_of(entries, n: int, k: int) -> int:
@@ -112,30 +122,65 @@ def rank_of(entries, n: int, k: int) -> int:
     return k * (k + 1) * n // 2 - sum(entries)
 
 
+def _checked_size(n: int, k: int, alpha: int) -> int:
+    """Cardinality by the shared recurrence s_k = n s_{k-1} - s_{k-2}, with
+    s_0 = alpha and s_1 = n; ExactError above POSET_ELEMENT_BUDGET.
+
+    The sizes rise strictly (each step adds at least n - alpha), so the loop
+    stops as soon as a term passes the budget.  It starts from
+    s_{-1} = n(alpha - 1), the term before s_0 that gives s_1 = n.
+    """
+    prev, size, length = n * (alpha - 1), alpha, 0
+    while length < k and size <= POSET_ELEMENT_BUDGET:
+        prev, size = size, n * size - prev
+        length += 1
+    if size > POSET_ELEMENT_BUDGET:
+        count = f"{size:,}" if length == k else f"more than {size:,}"
+        raise ExactError(
+            f"poset (n={n}, k={k}, alpha={alpha}) has {count} elements, "
+            f"over the element budget of {POSET_ELEMENT_BUDGET:,}"
+        )
+    return size
+
+
 def build_poset(n: int, k: int, alpha: int) -> SGPoset:
-    """Enumerate the strings and assemble ranks and Hasse edges.
+    """Enumerate the digit codes and assemble ranks and Hasse edges.
 
     k = 0 yields the conventional alpha-element antichain of empty strings;
     k = 1 is the n-chain.  Seeds with n <= alpha are refused: the triangle
-    rows lose positivity there and the poset family is not defined.
+    rows lose positivity there and the poset family is not defined.  Sizes
+    above POSET_ELEMENT_BUDGET are refused before anything is enumerated.
     """
     if alpha < 1 or n < 1 or k < 0:
         raise ExactError("need alpha >= 1, n >= 1, k >= 0")
     if n <= alpha:
         raise ExactError(f"n must exceed alpha (got n={n}, alpha={alpha})")
+    _checked_size(n, k, alpha)
     if k == 0:
-        return SGPoset(n, 0, alpha, [()] * alpha, [0] * alpha, [])
-    elements = _enumerate_strings(n, k, alpha)
-    index = {t: i for i, t in enumerate(elements)}
-    ranks = [rank_of(t, n, k) for t in elements]
-    edges = []
-    for i, t in enumerate(elements):
-        for pos in range(k):
-            bumped = t[:pos] + (t[pos] + 1,) + t[pos + 1 :]
-            j = index.get(bumped)
-            if j is not None:
-                edges.append((i, j))  # t covers bumped (reverse ordering)
-    return SGPoset(n, k, alpha, elements, ranks, edges)
+        return SGPoset(n, 0, alpha, [0] * alpha, [0] * alpha, [])
+    radix, top = n + 1, n - 1
+    # level 1: the first digit, rank so far (n-1) - d_1
+    codes, ranks = list(range(n)), list(range(top, -1, -1))
+    for _ in range(k - 1):
+        next_codes, next_ranks = [], []
+        for c, r in zip(codes, ranks):
+            lo = 1 if c % radix == top else 0  # no (n-1, 0) digit pair
+            next_codes.extend(range(c * radix + lo, c * radix + n))
+            next_ranks.extend(range(r + top - lo, r - 1, -1))
+        codes, ranks = next_codes, next_ranks
+    # end pairs: only codes with d_1 <= alpha - 2 can be forbidden
+    lead = radix ** (k - 1)
+    cut = bisect_left(codes, (alpha - 1) * lead) if k >= 2 else 0
+    keep = [i for i in range(cut) if codes[i] // lead + codes[i] % radix != top]
+    codes[:cut] = [codes[i] for i in keep]
+    ranks[:cut] = [ranks[i] for i in keep]
+    # t covers t + e_pos (reverse ordering); a bumped top digit reads n,
+    # which no member has, so the lookup never carries into the next digit
+    index = {c: i for i, c in enumerate(codes)}
+    get = index.get
+    weights = [radix**p for p in range(k - 1, -1, -1)]
+    edges = [(i, j) for i, c in enumerate(codes) for w in weights if (j := get(c + w)) is not None]
+    return SGPoset(n, k, alpha, codes, ranks, edges)
 
 
 def count_by_formula(n: int, k: int, alpha: int) -> int:
@@ -229,28 +274,23 @@ def is_palindromic(p: Poly) -> bool:
 
 
 def is_connected(poset: SGPoset) -> bool:
-    """Connectivity of the underlying Hasse graph."""
-    m = poset.size
-    if m <= 1:
-        return True
-    if not poset.hasse_edges:
-        return False
-    adj = [[] for _ in range(m)]
+    """Connectivity of the underlying Hasse graph, by union-find with path
+    halving over the edges.  build_poset emits every edge (i, j) with i < j;
+    putting the root of j under the root of i keeps the roots at small
+    indices and the paths short."""
+    parent = list(range(poset.size))
+    components = poset.size
     for i, j in poset.hasse_edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = [False] * m
-    stack = [0]
-    seen[0] = True
-    found = 1
-    while stack:
-        cur = stack.pop()
-        for nxt in adj[cur]:
-            if not seen[nxt]:
-                seen[nxt] = True
-                found += 1
-                stack.append(nxt)
-    return found == m
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        if i != j:
+            parent[j] = i
+            components -= 1
+    return components <= 1
 
 
 @dataclass(frozen=True)
@@ -261,28 +301,68 @@ class LatticeReport:
     witness: Optional[tuple] = None  # a pair whose meet or join escapes
 
 
+def _fields(n: int, k: int) -> tuple:
+    """(f, guards): digits packed into f-bit fields whose top bit is a guard
+    bit, and the word with every guard bit set."""
+    f = (n - 1).bit_length() + 1
+    return f, sum(1 << (f * pos + f - 1) for pos in range(k))
+
+
+def _pack(code: int, n: int, k: int, f: int) -> int:
+    """A radix-(n+1) digit code repacked into f-bit fields."""
+    packed = 0
+    for pos in range(k):
+        code, d = divmod(code, n + 1)
+        packed |= d << (f * pos)
+    return packed
+
+
+def _joins(x: int, ys: list, guards: int, f: int) -> list:
+    """Componentwise max of x with each packed word in ys.
+
+    Setting the guard bits of x and subtracting y leaves a field's guard bit
+    set exactly where x's digit is at least y's, and no borrow crosses a
+    field; the guard bits then widen into a mask that picks x's digits there
+    and y's elsewhere.  The componentwise min of x and y is x ^ y ^ max.
+    """
+    xg, ones = x | guards, (1 << f) - 1
+    return [y ^ ((x ^ y) & ((((xg - y) & guards) >> (f - 1)) * ones)) for y in ys]
+
+
 def check_lattice(poset: SGPoset) -> LatticeReport:
     """Closure of every pair under componentwise min and max, plus extreme
-    element counts.  Quadratic in the poset size; the non-closed seeds fail
-    fast on an early pair."""
+    element counts.  Quadratic in the poset size, so more than
+    LATTICE_PAIR_BUDGET pairs are refused; the non-closed seeds fail fast
+    on an early pair, reported as the witness."""
     covered = {j for _, j in poset.hasse_edges}
     covers = {i for i, _ in poset.hasse_edges}
     maximal = poset.size - len(covered)
     minimal = poset.size - len(covers)
     if poset.k == 0:
         return LatticeReport(poset.alpha == 1, poset.size, poset.size)
-    members = set(poset.elements)
-    elems = poset.elements
-    for i in range(len(elems)):
-        ti = elems[i]
-        for j in range(i + 1, len(elems)):
-            tj = elems[j]
-            lowerish = tuple(map(min, ti, tj))
-            if lowerish not in members:
-                return LatticeReport(False, maximal, minimal, (ti, tj))
-            upperish = tuple(map(max, ti, tj))
-            if upperish not in members:
-                return LatticeReport(False, maximal, minimal, (ti, tj))
+    pairs = poset.size * (poset.size - 1) // 2
+    if pairs > LATTICE_PAIR_BUDGET:
+        raise ExactError(
+            f"lattice check of {poset.size:,} elements needs {pairs:,} pairs, "
+            f"over the pair budget of {LATTICE_PAIR_BUDGET:,}"
+        )
+    n, k = poset.n, poset.k
+    f, guards = _fields(n, k)
+    packed = [_pack(c, n, k, f) for c in poset.codes]
+    members = set(packed)
+    for i, x in enumerate(packed):
+        tail = packed[i + 1 :]
+        joins = _joins(x, tail, guards, f)
+        meets = [x ^ y ^ z for y, z in zip(tail, joins)]
+        if members.issuperset(meets) and members.issuperset(joins):
+            continue
+        j = next(
+            j
+            for j, meet, join in zip(range(i + 1, poset.size), meets, joins)
+            if meet not in members or join not in members
+        )
+        witness = (_decode(poset.codes[i], n, k), _decode(poset.codes[j], n, k))
+        return LatticeReport(False, maximal, minimal, witness)
     return LatticeReport(True, maximal, minimal)
 
 

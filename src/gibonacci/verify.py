@@ -204,7 +204,8 @@ def check_closed_form_roots(k_max: int, bits: int) -> CheckResult:
 
 def check_binet_agreement(samples: int, seed: int = 20201229) -> CheckResult:
     """Eigenvalue closed form vs the recurrence: exact agreement on random
-    inputs and at square discriminants, plus the two eigenvalue identities."""
+    inputs, at square discriminants and at the repeated eigenvalue (x = 0, 4),
+    plus the two eigenvalue identities."""
     res = CheckResult("binet-agreement")
     rng = random.Random(seed)
     done = 0
@@ -213,8 +214,6 @@ def check_binet_agreement(samples: int, seed: int = 20201229) -> CheckResult:
         b = Fraction(rng.randint(1, 12), rng.randint(1, 5))
         k = rng.randint(0, 30)
         x = Fraction(rng.randint(-60, 60), rng.randint(1, 9))
-        if x == 0 or x == 4:
-            continue
         params = GibParams.of(a, b)
         if binet_eval(params, k, x) != sign_alternating_poly(params, k)(x):
             res.fail(f"binet disagrees at seeds ({a},{b}), k={k}, x={x}")
@@ -225,6 +224,10 @@ def check_binet_agreement(samples: int, seed: int = 20201229) -> CheckResult:
         for k in (4, 7, 12):
             if binet_eval(LUCAS, k, x) != sign_alternating_poly(LUCAS, k)(x):
                 res.fail(f"square discriminant disagrees at x={x}, k={k}")
+    for x in (0, 4):
+        for k in range(12):
+            if binet_eval(LUCAS, k, x) != sign_alternating_poly(LUCAS, k)(x):
+                res.fail(f"repeated eigenvalue disagrees at x={x}, k={k}")
     for x in (Fraction(5), Fraction(-2), Fraction(9, 4), Fraction(1, 3)):
         lam, kap = eigen_pair(x)
         if not (lam * kap - 1).is_zero:

@@ -97,12 +97,14 @@ class TestBinet:
         want = sign_alternating_poly(GibParams.of(1, 1), 6)(Fraction(5))
         assert out.startswith(f"{want.numerator}/{want.denominator}")
 
-    def test_repeated_eigenvalue_is_domain_error(self, capsys):
-        code, _, err = run_cli(
-            capsys, "binet", "--alpha", "1", "--beta", "1", "--k", "6", "--x", "4"
-        )
-        assert code == 1
-        assert "error:" in err and "eigenvalue" in err
+    def test_repeated_eigenvalue_matches_recurrence(self, capsys):
+        for x in ("0", "4"):
+            code, out, _ = run_cli(
+                capsys, "binet", "--alpha", "1", "--beta", "1", "--k", "6", "--x", x
+            )
+            assert code == 0
+            want = sign_alternating_poly(GibParams.of(1, 1), 6)(Fraction(x))
+            assert out.split()[0] == f"{want.numerator}/{want.denominator}"
 
 
 class TestGameCommands:
@@ -177,6 +179,19 @@ class TestPosetCommands:
     def test_invalid_sizes_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "poset", "enum", "--n", "3", "--k", "2", "--alpha", "3")
         assert code == 1 and "error:" in err
+
+    @pytest.mark.parametrize("command", ["enum", "rgf", "check"])
+    def test_element_budget_is_one_line_error(self, capsys, command):
+        code, out, err = run_cli(
+            capsys, "poset", command, "--n", "100", "--k", "4", "--alpha", "1"
+        )
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "element budget" in err
+
+    def test_pair_budget_is_one_line_error(self, capsys):
+        code, out, err = run_cli(capsys, "poset", "check", "--n", "3", "--k", "10", "--alpha", "1")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "pair budget" in err
 
 
 class TestTriangle:

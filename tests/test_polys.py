@@ -235,11 +235,14 @@ class TestBinetEvaluation:
                 for k in range(0, 16):
                     assert binet_eval(params, k, x) == sign_alternating_poly(params, k)(x)
 
-    def test_repeated_eigenvalue_rejected(self):
-        with pytest.raises(ExactError):
-            binet_eval(UNIT, 4, 0)
-        with pytest.raises(ExactError):
-            binet_eval(UNIT, 4, 4)
+    def test_repeated_eigenvalue_matches_recurrence(self):
+        # x = 0 and x = 4 give t^2 = 0 in Q[t]/(t^2 - (x^2 - 4x)); the t
+        # coefficient of the odd numerator still carries the value
+        seeds = (UNIT, LUCAS, GibParams.of(Fraction(7, 3), Fraction(1, 2)), GibParams.of(1, 2))
+        for x in (0, 4):
+            for params in seeds:
+                for k in range(20):
+                    assert binet_eval(params, k, x) == sign_alternating_poly(params, k)(x)
 
     def test_agreement_grid(self):
         import random
@@ -251,8 +254,6 @@ class TestBinetEvaluation:
             params = GibParams.of(a, b)
             k = rng.randint(0, 30)
             x = Fraction(rng.randint(-40, 40), rng.randint(1, 7))
-            if x in (0, 4):
-                continue
             assert binet_eval(params, k, x) == sign_alternating_poly(params, k)(x)
 
 

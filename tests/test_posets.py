@@ -1,9 +1,15 @@
 """String validation, poset structure, counts, and the identity suite."""
 
+import dataclasses
+
 import pytest
 
 from gibonacci.exactnum import ExactError, Poly
 from gibonacci.posets import (
+    LatticeReport,
+    _fields,
+    _joins,
+    _pack,
     build_poset,
     check_lattice,
     count_by_formula,
@@ -23,6 +29,88 @@ from gibonacci.posets import (
 )
 
 FIGURE_RGF = Poly([1, 3, 6, 6, 8, 8, 6, 6, 3, 1])
+
+
+# ---------------------------------------------------------------------------
+# tuple oracles: the string enumeration, Hasse edges, connectivity and
+# lattice check as they were written on tuples before the digit codes
+# ---------------------------------------------------------------------------
+
+
+def tuple_strings(n, k, alpha):
+    """Backtracking enumeration in lexicographic order of (T_1, ..., T_k)."""
+    forbidden = {(i, n * k - (i - 1)) for i in range(1, alpha)} if k >= 2 else set()
+    out = []
+
+    def extend(prefix):
+        j = len(prefix) + 1
+        if j > k:
+            if k >= 2 and (prefix[0], prefix[-1]) in forbidden:
+                return
+            out.append(prefix)
+            return
+        for t in range((j - 1) * n + 1, j * n + 1):
+            if prefix and t == prefix[-1] + 1:
+                continue
+            extend(prefix + (t,))
+
+    extend(())
+    return out
+
+
+def tuple_poset(n, k, alpha):
+    """(elements, ranks, hasse_edges) with edges found by bumping each coordinate."""
+    if k == 0:
+        return [()] * alpha, [0] * alpha, []
+    elements = tuple_strings(n, k, alpha)
+    index = {t: i for i, t in enumerate(elements)}
+    ranks = [rank_of(t, n, k) for t in elements]
+    edges = []
+    for i, t in enumerate(elements):
+        for pos in range(k):
+            j = index.get(t[:pos] + (t[pos] + 1,) + t[pos + 1 :])
+            if j is not None:
+                edges.append((i, j))
+    return elements, ranks, edges
+
+
+def dfs_connected(size, edges):
+    if size <= 1:
+        return True
+    adj = [[] for _ in range(size)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for nxt in adj[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return len(seen) == size
+
+
+def tuple_lattice(elements, edges, k, alpha):
+    maximal = len(elements) - len({j for _, j in edges})
+    minimal = len(elements) - len({i for i, _ in edges})
+    if k == 0:
+        return LatticeReport(alpha == 1, len(elements), len(elements))
+    members = set(elements)
+    for i, ti in enumerate(elements):
+        for tj in elements[i + 1 :]:
+            if tuple(map(min, ti, tj)) not in members or tuple(map(max, ti, tj)) not in members:
+                return LatticeReport(False, maximal, minimal, (ti, tj))
+    return LatticeReport(True, maximal, minimal)
+
+
+# every n = 2..6 with every alpha and k = 0..5, plus n = 2 (radix 3, the
+# tightest digit fields) up to k = 12
+ORACLE_GRID = [
+    (n, k, alpha) for n in range(2, 7) for alpha in range(1, n) for k in range(6)
+] + [(2, k, 1) for k in range(6, 13)]
+# the tuple lattice check is quadratic: compare it up to this many elements
+ORACLE_LATTICE_MAX = 800
 
 
 class TestValidation:
@@ -88,6 +176,103 @@ class TestBuildPoset:
     def test_connected(self):
         for n, k, alpha in [(4, 3, 3), (3, 4, 1), (3, 4, 2), (5, 2, 4)]:
             assert is_connected(build_poset(n, k, alpha))
+
+
+class TestDigitCodesAgainstTuples:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_poset_matches_tuple_oracle(self, n):
+        for _, k, alpha in [c for c in ORACLE_GRID if c[0] == n]:
+            poset = build_poset(n, k, alpha)
+            elements, ranks, edges = tuple_poset(n, k, alpha)
+            assert poset.elements == elements
+            assert poset.ranks == ranks
+            assert poset.hasse_edges == edges  # same order
+            assert is_connected(poset) == dfs_connected(len(elements), edges)
+            if len(elements) <= ORACLE_LATTICE_MAX:
+                assert check_lattice(poset) == tuple_lattice(elements, edges, k, alpha)
+
+    def test_non_closed_witness_on_larger_posets(self):
+        # the non-closed seeds fail on an early pair, so the oracle stays cheap
+        for n, k, alpha in [(6, 5, 3), (6, 5, 5), (5, 5, 4), (9, 3, 4)]:
+            poset = build_poset(n, k, alpha)
+            elements, _, edges = tuple_poset(n, k, alpha)
+            report = check_lattice(poset)
+            assert report == tuple_lattice(elements, edges, k, alpha)
+            assert not report.distributive and report.witness is not None
+
+    def test_meet_only_failure(self):
+        # without its all-zero code, the top (1, 5, 9), the closed lattice
+        # loses meets but no joins, so only the meet test can catch it
+        poset = build_poset(4, 3, 1)
+        assert poset.codes[0] == 0
+        edges = [(i - 1, j - 1) for i, j in poset.hasse_edges if i > 0]
+        topless = dataclasses.replace(
+            poset, codes=poset.codes[1:], ranks=poset.ranks[1:], hasse_edges=edges
+        )
+        report = check_lattice(topless)
+        assert report == tuple_lattice(poset.elements[1:], edges, 3, 1)
+        assert not report.distributive
+
+    def test_cut_edges_disconnect(self):
+        poset = build_poset(4, 3, 2)
+        # drop every edge between ranks 4 and 5: the two halves fall apart
+        cut = [(i, j) for i, j in poset.hasse_edges if poset.ranks[j] != 4]
+        assert len(cut) < len(poset.hasse_edges)
+        broken = dataclasses.replace(poset, hasse_edges=cut)
+        assert not is_connected(broken)
+        assert not dfs_connected(broken.size, cut)
+        assert not is_connected(dataclasses.replace(poset, hasse_edges=[]))
+
+    def test_elements_decoded_on_read(self):
+        poset = build_poset(4, 3, 3)
+        assert "elements" not in vars(poset)
+        assert poset.elements[0] == (1, 5, 9)
+        assert vars(poset)["elements"] is poset.elements
+
+    def test_packed_join_and_meet(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hyp.settings(max_examples=300, deadline=None, derandomize=True)
+        @hyp.given(st.data(), st.integers(2, 64), st.integers(1, 8))
+        def check(data, n, k):
+            digits = st.lists(st.integers(0, n - 1), min_size=k, max_size=k)
+            xs, ys = data.draw(digits), data.draw(digits)
+            f, guards = _fields(n, k)
+
+            def pack(ds):
+                code = 0
+                for d in ds:
+                    code = code * (n + 1) + d
+                return _pack(code, n, k, f)
+
+            def unpack(word):
+                return [(word >> (f * pos)) & ((1 << f) - 1) for pos in range(k - 1, -1, -1)]
+
+            x, y = pack(xs), pack(ys)
+            (join,) = _joins(x, [y], guards, f)
+            assert unpack(join) == list(map(max, xs, ys))
+            assert unpack(x ^ y ^ join) == list(map(min, xs, ys))
+
+        check()
+
+
+class TestBudgets:
+    def test_element_budget_refused_before_enumeration(self):
+        with pytest.raises(ExactError, match="element budget of 2,000,000") as err:
+            build_poset(100, 4, 1)
+        assert "\n" not in str(err.value) and "99,970,001 elements" in str(err.value)
+        # sizes rise with k, so a long string is refused without the exact count
+        with pytest.raises(ExactError, match="more than"):
+            build_poset(3, 10**6, 1)
+        with pytest.raises(ExactError, match="more than"):
+            build_poset(2, 10**9, 1)
+
+    def test_pair_budget(self):
+        poset = build_poset(3, 10, 1)  # 17,711 elements
+        with pytest.raises(ExactError, match="pair budget") as err:
+            check_lattice(poset)
+        assert "156,830,905 pairs" in str(err.value)
 
 
 class TestCounts:
