@@ -12,7 +12,6 @@ from .exactnum import (
     poly_gcd,
     rational,
     sign_at_algebraic,
-    square_free_part,
     sturm_count,
 )
 from .game import (

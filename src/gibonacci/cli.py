@@ -114,14 +114,7 @@ def cmd_roots(args) -> int:
             "k": args.k,
             "bound": format_rational(bound.value),
             "regime": bound.regime,
-            "roots": [
-                {
-                    "defining": poly_to_strings(r.defining),
-                    "enclosure": r.enclosure.to_json(),
-                    "decimal": r.decimal(args.digits),
-                }
-                for r in rs.roots
-            ],
+            "roots": [{**r.to_json(), "decimal": r.decimal(args.digits)} for r in rs.roots],
         }
         _emit(json.dumps(payload))
     else:
@@ -299,7 +292,7 @@ def cmd_triangle(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ok, results = run_suite(args.suite, fast=args.fast)
+    ok, results = run_suite(args.suite)
     for result in results:
         _emit(result.line())
         for detail in result.details:
@@ -443,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=("arrays", "polys", "roots", "game", "posets", "all"))
-    p.add_argument("--fast", action="store_true", help="smaller grids for quick runs")
     p.set_defaults(handler=cmd_verify)
 
     return parser

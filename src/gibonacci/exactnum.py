@@ -3,13 +3,15 @@
 Everything in the verified path is exact: scalars are `fractions.Fraction`
 (arbitrary-precision, always in lowest terms with positive denominator),
 polynomials are dense coefficient tuples of Fractions, and real algebraic
-numbers are (square-free defining polynomial, isolating interval) pairs whose
-isolating property is certified by a Sturm count of exactly one.
+numbers are (defining polynomial, isolating interval) pairs whose interval
+holds exactly one root, a simple one, of the defining polynomial.
 
-Root counting and isolation use Sturm chains with bisection.  The chains are
-normalized to primitive integer coefficient vectors (positive content divided
-out after each signed pseudo-remainder step) so that sign evaluation at a
-rational point n/d reduces to integer arithmetic.
+Root counting and isolation use Sturm sequences with bisection (`_isolate`
+takes any Sturm sequence of integer coefficient tuples; the row polynomials
+bring their own, see `roots`).  For an arbitrary polynomial the sequence is
+its Sturm chain, normalized to primitive integer coefficient vectors
+(positive content divided out after each signed pseudo-remainder step) so
+that sign evaluation at a rational point n/d reduces to integer arithmetic.
 
 Every sign decision goes through that one integer path: a Poly caches its
 own primitive integer coefficient vector, and `Poly.sign_at` evaluates only
@@ -230,9 +232,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def primitive_int_coeffs(self) -> tuple:
         """Integer coefficient vector with content 1, same sign pattern."""
         if self._ints is None:
@@ -349,18 +348,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         f, g = g, (_int_primitive(r) if r else ())
     p = Poly(f)
     return p.scale(1 / p.leading)
-
-
-def square_free_part(p: Poly) -> Poly:
-    """p divided by gcd(p, p'): same roots, all simple."""
-    if p.degree < 1:
-        return p
-    g = poly_gcd(p, p.derivative())
-    if g.degree < 1:
-        return p
-    q, r = divmod(p, g)
-    assert r.is_zero
-    return q
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +544,12 @@ def isolate_real_roots(p: Poly, within: Interval) -> list:
         shrink += 1
     if lo >= hi:
         return []
-    chain = sturm_chain(p)
+    return _isolate(p, sturm_chain(p), lo, hi)
+
+
+def _isolate(p: Poly, chain, lo: Fraction, hi: Fraction) -> list:
+    """Sorted intervals (a, b], one per root of p in (lo, hi], on any Sturm
+    sequence `chain` of p; lo, hi and every split point are not roots."""
     out = []
     stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi))]
     while stack:

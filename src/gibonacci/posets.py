@@ -117,11 +117,6 @@ def _decode(code: int, n: int, k: int) -> tuple:
     return tuple(out)
 
 
-def rank_of(entries, n: int, k: int) -> int:
-    """k(k+1)n/2 minus the coordinate sum."""
-    return k * (k + 1) * n // 2 - sum(entries)
-
-
 def _checked_size(n: int, k: int, alpha: int) -> int:
     """Cardinality by the shared recurrence s_k = n s_{k-1} - s_{k-2}, with
     s_0 = alpha and s_1 = n; ExactError above POSET_ELEMENT_BUDGET.
@@ -478,7 +473,7 @@ def verify_identity_suite(alpha: int, n: int, k_max: int) -> IdentityReport:
     # family, and fixing the first coordinate at its window top removes one
     # more through the no-successor rule.  (Writing the correction as
     # ([n]-[n-alpha]) * H1_{k-2} instead matches this only at q = 1 or for
-    # alpha = 1; see unit_family_expansion_printed_variant.)
+    # alpha = 1; tests/test_posets.py keeps that variant as an oracle.)
     for k in range(2, k_max + 1):
         if A[k] != qn * A[k - 1] - qshift * A[k - 2]:
             failures.append(("triangle-recurrence", k))
@@ -508,19 +503,6 @@ def verify_identity_suite(alpha: int, n: int, k_max: int) -> IdentityReport:
                 failures.append((f"{name}-closed-form", k))
 
     return IdentityReport(alpha, n, k_max, failures, sizes["poset"])
-
-
-def unit_family_expansion_printed_variant(alpha: int, n: int, k: int) -> Poly:
-    """[n]*H1_{k-1} - ([n]-[n-alpha])*H1_{k-2}, the textbook-looking variant.
-
-    Both corrections sum the same number of terms, so the two variants agree
-    at q = 1 (cardinalities) and coincide for alpha = 1, but for alpha >= 2
-    this one disagrees with the enumerated rank generating function; it is
-    kept so the discrepancy stays visible.
-    """
-    h1_prev = _poset_rgf(1, n, k - 1)
-    h1_prev2 = _poset_rgf(1, n, k - 2)
-    return q_integer(n) * h1_prev - (q_integer(n) - q_integer(n - alpha)) * h1_prev2
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
 """Certified real roots of sign-alternating Gibonacci polynomials.
 
-Root sets are isolated with Sturm bisection inside (0, B) where B is the
+Root sets are isolated by Sturm bisection inside (0, B) where B is the
 exact rational bound 4 (seed ratio <= 2) or ratio^2/(ratio-1) (ratio > 2).
+The Sturm sequence is the rows of k's parity: two row steps give the
+three-term recurrence P_k = (x - 2) P_{k-2} - P_{k-4} with positive
+coefficients (Barth, Martin & Wilkinson, Numer. Math. 9, 1967), so no
+remainder chain is built, and each root set is certified by degree and
+sign changes (`roots_of`).
 Interlacing between consecutive root sets is decided by refining isolating
 intervals until the two sets separate; no floating point is involved.  Both
 root lists are ascending and internally disjoint, so one sorted merge sweep
@@ -27,15 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import (
-    AlgebraicNumber,
-    EndpointRootError,
-    ExactError,
-    Interval,
-    isolate_real_roots,
-    square_free_part,
-    sturm_count,
-)
+from .exactnum import AlgebraicNumber, ExactError, Interval, _isolate
 from .polys import GibParams, companion_poly, sign_alternating_poly
 
 DEFAULT_ENCLOSURE_BITS = 128
@@ -70,24 +67,39 @@ class RootSet:
         return len(self.roots)
 
 
+def _row_sequence(params: GibParams, k: int) -> tuple:
+    """(P_k, P_{k-2}, ..., P_{k mod 2}) as primitive integer coefficient
+    tuples: a Sturm sequence for P_k."""
+    return tuple(sign_alternating_poly(params, j).primitive_int_coeffs() for j in range(k, -1, -2))
+
+
 @lru_cache(maxsize=128)
 def roots_of(params: GibParams, k: int) -> RootSet:
-    """Isolate the floor(k/2) distinct positive roots of the row-k polynomial."""
+    """Isolate the floor(k/2) distinct positive roots of the row-k polynomial.
+
+    The bisection runs on the rows of k's parity as the Sturm sequence; the
+    intervals are then certified on P_k alone: P_k has degree k//2 and
+    changes sign over each of the k//2 disjoint intervals, so each holds
+    exactly one root, a simple one, and P_k has no other roots.
+    """
     if k < 2:
         raise ExactError("root sets are defined for k >= 2")
     p = sign_alternating_poly(params, k)
-    defining = square_free_part(p)
     bound = bound_B(params).value
-    window = Interval(Fraction(0), bound)
-    intervals = isolate_real_roots(defining, window)
+    if p.sign_at(Fraction(0)) == 0 or p.sign_at(bound) == 0:
+        raise ExactError(f"row {k} vanishes at an end of the window (0, {bound})")
+    intervals = _isolate(p, _row_sequence(params, k), Fraction(0), bound)
     expected = k // 2
     if len(intervals) != expected:
         raise ExactError(
             f"isolated {len(intervals)} roots in (0, {bound}) but expected {expected}"
         )
-    if sturm_count(defining, window) != expected:
-        raise ExactError("window count disagrees with isolation")
-    roots = [AlgebraicNumber(defining, iv, _checked=True) for iv in intervals]
+    if p.degree != expected or not (
+        all(p.sign_at(iv.lo) * p.sign_at(iv.hi) < 0 for iv in intervals)
+        and all(a.hi <= b.lo for a, b in zip(intervals, intervals[1:]))
+    ):
+        raise ExactError(f"row {k} intervals are not certified by degree and sign changes")
+    roots = [AlgebraicNumber(p, iv, _checked=True) for iv in intervals]
     # enclosures strictly inside (0, bound): only the rim intervals can touch
     bn, bd = bound.numerator, bound.denominator
     roots[0] = roots[0].bisected(lambda a, b, den: a > 0)
@@ -249,11 +261,6 @@ def cos_pi_enclosure(t: Fraction, bits: int = DEFAULT_ENCLOSURE_BITS) -> Interva
         work *= 2
 
 
-def sin_pi_enclosure(t: Fraction, bits: int = DEFAULT_ENCLOSURE_BITS) -> Interval:
-    """Enclosure of sin(t*pi) for rational t in [0, 1/2]."""
-    return cos_pi_enclosure(Fraction(1, 2) - Fraction(t), bits)
-
-
 def _four_cos_sq(t: Fraction, bits: int) -> Interval:
     """Enclosure of 4 cos^2(t*pi) of width <= 2^-bits, t in [0, 1/2]."""
     work = bits + 8
@@ -294,18 +301,6 @@ def lucas_closed_roots(k: int, bits: int = DEFAULT_ENCLOSURE_BITS) -> list:
     return out
 
 
-def lucas_closed_roots_sine(k: int, bits: int = DEFAULT_ENCLOSURE_BITS) -> list:
-    """Odd-k re-expression 4sin^2(j*pi/k), j = 1..floor(k/2), ascending."""
-    if k < 2 or k % 2 == 0:
-        raise ExactError("the sine form applies to odd k >= 3")
-    out = []
-    for j in range(1, k // 2 + 1):
-        s = sin_pi_enclosure(Fraction(j, k), bits + 8)
-        lo = max(s.lo, Fraction(0))
-        out.append(Interval(4 * lo * lo, 4 * s.hi * s.hi))
-    return out
-
-
 def refine_root_into(root: AlgebraicNumber, target: Interval) -> bool:
     """Refine an isolating interval until it sits inside `target` (or proves
     it never will).  Returns True when the root's value lies in target."""
@@ -328,33 +323,20 @@ def match_closed_forms(rootset: RootSet, enclosures: list) -> bool:
 
 
 def companion_duality_holds(params: GibParams, k: int) -> bool:
-    """Roots of the companion polynomial of index k-1 are exactly -1/zeta
-    over the row-k root set, verified by Sturm counts on mapped intervals."""
-    rootset = roots_of(params, k)
+    """The companion polynomial w of index k-1 has one root in the image
+    under x -> -1/x of each row-k isolating interval, and no other roots.
+
+    x^(k//2) w(-1/x) is a positive multiple of P_k(x) for x > 0, so w must
+    change sign over each image [-1/lo, -1/hi] (a rational root r needs
+    w(-1/r) = 0); the images are disjoint and w has degree k//2.
+    """
     w = companion_poly(params.ratio, k - 1)
     if w.degree != k // 2:
         return False
-    for root in rootset.roots:
-        cur = root
-        hit = None
-        while hit is None:
-            if cur.is_rational:
-                hit = w(Fraction(-1) / cur.rational_value) == 0
-                break
-            if cur.enclosure.lo <= 0:
-                cur = cur.refined()
-                continue
-            lo, hi = cur.enclosure.lo, cur.enclosure.hi
-            image = Interval(Fraction(-1) / lo, Fraction(-1) / hi)
-            try:
-                n = sturm_count(w, image)
-            except EndpointRootError:
-                cur = cur.refined()
-                continue
-            if n <= 1:
-                hit = n == 1
-                break
-            cur = cur.refined()
-        if not hit:
+    for root in roots_of(params, k).roots:
+        if root.is_rational:
+            if w.sign_at(-1 / root.rational_value) != 0:
+                return False
+        elif w.sign_at(-1 / root.enclosure.lo) * w.sign_at(-1 / root.enclosure.hi) >= 0:
             return False
     return True

@@ -474,44 +474,38 @@ def check_recurrence_identities(k_max: int) -> CheckResult:
     return res
 
 
-# suite -> ((check, full grid, fast grid), ...).  The full grids are the
-# acceptance grids that tests/test_acceptance.py runs; `verify --fast`
-# shrinks only the two root checks, which dominate the run time.
+# suite -> ((check, grid), ...).  tests/test_acceptance.py runs the same
+# checks on the same grids.
 SUITES = {
-    "arrays": ((check_array_fixtures, {}, {}),),
+    "arrays": ((check_array_fixtures, {}),),
     "polys": (
-        (check_polynomial_fixtures, {}, {}),
-        (check_binet_agreement, {"samples": 200}, {"samples": 200}),
-        (check_value_at_four, {"m_max": 50}, {"m_max": 50}),
-        (check_recurrence_identities, {"k_max": 30}, {"k_max": 30}),
+        (check_polynomial_fixtures, {}),
+        (check_binet_agreement, {"samples": 200}),
+        (check_value_at_four, {"m_max": 50}),
+        (check_recurrence_identities, {"k_max": 30}),
     ),
     "roots": (
-        (check_root_geometry, {"k_max": 40}, {"k_max": 16}),
-        (check_closed_form_roots, {"k_max": 24, "bits": 128}, {"k_max": 12, "bits": 96}),
+        (check_root_geometry, {"k_max": 40}),
+        (check_closed_form_roots, {"k_max": 24, "bits": 128}),
     ),
     "game": (
-        (check_six_move_reproduction, {}, {}),
-        (check_classification_suite, {"j_max": 8, "k_max": 10}, {"j_max": 8, "k_max": 10}),
+        (check_six_move_reproduction, {}),
+        (check_classification_suite, {"j_max": 8, "k_max": 10}),
     ),
     "posets": (
-        (check_poset_counts, {"n_max": 5, "k_grid": 6}, {"n_max": 5, "k_grid": 6}),
-        (check_identity_suite, {"n_max": 5, "k_max": 6}, {"n_max": 5, "k_max": 6}),
+        (check_poset_counts, {"n_max": 5, "k_grid": 6}),
+        (check_identity_suite, {"n_max": 5, "k_max": 6}),
     ),
 }
 
 
-def run_suite(name: str, fast: bool = False):
-    """Run one named suite (or 'all') on its full or fast grids; returns
-    (all_ok, [CheckResult])."""
+def run_suite(name: str):
+    """Run one named suite (or 'all'); returns (all_ok, [CheckResult])."""
     if name == "all":
         names = list(SUITES)
     elif name in SUITES:
         names = [name]
     else:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or all")
-    results = [
-        check(**(fast_grid if fast else full_grid))
-        for suite in names
-        for check, full_grid, fast_grid in SUITES[suite]
-    ]
+    results = [check(**grid) for suite in names for check, grid in SUITES[suite]]
     return all(r.ok for r in results), results

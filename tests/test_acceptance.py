@@ -11,14 +11,14 @@ Sturm-isolated intervals.
 
 from gibonacci.verify import SUITES
 
-# check name -> (check, full grid), from the table that `gibonacci verify`
+# check name -> (check, grid), from the table that `gibonacci verify`
 # runs, so the gate and the command share one set of grids
-FULL = {check.__name__: (check, full) for suite in SUITES.values() for check, full, _ in suite}
+FULL = {check.__name__: (check, grid) for suite in SUITES.values() for check, grid in suite}
 
 
 def _run(name: str):
-    check, full = FULL[name]
-    return check(**full)
+    check, grid = FULL[name]
+    return check(**grid)
 
 
 def _report(criterion: str, result) -> None:

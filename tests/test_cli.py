@@ -11,7 +11,6 @@ from gibonacci.exactnum import poly_from_strings, rational
 from gibonacci.game import GameConfig
 from gibonacci.polys import GibParams, _sa_poly_cached, sign_alternating_poly
 from gibonacci.posets import _triangle_rows
-from gibonacci.verify import SUITES, run_suite
 
 
 def run_cli(capsys, *argv):
@@ -267,11 +266,6 @@ class TestVerifyCommand:
         assert code == 0
         assert "PASS  array-fixtures" in out
         assert "all checks passed" in out
-
-    def test_all_suites_on_fast_grids(self):
-        ok, results = run_suite("all", fast=True)
-        assert ok, [r.details for r in results if not r.ok]
-        assert len(results) == sum(len(checks) for checks in SUITES.values())
 
     def test_unknown_suite_exits_two(self):
         with pytest.raises(SystemExit) as exc:

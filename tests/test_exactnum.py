@@ -20,7 +20,6 @@ from gibonacci.exactnum import (
     poly_to_text,
     rational,
     sign_at_algebraic,
-    square_free_part,
     sturm_count,
 )
 
@@ -135,13 +134,6 @@ class TestGcd:
 
     def test_coprime(self):
         assert poly_gcd(P(-1, 1), P(-2, 1)).degree == 0
-
-    def test_square_free_part(self):
-        # (x-1)^2 (x-3) -> (x-1)(x-3) up to a constant
-        p = P(-1, 1) * P(-1, 1) * P(-3, 1)
-        sf = square_free_part(p)
-        assert sf.degree == 2
-        assert sf(1) == 0 and sf(3) == 0
 
 
 class TestSturm:

@@ -4,8 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from gibonacci.exactnum import AlgebraicNumber, ExactError, Interval, Poly, sign_at_algebraic
-from gibonacci.polys import GibParams
+from gibonacci.exactnum import (
+    AlgebraicNumber,
+    ExactError,
+    Interval,
+    Poly,
+    _variations,
+    isolate_real_roots,
+    sign_at_algebraic,
+    sturm_chain,
+    sturm_count,
+)
+from gibonacci.polys import GibParams, companion_poly, sign_alternating_poly
 from gibonacci import roots as roots_module
 from gibonacci.roots import (
     bound_B,
@@ -16,18 +26,32 @@ from gibonacci.roots import (
     interval_sqrt,
     largest_root,
     lucas_closed_roots,
-    lucas_closed_roots_sine,
     match_closed_forms,
     pi_enclosure,
     refine_root_into,
     roots_of,
-    sin_pi_enclosure,
     sqrt_enclosure,
 )
 
 UNIT = GibParams.of(1, 1)
 LUCAS = GibParams.of(2, 1)
 WIDE = GibParams.of(5, 2)
+
+
+def sin_pi_enclosure(t, bits):
+    """Oracle: enclosure of sin(t*pi) = cos((1/2 - t)*pi), t in [0, 1/2]."""
+    return cos_pi_enclosure(Fraction(1, 2) - Fraction(t), bits)
+
+
+def lucas_closed_roots_sine(k, bits):
+    """Oracle: the odd-k re-expression 4sin^2(j*pi/k) of the (2,1)-seed
+    roots, j = 1..floor(k/2), ascending."""
+    out = []
+    for j in range(1, k // 2 + 1):
+        s = sin_pi_enclosure(Fraction(j, k), bits + 8)
+        lo = max(s.lo, Fraction(0))
+        out.append(Interval(4 * lo * lo, 4 * s.hi * s.hi))
+    return out
 
 
 def contains_value(root, value) -> bool:
@@ -138,7 +162,6 @@ class TestInterlacing:
     def test_shared_root_diagnostic(self):
         # a fabricated pair of sets holding the same algebraic number can
         # never separate; the refinement loop must raise, not spin
-        from gibonacci.exactnum import AlgebraicNumber, isolate_real_roots
         from gibonacci.roots import RootSet
 
         iv = isolate_real_roots(Poly([-2, 0, 1]), Interval(Fraction(0), Fraction(2)))[0]
@@ -230,6 +253,76 @@ class TestCompanionDuality:
         for params in [UNIT, LUCAS, WIDE]:
             for k in range(2, 11):
                 assert companion_duality_holds(params, k)
+
+    def test_wrong_ratio_rejected(self, monkeypatch):
+        # point enclosures (UNIT k = 2, 3, 5) and proper intervals alike
+        monkeypatch.setattr(
+            roots_module, "companion_poly", lambda ratio, k: companion_poly(ratio + 1, k)
+        )
+        for params in [UNIT, LUCAS, WIDE]:
+            for k in range(2, 11):
+                assert not companion_duality_holds(params, k)
+
+
+ISOLATION_SEEDS = [
+    GibParams.of(a, b)
+    for a, b in [(1, 1), (2, 1), (5, 2), (1, 2), (Fraction(7, 3), Fraction(1, 2)), (3, 1), (Fraction(9, 2), 1)]
+]
+
+
+def _remainder_chain_roots(params, k):
+    """Oracle: the row-k root set through the polynomial's own remainder
+    chain (`isolate_real_roots` over (0, B), the window counted again), with
+    roots_of's rim bisection."""
+    p = sign_alternating_poly(params, k)
+    bound = bound_B(params).value
+    window = Interval(Fraction(0), bound)
+    assert len(sturm_chain(p)[-1]) == 1  # gcd(P_k, P_k') is constant: square-free
+    intervals = isolate_real_roots(p, window)
+    assert len(intervals) == sturm_count(p, window) == k // 2
+    roots = [AlgebraicNumber(p, iv) for iv in intervals]
+    bn, bd = bound.numerator, bound.denominator
+    roots[0] = roots[0].bisected(lambda a, b, den: a > 0)
+    roots[-1] = roots[-1].bisected(lambda a, b, den: b * bd < bn * den)
+    return roots
+
+
+class TestRowSequence:
+    def test_matches_remainder_chain_route(self):
+        for params in ISOLATION_SEEDS:
+            for k in range(2, 61):
+                got = roots_of(params, k).roots
+                want = _remainder_chain_roots(params, k)
+                assert [r.enclosure for r in got] == [r.enclosure for r in want]
+                assert all(r.defining == sign_alternating_poly(params, k) for r in got)
+
+    def test_counts_match_remainder_chain(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        seeds = st.one_of(
+            st.just(UNIT),
+            st.builds(
+                GibParams,
+                st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=8),
+                st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=8),
+            ),
+        )
+        # r and r + 1 are the roots of rows 2 and 3; 1, 2 and 3 are roots of
+        # many unit-seed rows
+        points = st.one_of(
+            st.sampled_from(["r", "r+1", 1, 2, 3]),
+            st.fractions(min_value=-1, max_value=12, max_denominator=64),
+        )
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(seeds, st.integers(min_value=2, max_value=40), points)
+        def check(params, k, point):
+            x = {"r": params.ratio, "r+1": params.ratio + 1}.get(point, point)
+            x = Fraction(x)
+            chain = sturm_chain(sign_alternating_poly(params, k))
+            assert _variations(roots_module._row_sequence(params, k), x) == _variations(chain, x)
+
+        check()
 
 
 def _separate_all_pairs(a_roots, b_roots, max_rounds=512):
