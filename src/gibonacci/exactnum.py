@@ -24,7 +24,12 @@ over a common denominator D*2^s; it builds no Fraction per step, and
 The sign of a polynomial at a real algebraic number is decided interval
 first (`sign_at_algebraic`): integer interval Horner over the number's kept
 enclosure settles every nonzero sign, and only a box that contains 0 pays
-for the exact zero test (a gcd and a Sturm count of the gcd).
+for the exact zero test (a gcd and its signs at the two enclosure ends).
+
+Membership has one rule: a simple root isolated in an enclosure whose ends
+are not roots lies in an interval iff the defining polynomial does not keep
+one strict sign across their overlap.  The checked `AlgebraicNumber`
+constructor refuses defining polynomials that are not square-free.
 
 Algebraic extensions have one representation, the quotient ring Q[t]/(m)
 (`NumberRing`, `RingElement`): the Binet closed forms compute in
@@ -578,8 +583,10 @@ class AlgebraicNumber:
 
     The enclosure either contains exactly one (simple) root of `defining`
     with endpoints that are not roots, or is a degenerate point [r, r] when
-    the number is rational.  All operations return new values, and
-    `enclosure` never changes.
+    the number is rational.  The checked constructor refuses anything else,
+    including a defining polynomial that is not square-free (the last entry
+    of its Sturm chain is not a constant).  All operations return new
+    values, and `enclosure` never changes.
 
     The tightest enclosure computed for sign decisions is filled in lazily
     and kept, as integer endpoints (a, b, den) over one common denominator;
@@ -593,9 +600,10 @@ class AlgebraicNumber:
             if enclosure.lo == enclosure.hi:
                 if defining.sign_at(enclosure.lo) != 0:
                     raise ExactError("point enclosure is not a root of the defining polynomial")
-            else:
-                if sturm_count(defining, enclosure) != 1:
-                    raise ExactError("enclosure does not isolate exactly one root")
+            elif sturm_count(defining, enclosure) != 1:
+                raise ExactError("enclosure does not isolate exactly one root")
+            if defining.is_zero or len(sturm_chain(defining)[-1]) != 1:
+                raise ExactError("defining polynomial is not square-free")
         object.__setattr__(self, "defining", defining)
         object.__setattr__(self, "enclosure", enclosure)
         object.__setattr__(self, "_kept", None)
@@ -666,9 +674,10 @@ def sign_at_algebraic(p: Poly, theta: AlgebraicNumber) -> int:
     Interval first: p's primitive integer coefficients are evaluated by
     integer interval Horner over theta's kept enclosure (`_box_sign`), and a
     box that excludes 0 is the sign.  Only when the box contains 0 is zero
-    decided exactly, once: theta is a root of p iff gcd(p, theta.defining)
-    still has theta as a root, which a Sturm count over the enclosure
-    settles.  Otherwise the enclosure is bisected with doubling step counts
+    decided exactly, once: g = gcd(p, theta.defining) divides a square-free
+    polynomial, so within the enclosure its only possible root is theta, a
+    simple one, and theta is a root of p iff g changes sign across the
+    enclosure.  Otherwise the enclosure is bisected with doubling step counts
     until the box excludes 0, which happens because p is continuous and
     p(theta) != 0; the tighter enclosure is kept on theta for later queries.
     No floating point and no Sturm chain of p is involved.
@@ -683,7 +692,7 @@ def sign_at_algebraic(p: Poly, theta: AlgebraicNumber) -> int:
     if sign:
         return sign
     g = poly_gcd(p, theta.defining)
-    if g.degree >= 1 and sturm_count(g, theta.enclosure) == 1:
+    if g.sign_at(theta.enclosure.lo) * g.sign_at(theta.enclosure.hi) < 0:
         return 0
     defining = theta.defining.primitive_int_coeffs()
     steps = 1
@@ -693,8 +702,6 @@ def sign_at_algebraic(p: Poly, theta: AlgebraicNumber) -> int:
         steps *= 2
     object.__setattr__(theta, "_kept", box)
     return sign
-
-
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,8 @@ def build_poset(n: int, k: int, alpha: int) -> SGPoset:
 
 def count_by_formula(n: int, k: int, alpha: int) -> int:
     """n^(k mod 2) times the row-k sign-alternating polynomial at n^2."""
+    if k < 0:
+        raise ExactError(f"k must be nonnegative (got {k})")
     if n <= alpha:
         raise ExactError(f"n must exceed alpha (got n={n}, alpha={alpha})")
     params = GibParams.of(alpha, 1)
@@ -239,6 +241,8 @@ def _count_no_successors(n: int, k: int, first=None, last=None) -> int:
 
 def count_by_inclusion_exclusion(n: int, k: int, alpha: int) -> int:
     """Independent count: no-successor tuples minus the forbidden end pairs."""
+    if k < 0:
+        raise ExactError(f"k must be nonnegative (got {k})")
     if n <= alpha:
         raise ExactError(f"n must exceed alpha (got n={n}, alpha={alpha})")
     if k == 0:

@@ -20,9 +20,9 @@ with directed rounding.  The pi and cosine enclosures are rounded outward to
 the dyadic grid 2^-(bits+4), so they stay certified while every later
 comparison works on small dyadic rationals instead of series sums with huge
 denominators.
-Enclosures are matched to isolating intervals by containment after
-refinement (the integer bisection kernel of `exactnum`), never by equality
-of approximations.
+A closed-form enclosure is matched to its root by `root_in`: two exact
+signs of the row polynomial at the ends of the overlap of enclosure and
+isolating interval, never by refinement or by equality of approximations.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import AlgebraicNumber, ExactError, Interval, _isolate
-from .polys import GibParams, companion_poly, sign_alternating_poly
+from .polys import GibParams, sign_alternating_poly
 
 DEFAULT_ENCLOSURE_BITS = 128
 
@@ -301,42 +301,24 @@ def lucas_closed_roots(k: int, bits: int = DEFAULT_ENCLOSURE_BITS) -> list:
     return out
 
 
-def refine_root_into(root: AlgebraicNumber, target: Interval) -> bool:
-    """Refine an isolating interval until it sits inside `target` (or proves
-    it never will).  Returns True when the root's value lies in target."""
-    ln, ld = target.lo.numerator, target.lo.denominator
-    hn, hd = target.hi.numerator, target.hi.denominator
+def root_in(root: AlgebraicNumber, target: Interval) -> bool:
+    """Whether the root's value lies in the closed interval `target`.
 
-    def settled(a, b, den):
-        inside = ln * den <= a * ld and b * hd <= hn * den
-        return inside or b * ld <= ln * den or a * hd >= hn * den
-
-    e = root.bisected(settled).enclosure
-    return target.lo <= e.lo and e.hi <= target.hi
+    The root is simple and the only root of its defining polynomial in its
+    enclosure, whose ends are not roots; so it lies in the overlap [a, b] of
+    enclosure and target iff the polynomial does not keep one strict sign
+    there, which two exact signs decide.
+    """
+    e = root.enclosure
+    a, b = max(e.lo, target.lo), min(e.hi, target.hi)
+    if a > b:
+        return False
+    p = root.defining
+    return p.sign_at(a) * p.sign_at(b) <= 0
 
 
 def match_closed_forms(rootset: RootSet, enclosures: list) -> bool:
     """Each closed-form enclosure must capture exactly its isolated root."""
     if len(enclosures) != rootset.count:
         return False
-    return all(refine_root_into(r, iv) for r, iv in zip(rootset.roots, enclosures))
-
-
-def companion_duality_holds(params: GibParams, k: int) -> bool:
-    """The companion polynomial w of index k-1 has one root in the image
-    under x -> -1/x of each row-k isolating interval, and no other roots.
-
-    x^(k//2) w(-1/x) is a positive multiple of P_k(x) for x > 0, so w must
-    change sign over each image [-1/lo, -1/hi] (a rational root r needs
-    w(-1/r) = 0); the images are disjoint and w has degree k//2.
-    """
-    w = companion_poly(params.ratio, k - 1)
-    if w.degree != k // 2:
-        return False
-    for root in roots_of(params, k).roots:
-        if root.is_rational:
-            if w.sign_at(-1 / root.rational_value) != 0:
-                return False
-        elif w.sign_at(-1 / root.enclosure.lo) * w.sign_at(-1 / root.enclosure.hi) >= 0:
-            return False
-    return True
+    return all(root_in(r, iv) for r, iv in zip(rootset.roots, enclosures))

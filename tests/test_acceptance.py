@@ -95,5 +95,6 @@ def test_criterion_10_value_at_four():
 
 
 def test_supplement_recurrence_identities():
-    # unit-family decomposition, companion transform, and root duality
+    # unit-family decomposition and the exact companion transform, whose
+    # polynomial identity implies the companion root duality
     _report("supplement", _run("check_recurrence_identities"))

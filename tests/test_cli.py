@@ -2,6 +2,7 @@
 
 import io
 import json
+import shlex
 from fractions import Fraction
 
 import pytest
@@ -361,3 +362,106 @@ class TestDomainErrors:
         code, out, err = run_cli(capsys, "game", "predict", *config)
         assert code == 1 and out == ""
         assert err.startswith("error:") and "alpha >= beta" in err and len(err.splitlines()) == 1
+
+
+# Malformed and edge argv for every subcommand: domain errors (exit 1),
+# argparse usage errors (exit 2) and edge inputs that succeed (exit 0).
+FUZZ_ARGV = [
+    "roots --alpha 1 --beta 1 --k 0",
+    "roots --alpha 1 --beta 1 --k 1",
+    "roots --alpha 1 --beta 1 --k -5",
+    "roots --alpha 1/0 --beta 1 --k 4",
+    "roots --alpha 0 --beta 1 --k 4",
+    "roots --alpha -1 --beta 1 --k 4",
+    "roots --alpha 1 --beta 1 --k 4 --digits 0",
+    "roots --alpha 1 --beta 1 --k 4 --digits -2",
+    "roots --alpha 1 --beta 1 --k 4 --digits x",
+    "roots --alpha 1 --beta 1",
+    "roots --alpha 1 --beta 1 --k 2 --format xml",
+    "binet --alpha 1 --beta 1 --k 3 --x 1.5",
+    "binet --alpha 1 --beta 1 --k 3 --x 1/0",
+    "binet --alpha 1 --beta 1 --k 3 --x abc",
+    "binet --alpha 1 --beta 1 --k -1 --x 2",
+    "binet --alpha 1 --beta 1 --k 3 --x 1e3",
+    "binet --alpha 1 --beta 1 --k 3 --x 2 --digits 0",
+    "array --alpha 1 --beta 1 --rows 0",
+    "array --alpha 1 --beta 1 --rows -1",
+    "array --alpha 1/0 --beta 1",
+    "array --alpha 1 --beta 0",
+    "array --alpha 1 --beta 1 --rows x",
+    "poly --alpha 1 --beta 1 --k -1",
+    "poly --alpha 1 --beta 1 --k -2",
+    "poly --alpha 0 --beta 1 --k 3",
+    "poly --alpha 1 --beta nan --k 3",
+    "poly --alpha 1 --beta inf --k 3",
+    "poly --alpha 1 --beta 1_0 --k 3",
+    'poly --alpha " 1/2" --beta 1 --k 3',
+    "game play --alpha 1 --beta 1 --p 1 --q 1 --a 1 --b 1 --first g1 --budget 0",
+    "game play --alpha 1 --beta 1 --p 1 --q 1 --a 1 --b 1 --first g1 --budget -1",
+    "game play --alpha 1 --beta 1 --p 1 --q 1 --a 0 --b 0 --first g1",
+    "game play --alpha 1 --beta 1 --p 1 --q 1 --a -1 --b 1 --first g1",
+    "game play --alpha 1 --beta 1 --p 0 --q 1 --a 1 --b 1 --first g1",
+    "game play --alpha 1 --beta 1 --p -1 --q 1 --a 1 --b 1 --first g1",
+    "game play --alpha 1 --beta 1 --p 1 --q 1/0 --a 1 --b 1 --first g1",
+    "game play --alpha 1 --beta 1 --p 1 --q 1 --a 1 --b 1 --first g3",
+    "game play --alpha 1 --beta 1 --p 1 --q 1 --a 1 --b 1 --first g1 --strategy bogus",
+    "game play --alpha 1 --beta 1 --p 1 --q 1 --a 0 --b 1 --first g1",
+    "game play --alpha 1 --beta 2 --p 1 --q 1 --a 1 --b 1 --first g1",
+    "game play --alpha 1 --beta 1 --p 2 --q 2 --a 1 --b 1 --first g1 --budget 0",
+    "game play --alpha 1 --beta 1 --p 1 --q 4 --a 1 --b 1 --first g2 --budget 3",
+    "game classify --alpha 1 --beta 1 --p 0 --q 1",
+    "game classify --alpha 1 --beta 1 --p 1 --q -1",
+    "game classify --alpha 1 --beta 1 --p 2 --q 2",
+    "game classify --alpha 1 --beta 1 --p 1 --q 4",
+    "game predict --alpha 1 --beta 1 --p 1 --q 1 --a 0 --b 0 --first g1",
+    "game predict --alpha 1 --beta 1 --p 2 --q 2 --a 1 --b 1 --first g1",
+    "game predict --alpha 1 --beta 1 --p 1 --q 4 --a 1 --b 1 --first g1",
+    "game predict --alpha 1 --beta 1 --p 1 --q 1 --a 0 --b 1 --first g1",
+    "game predict --alpha 1 --beta 1 --p 1 --q 1 --a 1 --b 1",
+    "game repl --alpha 0 --beta 1 --p 1 --q 1 --a 1 --b 1",
+    "game repl --alpha 1 --beta 1 --p 1 --q 1 --a 0 --b 0",
+    "game repl --alpha 1 --beta 1 --p 1 --q 1 --a 1 --b 1",
+    "game repl --alpha 1 --beta 1 --p 1 --q 1 --a 1 --b 1 --digits 0",
+    "poset enum --n 3 --k -1 --alpha 1",
+    "poset enum --n 0 --k 2 --alpha 1",
+    "poset enum --n 3 --k 2 --alpha 0",
+    "poset enum --n 2 --k 2 --alpha 2",
+    "poset enum --n 100 --k 5 --alpha 1",
+    "poset enum --n 3 --k 2 --alpha 1 --format csv",
+    "poset enum --n 3 --k 2 --alpha 1 --format dot",
+    "poset enum --n 3 --k 0 --alpha 1 --format dot",
+    "poset rgf --n 3 --k -1 --alpha 1",
+    "poset rgf --n 3 --k 0 --alpha 2",
+    "poset check --n 3 --k -1 --alpha 1",
+    "poset check --n 3 --k 0 --alpha 2",
+    "poset check --n 1 --k 1 --alpha 1",
+    "triangle --alpha 0 --n 3 --k 2",
+    "triangle --alpha 1 --n 1 --k 2",
+    "triangle --alpha 1 --n 3 --k -1",
+    "triangle --alpha 1 --n 3 --k -1 --as-poly",
+    "triangle --alpha 3 --n 2 --k 2",
+    "triangle --alpha 1 --n 3 --k 0 --format csv",
+    "triangle --alpha -2 --n -1 --k 2",
+    "verify everything",
+    "verify",
+    "game",
+    "poset",
+    "poset enum",
+    "--bogus",
+    "",
+    "frobnicate",
+]
+
+
+@pytest.mark.parametrize("line", FUZZ_ARGV)
+def test_cli_fuzz_exit_contract(capsys, monkeypatch, line):
+    monkeypatch.setattr("sys.stdin", io.StringIO("g1\ng2\nquit\n"))  # game repl
+    try:
+        code = main(shlex.split(line))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    if code == 1:
+        assert len(err.splitlines()) == 1 and err.startswith("error:")

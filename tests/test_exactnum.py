@@ -321,6 +321,42 @@ class TestAlgebraicNumber:
             assert lo_sign != hi_sign or p(cur.enclosure.lo) == 0 or p(cur.enclosure.hi) == 0
 
 
+class TestSquareFreeDefining:
+    def test_repeated_roots_refused(self):
+        x_minus_1 = P(-1, 1)
+        refused = [
+            (x_minus_1 * x_minus_1, Interval(Fraction(0), Fraction(3))),
+            # odd multiplicity: the sign changes across (0, 3), but the
+            # defining polynomial is not square-free either
+            (x_minus_1 * x_minus_1 * x_minus_1, Interval(Fraction(0), Fraction(3))),
+            (x_minus_1 * x_minus_1, Interval(Fraction(1), Fraction(1))),
+            # the isolated root 2 is simple; the repeated root lies outside
+            (x_minus_1 * x_minus_1 * P(-2, 1), Interval(Fraction(3, 2), Fraction(3))),
+            (Poly(), Interval(Fraction(1), Fraction(1))),
+        ]
+        for defining, enclosure in refused:
+            with pytest.raises(ExactError):
+                AlgebraicNumber(defining, enclosure)
+        two = AlgebraicNumber(x_minus_1 * P(-2, 1), Interval(Fraction(3, 2), Fraction(3)))
+        assert sign_at_algebraic(P(-2, 1), two) == 0
+
+    def test_zero_test_runs_no_sturm_count(self, monkeypatch):
+        from gibonacci import exactnum
+        from gibonacci.polys import GibParams, sign_alternating_poly
+        from gibonacci.roots import roots_of
+
+        params = GibParams.of(5, 2)
+        rows = [sign_alternating_poly(params, j) for j in range(2, 16)]
+        cases = [(p, root) for k in (9, 10, 14) for root in roots_of(params, k).roots for p in rows]
+        sqrt2 = AlgebraicNumber(P(-2, 0, 1), Interval(Fraction(1), Fraction(2)))
+        cases += [(P(-2, 0, 1) * P(5, 3, 1), sqrt2), (P(-3, 0, 1) * P(-1, 1), sqrt2)]
+        want = [_sturm_loop_sign(p, root) for p, root in cases]
+        monkeypatch.setattr(exactnum, "sturm_count", None)
+        monkeypatch.setattr(exactnum, "sturm_chain", None)
+        assert [sign_at_algebraic(p, _fresh(root)) for p, root in cases] == want
+        assert want.count(0) >= 16
+
+
 class TestQuadraticElement:
     """Elements a + b*t of the quotient ring Q[t]/(t^2 - d)."""
 

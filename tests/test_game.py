@@ -24,7 +24,7 @@ from gibonacci.game import (
     value_sign,
 )
 from gibonacci.polys import GibParams
-from gibonacci.roots import largest_root
+from gibonacci.roots import bound_B, largest_root
 
 UNIT = GibParams.of(1, 1)
 LUCAS = GibParams.of(2, 1)
@@ -458,6 +458,36 @@ class TestValueSign:
         assert (root - 3).sign() == 1  # 2 + sqrt2 > 3
         assert (root - 4).sign() == -1
         assert (root * root - 4 * root + 2).sign() == 0
+
+
+def test_play_matches_prediction_on_random_configs():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    positive = st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=8)
+    starts = st.fractions(min_value=0, max_value=10, max_denominator=6)
+
+    @hyp.settings(max_examples=150, deadline=None, derandomize=True)
+    @hyp.given(
+        st.fractions(min_value=1, max_value=10, max_denominator=8),  # alpha/beta
+        positive,  # beta
+        positive,  # p
+        st.fractions(min_value=Fraction(1, 64), max_value=Fraction(63, 64), max_denominator=64),
+        starts,
+        starts,
+        st.sampled_from([NODE1, NODE2]),
+        st.sampled_from(["alternate", "greedy-g1", "greedy-g2"]),
+    )
+    def check(ratio, beta, p, share, a, b, first, strategy):
+        # the opening node needs a positive value
+        hyp.assume((a if first == NODE1 else b) > 0)
+        params = GibParams.of(ratio * beta, beta)
+        pq = share * bound_B(params).value  # pq < B: every game terminates
+        config = GameConfig.rational(params, p, pq / p)
+        want = predicted_moves(config, a, b, first)
+        trace = play(a, b, first, config, strategy=strategy, budget=want + 4)
+        assert trace.outcome == "terminated" and trace.moves == want
+
+    check()
 
 
 def _values_equal(got, expected) -> bool:

@@ -307,6 +307,14 @@ class TestCounts:
         assert count_by_inclusion_exclusion(6, 1, 2) == 6
         assert count_by_inclusion_exclusion(3, 3, 1) == 21
 
+    def test_negative_k_refused(self):
+        # every route refuses k < 0 with one line, as build_poset does
+        for route in (count_by_formula, count_by_inclusion_exclusion, build_poset):
+            for k in (-1, -2):
+                with pytest.raises(ExactError) as err:
+                    route(3, k, 1)
+                assert "\n" not in str(err.value)
+
     def test_three_way_agreement_grid(self):
         for n in range(2, 6):
             for alpha in range(1, n):

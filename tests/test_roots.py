@@ -15,12 +15,12 @@ from gibonacci.exactnum import (
     sturm_chain,
     sturm_count,
 )
-from gibonacci.polys import GibParams, companion_poly, sign_alternating_poly
+from gibonacci import polys as polys_module
+from gibonacci.polys import GibParams, companion_poly, reciprocal_transform_holds, sign_alternating_poly
 from gibonacci import roots as roots_module
 from gibonacci.roots import (
     bound_B,
     check_interlacing,
-    companion_duality_holds,
     cos_pi_enclosure,
     fibonacci_closed_roots,
     interval_sqrt,
@@ -28,7 +28,7 @@ from gibonacci.roots import (
     lucas_closed_roots,
     match_closed_forms,
     pi_enclosure,
-    refine_root_into,
+    root_in,
     roots_of,
     sqrt_enclosure,
 )
@@ -116,7 +116,7 @@ class TestLargestRoot:
         assert sign_at_algebraic(Poly([-2, 1]), r) == 1  # bigger than 2
         s2 = sqrt_enclosure(2, 100)
         target = Interval(2 + s2.lo - Fraction(1, 2**90), 2 + s2.hi + Fraction(1, 2**90))
-        assert refine_root_into(r, target)
+        assert root_in(r, target)
 
     def test_strictly_increasing_in_k(self):
         for params in [UNIT, WIDE]:
@@ -243,25 +243,34 @@ class TestClosedForms:
         for root, val in zip(rs.roots, values):
             pad = Fraction(1, 2**120)
             target = Interval(val.lo - pad, val.hi + pad)
-            assert refine_root_into(root, target)
+            assert root_in(root, target)
         # and the same seven numbers match the trigonometric closed forms
         assert match_closed_forms(rs, fibonacci_closed_roots(15))
 
 
 class TestCompanionDuality:
+    """The companion roots are exactly the images -1/zeta of the row roots
+    because x^(k//2) V_{k-1}(-1/x) = P_k holds as a polynomial identity;
+    `reciprocal_transform_holds` checks that identity exactly."""
+
     def test_small_grid(self):
         for params in [UNIT, LUCAS, WIDE]:
             for k in range(2, 11):
-                assert companion_duality_holds(params, k)
+                assert reciprocal_transform_holds(params.ratio, k)
 
     def test_wrong_ratio_rejected(self, monkeypatch):
-        # point enclosures (UNIT k = 2, 3, 5) and proper intervals alike
-        monkeypatch.setattr(
-            roots_module, "companion_poly", lambda ratio, k: companion_poly(ratio + 1, k)
-        )
-        for params in [UNIT, LUCAS, WIDE]:
-            for k in range(2, 11):
-                assert not companion_duality_holds(params, k)
+        # a sign test at the mapped ends of coarse isolating intervals
+        # accepted the ratio + 1/100 companion, e.g. at seeds (1,1), k = 4
+        ratios = [UNIT.ratio, LUCAS.ratio, WIDE.ratio]
+        for shift in (Fraction(1, 100), Fraction(1)):
+            # computed before patching: companion_poly recurses through the
+            # module attribute
+            wrong = {(r, k): companion_poly(r + shift, k) for r in ratios for k in range(1, 10)}
+            with monkeypatch.context() as patch:
+                patch.setattr(polys_module, "companion_poly", lambda ratio, k: wrong[ratio, k])
+                for r in ratios:
+                    for k in range(2, 11):
+                        assert not reciprocal_transform_holds(r, k)
 
 
 ISOLATION_SEEDS = [
@@ -323,6 +332,86 @@ class TestRowSequence:
             assert _variations(roots_module._row_sequence(params, k), x) == _variations(chain, x)
 
         check()
+
+
+def _bisection_root_in(root, target, steps=300):
+    """Oracle: the former membership route, bisecting the enclosure until it
+    lies inside `target` or misses it.  None when it has not settled: a
+    rational root exactly at a target end settles only if a midpoint hits it."""
+    ln, ld = target.lo.numerator, target.lo.denominator
+    hn, hd = target.hi.numerator, target.hi.denominator
+
+    def settled(a, b, den):
+        inside = ln * den <= a * ld and b * hd <= hn * den
+        return inside or b * ld <= ln * den or a * hd >= hn * den
+
+    e = root.bisected(settled, steps=steps).enclosure
+    if target.lo <= e.lo and e.hi <= target.hi:
+        return True
+    if e.hi <= target.lo or e.lo >= target.hi:
+        return False
+    return None
+
+
+ROOT_IN_SEEDS = [(1, 1), (2, 1), (5, 2), (1, 2), (Fraction(7, 3), Fraction(1, 2))]
+CLOSED_FORMS = {(1, 1): fibonacci_closed_roots, (2, 1): lucas_closed_roots}
+
+
+def _root_in_cases():
+    """(root, target, exact answer or None) over every root of rows 2..40."""
+    for a, b in ROOT_IN_SEEDS:
+        params = GibParams.of(a, b)
+        r = params.ratio
+        for k in range(2, 41):
+            roots = roots_of(params, k).roots
+            closed = CLOSED_FORMS[a, b](k) if (a, b) in CLOSED_FORMS else []
+            for i, root in enumerate(roots):
+                e = root.enclosure
+                w = e.width or Fraction(1, 8)
+                targets = [
+                    e,
+                    Interval(e.lo + w / 3, e.hi + w / 3),  # shifted
+                    Interval(e.lo - w / 3, e.hi - w / 3),
+                    Interval(e.hi, e.hi + w),  # touching
+                    Interval(e.lo - w, e.lo),
+                    Interval(e.mid, e.mid),  # point
+                ]
+                # disjoint: other roots' enclosures, with 0, 1 or 2 roots between
+                near = [j for j in range(i - 3, i + 4) if j != i and 0 <= j < len(roots)]
+                targets += [roots[j].enclosure for j in near]
+                targets += [closed[j] for j in (i - 2, i, i + 2) if 0 <= j < len(closed)]
+                for target in targets:
+                    yield root, target, None
+                for c in (1, 2, 3, r, r + 1):
+                    if e.lo <= c <= e.hi and root.defining.sign_at(c) == 0:
+                        # the root is the rational c: c at a target end
+                        yield root, Interval(c, c), True
+                        yield root, Interval(c, c + w), True
+                        yield root, Interval(c - w, c), True
+                        yield root, Interval(c + w / 4, c + w), False
+
+
+class TestRootIn:
+    def test_matches_bisection_route(self, monkeypatch):
+        cases = list(_root_in_cases())
+        with monkeypatch.context() as patch:
+            # root_in decides by two signs: any refinement is an error
+            patch.setattr(AlgebraicNumber, "bisected", None)
+            got = [root_in(root, target) for root, target, _ in cases]
+        rational_ends = point_roots = 0
+        for (root, target, exact), verdict in zip(cases, got):
+            want = _bisection_root_in(root, target)
+            if want is None:
+                # unsettled only with the root exactly at a target end
+                assert 0 in (root.defining.sign_at(target.lo), root.defining.sign_at(target.hi))
+                want = True
+            if exact is not None:
+                assert want == exact
+                rational_ends += 1
+            point_roots += root.is_rational and want
+            assert verdict == want, (root, target)
+        assert sum(got) > 2000 and len(got) - sum(got) > 10000
+        assert rational_ends > 100 and point_roots > 10
 
 
 def _separate_all_pairs(a_roots, b_roots, max_rounds=512):
@@ -393,12 +482,12 @@ class TestIntegerDyadicCore:
                     hi = mpmath.mpf(iv.hi.numerator) / iv.hi.denominator
                     assert lo <= exact <= hi
 
-    def test_refine_root_into_verdicts(self):
+    def test_root_in_verdicts(self):
         root = largest_root(LUCAS, 4)  # 2 + sqrt2 = 3.41421356...
         inside = Interval(Fraction(341, 100), Fraction(342, 100))
-        assert refine_root_into(root, inside)
-        assert not refine_root_into(root, Interval(Fraction(342, 100), Fraction(4)))
-        assert not refine_root_into(root, Interval(Fraction(3), Fraction(341, 100)))
+        assert root_in(root, inside)
+        assert not root_in(root, Interval(Fraction(342, 100), Fraction(4)))
+        assert not root_in(root, Interval(Fraction(3), Fraction(341, 100)))
         three = AlgebraicNumber.from_rational(3)
-        assert refine_root_into(three, Interval(Fraction(3), Fraction(3)))
-        assert not refine_root_into(three, Interval(Fraction(31, 10), Fraction(4)))
+        assert root_in(three, Interval(Fraction(3), Fraction(3)))
+        assert not root_in(three, Interval(Fraction(31, 10), Fraction(4)))
