@@ -97,6 +97,8 @@ def cmd_array(args) -> int:
 
 def cmd_poly(args) -> int:
     params = _params(args)
+    if args.k < 0:  # P_{-1} = 0 is the recurrence's helper row, not a row
+        raise ExactError(f"row index must be nonnegative (got {args.k})")
     poly = sign_alternating_poly(params, args.k)
     if _format_choice(args) == "json":
         _emit(json.dumps(poly_to_strings(poly)))

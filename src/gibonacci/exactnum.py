@@ -7,11 +7,12 @@ numbers are (defining polynomial, isolating interval) pairs whose interval
 holds exactly one root, a simple one, of the defining polynomial.
 
 Root counting and isolation use Sturm sequences with bisection (`_isolate`
-takes any Sturm sequence of integer coefficient tuples; the row polynomials
-bring their own, see `roots`).  For an arbitrary polynomial the sequence is
-its Sturm chain, normalized to primitive integer coefficient vectors
-(positive content divided out after each signed pseudo-remainder step) so
-that sign evaluation at a rational point n/d reduces to integer arithmetic.
+takes the sign-variation count of any Sturm sequence as a callable; the row
+polynomials count their own rows by the row recurrence, see `roots`).  For
+an arbitrary polynomial the sequence is its Sturm chain, normalized to
+primitive integer coefficient vectors (positive content divided out after
+each signed pseudo-remainder step) so that sign evaluation at a rational
+point n/d reduces to integer arithmetic.
 
 Every sign decision goes through that one integer path: a Poly caches its
 own primitive integer coefficient vector, and `Poly.sign_at` evaluates only
@@ -42,8 +43,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from functools import lru_cache, partial
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int]
 
@@ -72,6 +73,8 @@ def rational(value) -> Fraction:
         text = value.strip()
         if "." in text or "e" in text or "E" in text:
             raise ExactError(f"decimal literal rejected: {value!r}; use num/den")
+        if "_" in text:
+            raise ExactError(f"bad rational literal: {value!r}")
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
@@ -489,10 +492,16 @@ def sturm_chain(p: Poly) -> tuple:
     return tuple(chain)
 
 
-def _variations(chain, x: Fraction) -> int:
-    n, d = x.numerator, x.denominator
-    signs = [s for s in (_sign_at_point(c, n, d) for c in chain) if s != 0]
+def _sign_changes(values: Iterable[int]) -> int:
+    """Sign changes along a sequence of integers, zeros dropped."""
+    signs = [v > 0 for v in values if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _variations(chain, x: Fraction) -> int:
+    """Sign variations of the integer polynomials of `chain` at x."""
+    n, d = x.numerator, x.denominator
+    return _sign_changes(_sign_at_point(c, n, d) for c in chain)
 
 
 def sturm_count(p: Poly, iv: Interval) -> int:
@@ -549,14 +558,18 @@ def isolate_real_roots(p: Poly, within: Interval) -> list:
         shrink += 1
     if lo >= hi:
         return []
-    return _isolate(p, sturm_chain(p), lo, hi)
+    return _isolate(p, partial(_variations, sturm_chain(p)), lo, hi)
 
 
-def _isolate(p: Poly, chain, lo: Fraction, hi: Fraction) -> list:
-    """Sorted intervals (a, b], one per root of p in (lo, hi], on any Sturm
-    sequence `chain` of p; lo, hi and every split point are not roots."""
+def _isolate(p: Poly, variations: Callable[[Fraction], int], lo: Fraction, hi: Fraction) -> list:
+    """Sorted intervals (a, b], one per root of p in (lo, hi].
+
+    `variations(x)` is the sign-variation count at x of any Sturm sequence
+    of p (the generic chain, or for a row polynomial the rows of its
+    parity); lo, hi and every split point are not roots.
+    """
     out = []
-    stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi))]
+    stack = [(lo, hi, variations(lo), variations(hi))]
     while stack:
         a, b, va, vb = stack.pop()
         n = va - vb
@@ -566,7 +579,7 @@ def _isolate(p: Poly, chain, lo: Fraction, hi: Fraction) -> list:
             out.append(Interval(a, b))
             continue
         m = _non_root_point(p, a, b)
-        vm = _variations(chain, m)
+        vm = variations(m)
         stack.append((a, m, va, vm))
         stack.append((m, b, vm, vb))
     out.sort(key=lambda iv: iv.lo)

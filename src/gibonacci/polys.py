@@ -10,8 +10,9 @@ recurrence
     P_k = x^((k-1) mod 2) * P_{k-1} - P_{k-2},   P_0 = alpha, P_1 = beta,
 
 which is how they are built here; `_next_row` is that one row step, shared
-with the game's row scan.  The closed binomial form for array entries is
-kept separate so tests can confront the two routes.
+with the game's row scan and the root counts of `roots`.  The closed
+binomial form for array entries is kept separate so tests can confront the
+two routes.
 
 The Binet-type closed form evaluates a row at x through the eigenvalues of
 the step matrix, computed in the quotient ring Q[t]/(t^2 - (x^2 - 4x)); the

@@ -5,8 +5,11 @@ exact rational bound 4 (seed ratio <= 2) or ratio^2/(ratio-1) (ratio > 2).
 The Sturm sequence is the rows of k's parity: two row steps give the
 three-term recurrence P_k = (x - 2) P_{k-2} - P_{k-4} with positive
 coefficients (Barth, Martin & Wilkinson, Numer. Math. 9, 1967), so no
-remainder chain is built, and each root set is certified by degree and
-sign changes (`roots_of`).
+remainder chain is built.  Its sign variations at a bisection point n/d
+come from the row recurrence run on integers scaled by powers of d
+(`_row_variations`): k integer row steps, with no row polynomial evaluated.
+Each root set is certified on P_k alone, by degree and sign changes
+(`roots_of`).
 Interlacing between consecutive root sets is decided by refining isolating
 intervals until the two sets separate; no floating point is involved.  Both
 root lists are ascending and internally disjoint, so one sorted merge sweep
@@ -30,10 +33,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .exactnum import AlgebraicNumber, ExactError, Interval, _isolate
-from .polys import GibParams, sign_alternating_poly
+from .exactnum import AlgebraicNumber, ExactError, Interval, _isolate, _sign_changes
+from .polys import GibParams, _next_row, sign_alternating_poly
 
 DEFAULT_ENCLOSURE_BITS = 128
 
@@ -67,10 +70,21 @@ class RootSet:
         return len(self.roots)
 
 
-def _row_sequence(params: GibParams, k: int) -> tuple:
-    """(P_k, P_{k-2}, ..., P_{k mod 2}) as primitive integer coefficient
-    tuples: a Sturm sequence for P_k."""
-    return tuple(sign_alternating_poly(params, j).primitive_int_coeffs() for j in range(k, -1, -2))
+def _row_variations(params: GibParams, k: int, x: Fraction) -> int:
+    """Sign variations of the Sturm sequence (P_k, P_{k-2}, ..., P_{k mod 2})
+    at the rational x = n/d, from the row recurrence in integers.
+
+    V_j = L * d^(j//2) * P_j(n/d) with L = den(alpha) * den(beta) is an
+    integer of P_j's sign, and the row step carries over with the row two
+    back scaled by d: V_j = _next_row(n, j, V_{j-1}, d * V_{j-2}).  So a
+    count costs k integer row steps instead of k/2 Horner evaluations.
+    """
+    n, d = x.numerator, x.denominator
+    a, b = params.alpha, params.beta
+    values = [a.numerator * b.denominator, b.numerator * a.denominator]
+    for j in range(2, k + 1):
+        values.append(_next_row(n, j, values[-1], d * values[-2]))
+    return _sign_changes(values[k % 2 :: 2])
 
 
 @lru_cache(maxsize=128)
@@ -88,7 +102,7 @@ def roots_of(params: GibParams, k: int) -> RootSet:
     bound = bound_B(params).value
     if p.sign_at(Fraction(0)) == 0 or p.sign_at(bound) == 0:
         raise ExactError(f"row {k} vanishes at an end of the window (0, {bound})")
-    intervals = _isolate(p, _row_sequence(params, k), Fraction(0), bound)
+    intervals = _isolate(p, partial(_row_variations, params, k), Fraction(0), bound)
     expected = k // 2
     if len(intervals) != expected:
         raise ExactError(

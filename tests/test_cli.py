@@ -51,6 +51,19 @@ class TestPoly:
         assert len(json.loads(out)) == 501
 
 
+    def test_negative_row_refused(self, capsys):
+        # P_{-1} = 0 is the recurrence's helper row: -1 is refused like -2
+        for k in ("-1", "-2"):
+            code, out, err = run_cli(capsys, "poly", "--alpha", "1", "--beta", "1", "--k", k)
+            assert code == 1 and out == ""
+            assert err == f"error: row index must be nonnegative (got {k})\n"
+
+    def test_underscore_seed_refused(self, capsys):
+        code, out, err = run_cli(capsys, "poly", "--alpha", "1", "--beta", "1_0", "--k", "3")
+        assert code == 1 and out == ""
+        assert err == "error: bad rational literal: '1_0'\n"
+
+
 class TestArray:
     def test_json_rows_round_trip(self, capsys):
         code, out, _ = run_cli(
@@ -390,11 +403,15 @@ FUZZ_ARGV = [
     "array --alpha 1 --beta 0",
     "array --alpha 1 --beta 1 --rows x",
     "poly --alpha 1 --beta 1 --k -1",
+    "poly --alpha 1 --beta 1 --k -1 --format json",
     "poly --alpha 1 --beta 1 --k -2",
     "poly --alpha 0 --beta 1 --k 3",
     "poly --alpha 1 --beta nan --k 3",
     "poly --alpha 1 --beta inf --k 3",
     "poly --alpha 1 --beta 1_0 --k 3",
+    "roots --alpha 3_2/2 --beta 1 --k 4",
+    "binet --alpha 1 --beta 1 --k 3 --x 1/1_0",
+    "game classify --alpha 1 --beta 1 --p 1_1 --q 1",
     'poly --alpha " 1/2" --beta 1 --k 3',
     "game play --alpha 1 --beta 1 --p 1 --q 1 --a 1 --b 1 --first g1 --budget 0",
     "game play --alpha 1 --beta 1 --p 1 --q 1 --a 1 --b 1 --first g1 --budget -1",

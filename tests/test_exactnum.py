@@ -41,6 +41,12 @@ class TestRationalParsing:
         with pytest.raises(ExactError):
             rational(0.5)
 
+    def test_underscores_rejected(self):
+        # Fraction(text) reads Python numeric-literal underscores: "1_0" is 10
+        for text in ["1_0", "1/2_0", "-3_3/4", "_1", "1_"]:
+            with pytest.raises(ExactError):
+                rational(text)
+
     def test_round_trip(self):
         for x in [Fraction(0), Fraction(-3, 7), Fraction(22, 4)]:
             assert rational(format_rational(x)) == x

@@ -1,6 +1,7 @@
 """Root sets, interlacing, bounds, and closed trigonometric root forms."""
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -9,6 +10,8 @@ from gibonacci.exactnum import (
     ExactError,
     Interval,
     Poly,
+    _isolate,
+    _sign_at_point,
     _variations,
     isolate_real_roots,
     sign_at_algebraic,
@@ -289,11 +292,33 @@ def _remainder_chain_roots(params, k):
     assert len(sturm_chain(p)[-1]) == 1  # gcd(P_k, P_k') is constant: square-free
     intervals = isolate_real_roots(p, window)
     assert len(intervals) == sturm_count(p, window) == k // 2
+    return _rim_bisected(p, intervals, bound)
+
+
+def _rim_bisected(p, intervals, bound):
+    """Checked roots on `intervals`, the rim ones bisected off 0 and bound
+    as roots_of does."""
     roots = [AlgebraicNumber(p, iv) for iv in intervals]
     bn, bd = bound.numerator, bound.denominator
     roots[0] = roots[0].bisected(lambda a, b, den: a > 0)
     roots[-1] = roots[-1].bisected(lambda a, b, den: b * bd < bn * den)
     return roots
+
+
+def _row_sequence(params, k):
+    """Oracle: (P_k, P_{k-2}, ..., P_{k mod 2}) as primitive integer
+    coefficient tuples, the Sturm sequence that roots_of counts by the row
+    recurrence instead of evaluating each row."""
+    return tuple(sign_alternating_poly(params, j).primitive_int_coeffs() for j in range(k, -1, -2))
+
+
+def _row_sequence_roots(params, k):
+    """Oracle: the row-k root set isolated by Horner counts on
+    `_row_sequence`, with roots_of's rim bisection."""
+    p = sign_alternating_poly(params, k)
+    bound = bound_B(params).value
+    intervals = _isolate(p, partial(_variations, _row_sequence(params, k)), Fraction(0), bound)
+    return _rim_bisected(p, intervals, bound)
 
 
 class TestRowSequence:
@@ -304,6 +329,46 @@ class TestRowSequence:
                 want = _remainder_chain_roots(params, k)
                 assert [r.enclosure for r in got] == [r.enclosure for r in want]
                 assert all(r.defining == sign_alternating_poly(params, k) for r in got)
+
+    # the unit seeds, and seeds of ratio 9/2 > 2 (bound 81/14)
+    @pytest.mark.parametrize("params, k", [(UNIT, 200), (GibParams.of(9, 2), 150)])
+    def test_matches_row_sequence_route(self, params, k):
+        got = roots_of(params, k).roots
+        want = _row_sequence_roots(params, k)
+        assert len(got) == k // 2
+        assert [r.enclosure for r in got] == [r.enclosure for r in want]
+
+    def test_counts_at_edge_points(self):
+        # 0 and B, points left of 0, huge denominators, and rational roots
+        # of intermediate rows (r of row 2, r + 1 of row 3, and 1, 2, 3 of
+        # many unit-seed rows), where the sequence has interior zeros
+        interior_zeros = 0
+        for params in ISOLATION_SEEDS:
+            r = params.ratio
+            points = [
+                Fraction(0),
+                bound_B(params).value,
+                Fraction(-1),
+                Fraction(-7, 3),
+                r,
+                r + 1,
+                Fraction(1),
+                Fraction(2),
+                Fraction(3),
+                Fraction(2**80 + 1, 2**80),
+                Fraction(3**50, 2**78 + 3),
+                r + Fraction(1, 10**30),
+            ]
+            for k in range(2, 41):
+                chain = sturm_chain(sign_alternating_poly(params, k))
+                rows = _row_sequence(params, k)
+                for x in points:
+                    want = _variations(chain, x)
+                    assert roots_module._row_variations(params, k, x) == want
+                    assert _variations(rows, x) == want
+                    n, d = x.numerator, x.denominator
+                    interior_zeros += any(_sign_at_point(c, n, d) == 0 for c in rows[1:-1])
+        assert interior_zeros > 100
 
     def test_counts_match_remainder_chain(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -316,20 +381,21 @@ class TestRowSequence:
                 st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=8),
             ),
         )
-        # r and r + 1 are the roots of rows 2 and 3; 1, 2 and 3 are roots of
-        # many unit-seed rows
+        # 0 and B end the isolation window; r and r + 1 are the roots of
+        # rows 2 and 3; 1, 2 and 3 are roots of many unit-seed rows
         points = st.one_of(
-            st.sampled_from(["r", "r+1", 1, 2, 3]),
-            st.fractions(min_value=-1, max_value=12, max_denominator=64),
+            st.sampled_from(["0", "B", "r", "r+1", 1, 2, 3]),
+            st.fractions(min_value=-12, max_value=12, max_denominator=64),
+            st.fractions(min_value=-12, max_value=12, max_denominator=2**90),
         )
 
         @hypothesis.settings(max_examples=300, deadline=None)
         @hypothesis.given(seeds, st.integers(min_value=2, max_value=40), points)
         def check(params, k, point):
-            x = {"r": params.ratio, "r+1": params.ratio + 1}.get(point, point)
-            x = Fraction(x)
+            named = {"0": 0, "B": bound_B(params).value, "r": params.ratio, "r+1": params.ratio + 1}
+            x = Fraction(named.get(point, point))
             chain = sturm_chain(sign_alternating_poly(params, k))
-            assert _variations(roots_module._row_sequence(params, k), x) == _variations(chain, x)
+            assert roots_module._row_variations(params, k, x) == _variations(chain, x)
 
         check()
 
