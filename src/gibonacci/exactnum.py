@@ -498,10 +498,12 @@ def _sign_changes(values: Iterable[int]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _variations(chain, x: Fraction) -> int:
-    """Sign variations of the integer polynomials of `chain` at x."""
+def _variations(chain, x: Fraction) -> Optional[int]:
+    """Sign variations of the integer polynomials of `chain` at x, or None
+    where the first of them vanishes."""
     n, d = x.numerator, x.denominator
-    return _sign_changes(_sign_at_point(c, n, d) for c in chain)
+    signs = [_sign_at_point(c, n, d) for c in chain]
+    return _sign_changes(signs) if signs[0] else None
 
 
 def sturm_count(p: Poly, iv: Interval) -> int:
@@ -518,20 +520,6 @@ def sturm_count(p: Poly, iv: Interval) -> int:
         raise EndpointRootError(f"endpoint of {iv} is a root; perturb and retry")
     chain = sturm_chain(p)
     return _variations(chain, iv.lo) - _variations(chain, iv.hi)
-
-
-def _non_root_point(p: Poly, a: Fraction, b: Fraction) -> Fraction:
-    """A point near the midpoint of (a, b) that is not a root of p.
-
-    Midpoint collisions are resolved by stepping left by (b-a)/2^m for
-    increasing m; p has finitely many roots so this terminates.
-    """
-    m = (a + b) / 2
-    shrink = 2
-    while p.sign_at(m) == 0:
-        m = (a + b) / 2 - (b - a) / 2**shrink
-        shrink += 1
-    return m
 
 
 def isolate_real_roots(p: Poly, within: Interval) -> list:
@@ -558,15 +546,17 @@ def isolate_real_roots(p: Poly, within: Interval) -> list:
         shrink += 1
     if lo >= hi:
         return []
-    return _isolate(p, partial(_variations, sturm_chain(p)), lo, hi)
+    return _isolate(partial(_variations, sturm_chain(p)), lo, hi)
 
 
-def _isolate(p: Poly, variations: Callable[[Fraction], int], lo: Fraction, hi: Fraction) -> list:
+def _isolate(variations: Callable[[Fraction], Optional[int]], lo: Fraction, hi: Fraction) -> list:
     """Sorted intervals (a, b], one per root of p in (lo, hi].
 
     `variations(x)` is the sign-variation count at x of any Sturm sequence
     of p (the generic chain, or for a row polynomial the rows of its
-    parity); lo, hi and every split point are not roots.
+    parity), or None where p(x) = 0; lo and hi are not roots.  A split
+    point that is a root is moved left by (b-a)/2^s for s = 2, 3, ...;
+    p has finitely many roots, so this stops.
     """
     out = []
     stack = [(lo, hi, variations(lo), variations(hi))]
@@ -578,8 +568,10 @@ def _isolate(p: Poly, variations: Callable[[Fraction], int], lo: Fraction, hi: F
         if n == 1:
             out.append(Interval(a, b))
             continue
-        m = _non_root_point(p, a, b)
-        vm = variations(m)
+        m, shrink = (a + b) / 2, 2
+        while (vm := variations(m)) is None:
+            m = (a + b) / 2 - (b - a) / 2**shrink
+            shrink += 1
         stack.append((a, m, va, vm))
         stack.append((m, b, vm, vb))
     out.sort(key=lambda iv: iv.lo)

@@ -7,12 +7,13 @@ row k and reading the entries as coefficients (highest power first) gives a
 degree floor(k/2) polynomial; those polynomials satisfy the three-term
 recurrence
 
-    P_k = x^((k-1) mod 2) * P_{k-1} - P_{k-2},   P_0 = alpha, P_1 = beta,
+    P_k = x^((k-1) mod 2) * P_{k-1} - P_{k-2},   P_0 = alpha, P_1 = beta.
 
-which is how they are built here; `_next_row` is that one row step, shared
-with the game's row scan and the root counts of `roots`.  The closed
-binomial form for array entries is kept separate so tests can confront the
-two routes.
+`_next_row` is that one row step, shared with the game's row scan and the
+root counts of `roots`.  The row polynomials themselves are built from the
+closed binomial form of the array entries, so row k needs no lower row;
+`GibonacciArray` keeps the array recurrence, and `verify` checks the
+three-term recurrence as an exact identity between closed-form rows.
 
 The Binet-type closed form evaluates a row at x through the eigenvalues of
 the step matrix, computed in the quotient ring Q[t]/(t^2 - (x^2 - 4x)); the
@@ -106,19 +107,12 @@ def _next_row(x, l: int, prev, prev2):
 
 @lru_cache(maxsize=4096)
 def _sa_poly_cached(params: GibParams, k: int) -> Poly:
-    if k == -1:
-        return Poly()
-    if k == 0:
-        return Poly.constant(params.alpha)
-    if k == 1:
-        return Poly.constant(params.beta)
-    if k > 256:  # fill the memo 256 rows down first: bounded recursion depth
-        _sa_poly_cached(params, k - 256)
-    return _next_row(_X, k, _sa_poly_cached(params, k - 1), _sa_poly_cached(params, k - 2))
+    m = k // 2
+    return Poly((-1) ** (m - i) * binomial_entry(params, k, m - i) for i in range(m + 1))
 
 
 def sign_alternating_poly(params: GibParams, k: int) -> Poly:
-    """Row polynomial built by the fundamental three-term recurrence."""
+    """Row polynomial from the closed binomial form of its entries."""
     if k < -1:
         raise ExactError("row index must be at least -1")
     return _sa_poly_cached(params, k)
@@ -149,13 +143,10 @@ def companion_poly(ratio: Fraction, k: int) -> Poly:
         raise ExactError("seed ratio must be positive")
     if k < 0:
         raise ExactError("index must be nonnegative")
-    if k == 0:
-        return Poly([1])
-    if k == 1:
-        return Poly([1, ratio])
-    if k > 256:  # fill the memo 256 rows down first: bounded recursion depth
-        companion_poly(ratio, k - 256)
-    return companion_poly(ratio, k - 1) + _X * companion_poly(ratio, k - 2)
+    prev2, prev = Poly([ratio]), Poly([1])  # V_{-1} = r makes V_1 = 1 + rx
+    for _ in range(k):
+        prev2, prev = prev, prev + _X * prev2
+    return prev
 
 
 def reciprocal_transform_holds(ratio: Fraction, k: int) -> bool:

@@ -380,21 +380,18 @@ def _triangle_rows(alpha: int, n: int, k: int) -> dict:
     """
     if alpha < 1 or n < 2 or k < 0:
         raise ExactError("need alpha >= 1, n >= 2, k >= 0")
+    prev2, row = {0: alpha}, {r: 1 for r in range(-(n - 1), n, 2)}
     if k == 0:
-        return {0: alpha}
-    if k == 1:
-        return {r: 1 for r in range(-(n - 1), n, 2)}
-    if k > 256:  # fill the memo 256 rows down first: bounded recursion depth
-        _triangle_rows(alpha, n, k - 256)
-    prev = _triangle_rows(alpha, n, k - 1)
-    prev2 = _triangle_rows(alpha, n, k - 2)
-    span = k * (n - 1)
-    row = {}
-    for r in range(-span, span + 1, 2):
-        total = 0
-        for s in range(-(n - 1), n, 2):
-            total += prev.get(r + s, 0)
-        row[r] = total - prev2.get(r, 0)
+        return prev2
+    for l in range(2, k + 1):
+        span = l * (n - 1)
+        prev, row = row, {}
+        for r in range(-span, span + 1, 2):
+            total = 0
+            for s in range(-(n - 1), n, 2):
+                total += prev.get(r + s, 0)
+            row[r] = total - prev2.get(r, 0)
+        prev2 = prev
     return row
 
 

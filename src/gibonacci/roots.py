@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from typing import Optional
 
 from .exactnum import AlgebraicNumber, ExactError, Interval, _isolate, _sign_changes
 from .polys import GibParams, _next_row, sign_alternating_poly
@@ -70,7 +71,7 @@ class RootSet:
         return len(self.roots)
 
 
-def _row_variations(params: GibParams, k: int, x: Fraction) -> int:
+def _row_variations(params: GibParams, k: int, x: Fraction) -> Optional[int]:
     """Sign variations of the Sturm sequence (P_k, P_{k-2}, ..., P_{k mod 2})
     at the rational x = n/d, from the row recurrence in integers.
 
@@ -78,13 +79,14 @@ def _row_variations(params: GibParams, k: int, x: Fraction) -> int:
     integer of P_j's sign, and the row step carries over with the row two
     back scaled by d: V_j = _next_row(n, j, V_{j-1}, d * V_{j-2}).  So a
     count costs k integer row steps instead of k/2 Horner evaluations.
+    None where V_k = 0, that is where x is a root of P_k.
     """
     n, d = x.numerator, x.denominator
     a, b = params.alpha, params.beta
     values = [a.numerator * b.denominator, b.numerator * a.denominator]
     for j in range(2, k + 1):
         values.append(_next_row(n, j, values[-1], d * values[-2]))
-    return _sign_changes(values[k % 2 :: 2])
+    return _sign_changes(values[k % 2 :: 2]) if values[k] else None
 
 
 @lru_cache(maxsize=128)
@@ -102,7 +104,7 @@ def roots_of(params: GibParams, k: int) -> RootSet:
     bound = bound_B(params).value
     if p.sign_at(Fraction(0)) == 0 or p.sign_at(bound) == 0:
         raise ExactError(f"row {k} vanishes at an end of the window (0, {bound})")
-    intervals = _isolate(p, partial(_row_variations, params, k), Fraction(0), bound)
+    intervals = _isolate(partial(_row_variations, params, k), Fraction(0), bound)
     expected = k // 2
     if len(intervals) != expected:
         raise ExactError(

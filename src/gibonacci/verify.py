@@ -19,7 +19,6 @@ from .game import (
     Classification,
     GameConfig,
     LinearForm,
-    RingElement,
     classify,
     play,
     play_symbolic,
@@ -29,6 +28,7 @@ from .game import (
 from .polys import (
     GibonacciArray,
     GibParams,
+    _next_row,
     binet_eval,
     binomial_entry,
     eigen_pair,
@@ -455,16 +455,23 @@ def check_value_at_four(m_max: int) -> CheckResult:
 
 
 def check_recurrence_identities(k_max: int) -> CheckResult:
-    """Unit-family decomposition and the reciprocal companion transform.
+    """Row recurrence, unit-family decomposition and the reciprocal
+    companion transform.
 
-    The transform x^(k//2) V_{k-1}(-1/x) = P_k is checked as an exact
-    polynomial identity, which makes the companion roots exactly the
-    images -1/zeta of the row roots.
+    The closed-form rows are checked against the three-term recurrence
+    P_k = x^((k-1) mod 2) P_{k-1} - P_{k-2}, and the transform
+    x^(k//2) V_{k-1}(-1/x) = P_k, as exact polynomial identities; the
+    latter makes the companion roots exactly the images -1/zeta of the row
+    roots.
     """
     res = CheckResult("recurrence-identities")
+    x = Poly([0, 1])
     for a, b in [(2, 1), (5, 2), (Fraction(7, 3), Fraction(1, 2))]:
         params = GibParams.of(a, b)
         for k in range(2, k_max + 1):
+            rows = [sign_alternating_poly(params, j) for j in (k, k - 1, k - 2)]
+            if rows[0] != _next_row(x, k, rows[1], rows[2]):
+                res.fail(f"row recurrence fails at seeds ({a},{b}), k={k}")
             if not fibonacci_decomposition_holds(params, k):
                 res.fail(f"unit decomposition fails at seeds ({a},{b}), k={k}")
     for ratio in (Fraction(1), Fraction(2), Fraction(5, 2), Fraction(7, 2)):

@@ -8,6 +8,7 @@ from gibonacci.exactnum import ExactError, Poly
 from gibonacci.polys import (
     GibonacciArray,
     GibParams,
+    _sa_poly_cached,
     binet_eval,
     binomial_entry,
     companion_poly,
@@ -152,6 +153,29 @@ class TestSignAlternatingPoly:
                 for j, entry in enumerate(arr.row(k)):
                     assert p.coeffs[d - j] == (-1) ** j * entry
 
+    def test_closed_form_matches_recursive_builder(self):
+        # oracle: rows built by P_k = x^((k-1) mod 2) P_{k-1} - P_{k-2}
+        x = Poly([0, 1])
+        for a, b in [(1, 1), (2, 1), (Fraction(7, 3), Fraction(1, 2)), (1, 4)]:
+            params = GibParams.of(a, b)
+            prev2, prev = Poly.constant(params.alpha), Poly.constant(params.beta)
+            assert sign_alternating_poly(params, 0) == prev2
+            assert sign_alternating_poly(params, 1) == prev
+            for k in range(2, 81):
+                prev2, prev = prev, (x * prev if k % 2 == 0 else prev) - prev2
+                assert sign_alternating_poly(params, k) == prev
+
+    def test_cold_deep_row_is_one_memo_entry(self):
+        # row k comes from its own binomials: no lower row is cached, and
+        # no recursion runs however deep k is
+        _sa_poly_cached.cache_clear()
+        try:
+            p = sign_alternating_poly(GibParams.of(7, 3), 3000)
+            assert p.degree == 1500 and p.leading == 3
+            assert _sa_poly_cached.cache_info().currsize == 1
+        finally:
+            _sa_poly_cached.cache_clear()
+
 
 class TestDecompositionIntoUnitSeeds:
     def test_named_cases(self):
@@ -178,11 +202,14 @@ class TestCompanionSequence:
                 assert companion_poly(ratio, k).degree == (k + 1) // 2
 
     def test_deep_index_within_recursion_limit(self):
-        # the memo fills itself 256 rows at a time, so the recursion stays
-        # shallow far beyond the interpreter's default limit of 1000
+        # the recurrence runs as a loop inside one memoized call, so a deep
+        # index neither recurses past the interpreter's limit of 1000 nor
+        # leaves the lower members in the memo
+        companion_poly.cache_clear()
         try:
             deep = companion_poly(Fraction(1), 1200)
             assert deep.degree == 600
+            assert companion_poly.cache_info().currsize == 1
             assert deep == companion_poly(Fraction(1), 1199) + Poly([0, 1]) * companion_poly(Fraction(1), 1198)
         finally:
             companion_poly.cache_clear()

@@ -11,6 +11,7 @@ from gibonacci.posets import (
     _joins,
     _pack,
     _poset_rgf,
+    _triangle_rows,
     build_poset,
     check_lattice,
     count_by_formula,
@@ -415,6 +416,17 @@ class TestTriangle:
         assert triangle_polynomial(3, 4, 0) == Poly([3])
         assert triangle_polynomial(1, 3, 1) == q_integer(3)
         assert triangle_polynomial(3, 4, 3) == FIGURE_RGF
+
+    def test_deep_row_is_one_memo_entry(self):
+        # the row recurrence runs as a loop inside one memoized call: no
+        # lower row is cached, and no recursion runs however deep k is
+        _triangle_rows.cache_clear()
+        try:
+            row = triangle_row(2, 3, 300)
+            assert len(row) == 601 and row == row[::-1]
+            assert _triangle_rows.cache_info().currsize == 1
+        finally:
+            _triangle_rows.cache_clear()
 
     def test_csv_export(self):
         text = triangle_row_csv(3, 4, 1)

@@ -317,7 +317,7 @@ def _row_sequence_roots(params, k):
     `_row_sequence`, with roots_of's rim bisection."""
     p = sign_alternating_poly(params, k)
     bound = bound_B(params).value
-    intervals = _isolate(p, partial(_variations, _row_sequence(params, k)), Fraction(0), bound)
+    intervals = _isolate(partial(_variations, _row_sequence(params, k)), Fraction(0), bound)
     return _rim_bisected(p, intervals, bound)
 
 
