@@ -122,7 +122,9 @@ def cmd_roots(args) -> int:
     else:
         _emit(f"{rs.count} roots of row {args.k}, bound {format_rational(bound.value)} ({bound.regime})")
         for i, r in enumerate(rs.roots, start=1):
-            _emit(f"  root {i}: {r.decimal(args.digits)}  in ({format_rational(r.enclosure.lo)}, {format_rational(r.enclosure.hi)}]")
+            lo, hi = format_rational(r.enclosure.lo), format_rational(r.enclosure.hi)
+            where = f"[{lo}, {hi}]" if lo == hi else f"({lo}, {hi}]"  # (r, r] would be empty
+            _emit(f"  root {i}: {r.decimal(args.digits)}  in {where}")
     return 0
 
 

@@ -546,10 +546,23 @@ def isolate_real_roots(p: Poly, within: Interval) -> list:
         shrink += 1
     if lo >= hi:
         return []
-    return _isolate(partial(_variations, sturm_chain(p)), lo, hi)
+    chain = sturm_chain(p)
+    return _isolate(partial(_variations, chain), lo, hi, _separation_bits(chain[0]))
 
 
-def _isolate(variations: Callable[[Fraction], Optional[int]], lo: Fraction, hi: Fraction) -> list:
+def _separation_bits(int_coeffs: Sequence[int]) -> int:
+    """s with distinct real roots of the integer polynomial p more than 2^-s
+    apart: Mahler's bound sqrt(3) d^(-(d+2)/2) M(Q)^(1-d) on the square-free
+    part Q of p, with M(Q) <= M(p) (the step behind Mignotte's factor bound)
+    and M(p) <= ||p||_2 (Landau), so repeated roots are covered too."""
+    d = len(int_coeffs) - 1
+    norm_bits = (sum(c * c for c in int_coeffs).bit_length() + 1) // 2  # >= log2 ||p||_2
+    return (d + 2) * d.bit_length() // 2 + 1 + (d - 1) * norm_bits
+
+
+def _isolate(
+    variations: Callable[[Fraction], Optional[int]], lo: Fraction, hi: Fraction, sep_bits: int
+) -> list:
     """Sorted intervals (a, b], one per root of p in (lo, hi].
 
     `variations(x)` is the sign-variation count at x of any Sturm sequence
@@ -557,23 +570,31 @@ def _isolate(variations: Callable[[Fraction], Optional[int]], lo: Fraction, hi: 
     parity), or None where p(x) = 0; lo and hi are not roots.  A split
     point that is a root is moved left by (b-a)/2^s for s = 2, 3, ...;
     p has finitely many roots, so this stops.
+
+    An interval's depth d keeps its width at most (hi-lo)/2^d: only the right
+    piece of a moved split keeps its parent's depth.  Distinct roots of p
+    are more than 2^-sep_bits apart, so a count of two or more at the depth
+    where that width falls below 2^-sep_bits is wrong: ExactError.
     """
+    deep = sep_bits + math.ceil(hi - lo).bit_length()
     out = []
-    stack = [(lo, hi, variations(lo), variations(hi))]
+    stack = [(lo, hi, variations(lo), variations(hi), 0)]
     while stack:
-        a, b, va, vb = stack.pop()
+        a, b, va, vb, depth = stack.pop()
         n = va - vb
         if n == 0:
             continue
         if n == 1:
             out.append(Interval(a, b))
             continue
+        if depth >= deep:
+            raise ExactError(f"an interval narrower than 2^-{sep_bits} counts {n} roots")
         m, shrink = (a + b) / 2, 2
         while (vm := variations(m)) is None:
             m = (a + b) / 2 - (b - a) / 2**shrink
             shrink += 1
-        stack.append((a, m, va, vm))
-        stack.append((m, b, vm, vb))
+        stack.append((a, m, va, vm, depth + 1))
+        stack.append((m, b, vm, vb, depth + (shrink == 2)))
     out.sort(key=lambda iv: iv.lo)
     return out
 

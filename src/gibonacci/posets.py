@@ -30,10 +30,11 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Optional
 
 from .exactnum import ExactError, Poly
-from .polys import GibParams, eigen_pair, sign_alternating_poly
+from .polys import GibParams, binet_eval, sign_alternating_poly
 
 # build_poset refuses posets with more elements than this and check_lattice
 # refuses more element pairs than this, naming the size and the budget.  The
@@ -371,45 +372,38 @@ def check_lattice(poset: SGPoset) -> LatticeReport:
 
 
 @lru_cache(maxsize=4096)
-def _triangle_rows(alpha: int, n: int, k: int) -> dict:
-    """Row k of the (alpha; n) triangle as a dict index -> entry.
+def _triangle_rows(alpha: int, n: int, k: int) -> tuple:
+    """Row k of the (alpha; n) triangle as a tuple of its regular entries.
 
-    Row indices run over {-k(n-1), -k(n-1)+2, ..., k(n-1)}; everything else
-    is zero.  Row 0 is {0: alpha}, row 1 is all ones, and row k sums the n
-    entries of row k-1 one window-step away and subtracts the row k-2 entry.
+    Entry i sits at row index 2i - k(n-1), so the row covers the indices
+    -k(n-1), -k(n-1)+2, ..., k(n-1); everything else is zero.  Row 0 is
+    (alpha,), row 1 is n ones, and entry i of row l is the sum of entries
+    i-(n-1) .. i of row l-1 minus entry i-(n-1) of row l-2.
     """
     if alpha < 1 or n < 2 or k < 0:
         raise ExactError("need alpha >= 1, n >= 2, k >= 0")
-    prev2, row = {0: alpha}, {r: 1 for r in range(-(n - 1), n, 2)}
+    prev2, row = (alpha,), (1,) * n
     if k == 0:
         return prev2
-    for l in range(2, k + 1):
-        span = l * (n - 1)
-        prev, row = row, {}
-        for r in range(-span, span + 1, 2):
-            total = 0
-            for s in range(-(n - 1), n, 2):
-                total += prev.get(r + s, 0)
-            row[r] = total - prev2.get(r, 0)
-        prev2 = prev
+    zeros = (0,) * (n - 1)
+    for _ in range(k - 1):
+        sums = (0, *accumulate(zeros + row + zeros))  # window sums by prefix sums
+        prev2, row = row, tuple(
+            sums[i + n] - sums[i] - below for i, below in enumerate(zeros + prev2 + zeros)
+        )
     return row
 
 
 def triangle_row(alpha: int, n: int, k: int) -> list:
     """Regular entries of row k, listed for ascending row index."""
-    row = _triangle_rows(alpha, n, k)
-    return [row[r] for r in sorted(row)]
+    return list(_triangle_rows(alpha, n, k))
 
 
 def triangle_polynomial(alpha: int, n: int, k: int) -> Poly:
-    """Row k read as a polynomial: entry at index r contributes to the power
-    (k(n-1) - r)/2, so the constant term sits at the right edge of the row."""
-    row = _triangle_rows(alpha, n, k)
-    span = k * (n - 1)
-    coeffs = [0] * (span + 1)
-    for r, value in row.items():
-        coeffs[(span - r) // 2] = value
-    return Poly(coeffs)
+    """Row k read as a polynomial: entry i (row index 2i - k(n-1)) is the
+    coefficient of q^(k(n-1) - i), so the constant term sits at the right
+    edge of the row."""
+    return Poly(reversed(_triangle_rows(alpha, n, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -430,31 +424,9 @@ class IdentityReport:
         return not self.failures
 
 
-def _poset_rgf(alpha: int, n: int, k: int) -> Poly:
-    if k == 0:
-        return Poly.constant(alpha)
-    return rank_generating_function(build_poset(n, k, alpha))
-
-
-def _closed_form_value(alpha: int, n: int, k: int) -> int:
-    """Value of the shared second-order recurrence via the roots of
-    x^2 - nx + 1, computed exactly in Q[t]/(t^2 - (n^2 - 4)).
-
-    Those roots are the step eigenvalues at n + 2.  The numerator is odd in
-    t and r2 - r1 = t, so the value is the numerator's t coefficient; that
-    holds also at n = 2, where t^2 = 0 and the value is alpha + k(2 - alpha).
-    """
-    r2, r1 = eigen_pair(n + 2)
-    num = r2**k * (n - alpha * r1) - r1**k * (n - alpha * r2)
-    const, out = (num.poly.coeffs + (Fraction(0), Fraction(0)))[:2]
-    if const != 0 or out.denominator != 1:
-        raise ExactError("closed form produced a non-integer")
-    return int(out)
-
-
 def verify_identity_suite(alpha: int, n: int, k_max: int) -> IdentityReport:
     """Run the five rank-polynomial identities and the cardinality recurrence
-    with its closed form, for every k up to k_max."""
+    with its Binet closed form (`polys.binet_eval`), for every k up to k_max."""
     if n <= alpha:
         raise ExactError(f"n must exceed alpha (got n={n}, alpha={alpha})")
     if k_max < 2:
@@ -465,8 +437,8 @@ def verify_identity_suite(alpha: int, n: int, k_max: int) -> IdentityReport:
 
     A = {k: triangle_polynomial(alpha, n, k) for k in range(k_max + 1)}
     A1 = {k: triangle_polynomial(1, n, k) for k in range(k_max + 1)}
-    H = {k: _poset_rgf(alpha, n, k) for k in range(k_max + 1)}
-    H1 = {k: _poset_rgf(1, n, k) for k in range(k_max + 1)}
+    H = {k: rank_generating_function(build_poset(n, k, alpha)) for k in range(k_max + 1)}
+    H1 = {k: rank_generating_function(build_poset(n, k, 1)) for k in range(k_max + 1)}
 
     # The expansion of the general-seed rank polynomial over the unit family
     # carries the correction alpha * q^(n-1) * H1_{k-2}: each of the alpha-1
@@ -492,7 +464,8 @@ def verify_identity_suite(alpha: int, n: int, k_max: int) -> IdentityReport:
     sizes["triangle"] = [int(A[k](1)) for k in range(k_max + 1)]
     sizes["formula"] = [count_by_formula(n, k, alpha) for k in range(k_max + 1)]
     sizes["poset"] = [int(H[k](1)) for k in range(k_max + 1)]
-    closed = [_closed_form_value(alpha, n, k) for k in range(k_max + 1)]
+    seeds = GibParams.of(alpha, 1)
+    closed = [n ** (k % 2) * binet_eval(seeds, k, n * n) for k in range(k_max + 1)]
     for name, seq in sizes.items():
         if seq[0] != alpha or seq[1] != n:
             failures.append((f"{name}-initial-values", 0))
@@ -543,8 +516,8 @@ def poset_to_dot(poset: SGPoset) -> str:
 
 def triangle_row_csv(alpha: int, n: int, k: int) -> str:
     """Two-column CSV 'r,entry' over the regular indices of row k."""
-    row = _triangle_rows(alpha, n, k)
+    span = k * (n - 1)
     lines = ["r,entry"]
-    for r in sorted(row):
-        lines.append(f"{r},{row[r]}")
+    for i, entry in enumerate(_triangle_rows(alpha, n, k)):
+        lines.append(f"{2 * i - span},{entry}")
     return "\n".join(lines)

@@ -36,7 +36,14 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Optional
 
-from .exactnum import AlgebraicNumber, ExactError, Interval, _isolate, _sign_changes
+from .exactnum import (
+    AlgebraicNumber,
+    ExactError,
+    Interval,
+    _isolate,
+    _separation_bits,
+    _sign_changes,
+)
 from .polys import GibParams, _next_row, sign_alternating_poly
 
 DEFAULT_ENCLOSURE_BITS = 128
@@ -104,7 +111,8 @@ def roots_of(params: GibParams, k: int) -> RootSet:
     bound = bound_B(params).value
     if p.sign_at(Fraction(0)) == 0 or p.sign_at(bound) == 0:
         raise ExactError(f"row {k} vanishes at an end of the window (0, {bound})")
-    intervals = _isolate(partial(_row_variations, params, k), Fraction(0), bound)
+    sep_bits = _separation_bits(p.primitive_int_coeffs())
+    intervals = _isolate(partial(_row_variations, params, k), Fraction(0), bound, sep_bits)
     expected = k // 2
     if len(intervals) != expected:
         raise ExactError(

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactnum import Interval, Poly, RingElement
+from .exactnum import ExactError, Interval, Poly, RingElement
 from .game import (
     NODE1,
     NODE2,
@@ -48,6 +48,7 @@ from .posets import (
     verify_identity_suite,
 )
 from .roots import (
+    _separate,
     bound_B,
     check_interlacing,
     fibonacci_closed_roots,
@@ -114,11 +115,7 @@ def check_array_fixtures() -> CheckResult:
         arr = GibonacciArray(params)
         for k in range(10):
             row = arr.row(k)
-            closed = (
-                [params.alpha]
-                if k == 0
-                else [binomial_entry(params, k, j) for j in range(k // 2 + 1)]
-            )
+            closed = [binomial_entry(params, k, j) for j in range(k // 2 + 1)]
             if row != closed:
                 res.fail(f"closed form mismatch at seeds ({a},{b}), row {k}")
     return res
@@ -153,19 +150,14 @@ def check_root_geometry(k_max: int) -> CheckResult:
                 res.fail(f"seeds ({a},{b}) k={k}: offset-1 interlacing fails")
             if check_interlacing(sets[k + 2], rs) != "both-sides":
                 res.fail(f"seeds ({a},{b}) k={k}: offset-2 interlacing fails")
-        prev = None
-        for k in range(2, k_max + 1):
-            cur = sets[k].roots[-1]
-            if prev is not None:
-                x, y = prev, cur
-                guard = 0
-                while not x.enclosure.hi <= y.enclosure.lo:
-                    x, y = x.refined(), y.refined()
-                    guard += 1
-                    if guard > 512:
-                        res.fail(f"seeds ({a},{b}) k={k}: largest roots not increasing")
-                        break
-            prev = cur
+        for k in range(3, k_max + 1):
+            try:
+                (x,), (y,) = _separate([sets[k - 1].roots[-1]], [sets[k].roots[-1]])
+            except ExactError as exc:
+                res.fail(f"seeds ({a},{b}) k={k}: largest roots: {exc}")
+                continue
+            if not x.enclosure.hi <= y.enclosure.lo:
+                res.fail(f"seeds ({a},{b}) k={k}: largest roots not increasing")
     return res
 
 
@@ -287,9 +279,12 @@ def _gap_rational(params: GibParams, j: int) -> Fraction:
         return params.ratio / 2
     low = roots_of(params, j - 1).roots[-1]
     high = roots_of(params, j).roots[-1]
-    while not low.enclosure.hi < high.enclosure.lo:
+    for _ in range(512):  # the round bound of roots._separate
+        # strict: a point enclosure [r, r] may touch the next root's enclosure
+        if low.enclosure.hi < high.enclosure.lo:
+            return (low.enclosure.hi + high.enclosure.lo) / 2
         low, high = low.refined(), high.refined()
-    return (low.enclosure.hi + high.enclosure.lo) / 2
+    raise ExactError(f"largest roots of rows {j - 1} and {j} refuse to separate")
 
 
 def _threshold(config: GameConfig, j: int, first: str) -> Fraction:

@@ -100,6 +100,16 @@ class TestRootsCommand:
             assert poly_from_strings(entry["defining"]) == root.defining
             assert Interval.from_json(entry["enclosure"]) == root.enclosure
 
+    def test_text_point_enclosure_is_closed(self, capsys):
+        # row 5 of the unit seeds has the rational roots 1 and 3 and no other;
+        # (1/1, 1/1] would be an empty interval
+        code, out, _ = run_cli(capsys, "roots", "--alpha", "1", "--beta", "1", "--k", "5")
+        assert code == 0
+        assert out.splitlines()[1:] == ["  root 1: 1  in [1/1, 1/1]", "  root 2: 3  in [3/1, 3/1]"]
+        code, out, _ = run_cli(capsys, "roots", "--alpha", "5", "--beta", "2", "--k", "5")
+        assert code == 0
+        assert all(" in (" in line and line.endswith("]") for line in out.splitlines()[1:])
+
 
 class TestBinet:
     def test_value(self, capsys):

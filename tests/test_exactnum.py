@@ -1,11 +1,14 @@
 """Exact scalar/polynomial arithmetic, Sturm counting, and algebraic signs."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from gibonacci.exactnum import (
     AlgebraicNumber,
+    _isolate,
+    _separation_bits,
     EndpointRootError,
     ExactError,
     Interval,
@@ -245,6 +248,26 @@ class TestIsolation:
         ivs = isolate_real_roots(q, Interval(Fraction(0), Fraction(3)))
         assert len(ivs) == 1
         assert ivs[0].lo < 1 <= ivs[0].hi
+
+    def test_separation_bound_below_close_roots(self):
+        # roots 1/3 and 1/3 + 2^-e, simple or with 1/3 repeated
+        for e in (1, 20, 90):
+            gap = Fraction(1, 2**e)
+            close = P(Fraction(-1, 3), 1) * P(-Fraction(1, 3) - gap, 1)
+            for p in (close, close * P(Fraction(-1, 3), 1), close * P(-5, 0, 1)):
+                assert Fraction(1, 2 ** _separation_bits(p.primitive_int_coeffs())) < gap
+
+    def test_wrong_count_raises_instead_of_bisecting_forever(self):
+        # a count that always reports two roots at 1/3 can never isolate
+        # them; the separation budget of 3x^2 - 4x + 1 must stop the split
+        def two_near_third(x):
+            return 2 if x < Fraction(1, 3) else 0
+
+        sep_bits = _separation_bits(P(1, -4, 3).primitive_int_coeffs())
+        start = time.perf_counter()
+        with pytest.raises(ExactError, match=f"narrower than 2\\^-{sep_bits} counts 2 roots"):
+            _isolate(two_near_third, Fraction(0), Fraction(1), sep_bits)
+        assert time.perf_counter() - start < 1
 
 
 class TestAlgebraicNumber:

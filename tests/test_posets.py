@@ -1,16 +1,17 @@
 """String validation, poset structure, counts, and the identity suite."""
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
 from gibonacci.exactnum import ExactError, Poly
+from gibonacci.polys import GibParams, binet_eval, eigen_pair
 from gibonacci.posets import (
     LatticeReport,
     _fields,
     _joins,
     _pack,
-    _poset_rgf,
     _triangle_rows,
     build_poset,
     check_lattice,
@@ -74,9 +75,58 @@ def unit_family_expansion_printed_variant(alpha, n, k):
     the enumerated rank generating function; it is kept so the discrepancy
     stays visible.
     """
-    h1_prev = _poset_rgf(1, n, k - 1)
-    h1_prev2 = _poset_rgf(1, n, k - 2)
+    h1_prev = rank_generating_function(build_poset(n, k - 1, 1))
+    h1_prev2 = rank_generating_function(build_poset(n, k - 2, 1))
     return q_integer(n) * h1_prev - (q_integer(n) - q_integer(n - alpha)) * h1_prev2
+
+
+# ---------------------------------------------------------------------------
+# triangle and closed-form oracles: rows as dicts keyed by row index, and the
+# poset sizes by their own eigenvalue numerator, as written before the rows
+# became positional tuples and the sizes came from polys.binet_eval
+# ---------------------------------------------------------------------------
+
+
+def dict_triangle_rows(alpha, n, k_max):
+    """Rows 0..k_max of the (alpha; n) triangle as dicts row index -> entry."""
+    rows = [{0: alpha}, {r: 1 for r in range(-(n - 1), n, 2)}]
+    for l in range(2, k_max + 1):
+        span = l * (n - 1)
+        prev, prev2 = rows[-1], rows[-2]
+        row = {}
+        for r in range(-span, span + 1, 2):
+            total = 0
+            for s in range(-(n - 1), n, 2):
+                total += prev.get(r + s, 0)
+            row[r] = total - prev2.get(r, 0)
+        rows.append(row)
+    return rows[: k_max + 1]
+
+
+def dict_row_polynomial(row, n, k):
+    """The dict row read as a polynomial: index r is the power (k(n-1) - r)/2."""
+    span = k * (n - 1)
+    coeffs = [0] * (span + 1)
+    for r, value in row.items():
+        coeffs[(span - r) // 2] = value
+    return Poly(coeffs)
+
+
+def dict_row_csv(row):
+    return "\n".join(["r,entry"] + [f"{r},{row[r]}" for r in sorted(row)])
+
+
+def closed_form_value(alpha, n, k):
+    """s_k through the roots of x^2 - nx + 1 in Q[t]/(t^2 - (n^2 - 4)).
+
+    Those roots are the step eigenvalues at n + 2; the numerator is odd in
+    t and r2 - r1 = t, so the value is the numerator's t coefficient.
+    """
+    r2, r1 = eigen_pair(n + 2)
+    num = r2**k * (n - alpha * r1) - r1**k * (n - alpha * r2)
+    const, out = (num.poly.coeffs + (Fraction(0), Fraction(0)))[:2]
+    assert const == 0 and out.denominator == 1
+    return int(out)
 
 
 def tuple_poset(n, k, alpha):
@@ -433,6 +483,19 @@ class TestTriangle:
         assert text.splitlines()[0] == "r,entry"
         assert "-3,1" in text and "3,1" in text
 
+    def test_readers_match_dict_oracle(self):
+        def check(alpha, n, k, row):
+            assert triangle_row(alpha, n, k) == [row[r] for r in sorted(row)]
+            assert triangle_polynomial(alpha, n, k) == dict_row_polynomial(row, n, k)
+            assert triangle_row_csv(alpha, n, k) == dict_row_csv(row)
+
+        # alpha runs past n - 1: the triangle is defined for alpha >= n too
+        for n in range(2, 9):
+            for alpha in range(1, n + 2):
+                for k, row in enumerate(dict_triangle_rows(alpha, n, 12)):
+                    check(alpha, n, k, row)
+        check(2, 3, 300, dict_triangle_rows(2, 3, 300)[300])
+
 
 class TestIdentitySuite:
     def test_unit_alpha_n3(self):
@@ -459,6 +522,15 @@ class TestIdentitySuite:
         for n in range(2, 6):
             for alpha in range(1, n):
                 assert verify_identity_suite(alpha, n, 5).ok
+
+    def test_binet_sizes_match_eigenvalue_oracle(self):
+        for n in range(2, 10):
+            for alpha in range(1, n):
+                seeds = GibParams.of(alpha, 1)
+                for k in range(21):
+                    binet = n ** (k % 2) * binet_eval(seeds, k, n * n)
+                    assert binet == closed_form_value(alpha, n, k)
+                    assert binet == count_by_formula(n, k, alpha)
 
     def test_printed_expansion_variant_diverges_for_alpha_two_plus(self):
         # the ([n]-[n-alpha]) correction matches the enumerated rank

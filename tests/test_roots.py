@@ -11,6 +11,7 @@ from gibonacci.exactnum import (
     Interval,
     Poly,
     _isolate,
+    _separation_bits,
     _sign_at_point,
     _variations,
     isolate_real_roots,
@@ -21,6 +22,7 @@ from gibonacci.exactnum import (
 from gibonacci import polys as polys_module
 from gibonacci.polys import GibParams, companion_poly, reciprocal_transform_holds, sign_alternating_poly
 from gibonacci import roots as roots_module
+from gibonacci import verify as verify_module
 from gibonacci.roots import (
     bound_B,
     check_interlacing,
@@ -317,7 +319,9 @@ def _row_sequence_roots(params, k):
     `_row_sequence`, with roots_of's rim bisection."""
     p = sign_alternating_poly(params, k)
     bound = bound_B(params).value
-    intervals = _isolate(partial(_variations, _row_sequence(params, k)), Fraction(0), bound)
+    sequence = _row_sequence(params, k)
+    sep_bits = _separation_bits(sequence[0])
+    intervals = _isolate(partial(_variations, sequence), Fraction(0), bound, sep_bits)
     return _rim_bisected(p, intervals, bound)
 
 
@@ -557,3 +561,24 @@ class TestIntegerDyadicCore:
         three = AlgebraicNumber.from_rational(3)
         assert root_in(three, Interval(Fraction(3), Fraction(3)))
         assert not root_in(three, Interval(Fraction(31, 10), Fraction(4)))
+
+
+class TestVerifySeparation:
+    def test_root_geometry_reports_unseparated_largest_roots(self, monkeypatch):
+        def refuse(a_roots, b_roots):
+            raise ExactError("enclosures refuse to separate; the two sets share a root")
+
+        monkeypatch.setattr(verify_module, "_separate", refuse)
+        res = verify_module.check_root_geometry(4)
+        assert not res.ok
+        assert res.details[0] == (
+            "seeds (1,1) k=3: largest roots: "
+            "enclosures refuse to separate; the two sets share a root"
+        )
+
+    def test_gap_rational_refuses_a_shared_root(self, monkeypatch):
+        # the same root set for rows j-1 and j: the largest roots coincide
+        same = roots_of(UNIT, 6)
+        monkeypatch.setattr(verify_module, "roots_of", lambda params, k: same)
+        with pytest.raises(ExactError, match="rows 4 and 5 refuse to separate"):
+            verify_module._gap_rational(UNIT, 5)
