@@ -16,11 +16,14 @@ point n/d reduces to integer arithmetic.
 
 Every sign decision goes through that one integer path: a Poly caches its
 own primitive integer coefficient vector, and `Poly.sign_at` evaluates only
-the integer numerator of p(n/d); `Poly.__call__` (Fraction Horner) is kept
-for computing values.  Every refinement of an algebraic number runs one
-integer bisection kernel, `AlgebraicNumber.bisected`, on integer endpoints
-over a common denominator D*2^s; it builds no Fraction per step, and
-`refined()` is one step of it.
+the integer numerator of p(n/d).  Values come from a second integer route:
+`Poly.__call__` runs Horner on the coefficient numerators over their common
+denominator (not content-divided) and builds one Fraction at the end.  The
+two routes share no code, because the root intervals certified by
+`sign_at` are re-checked through values.  Every refinement of an algebraic
+number runs one integer bisection kernel, `AlgebraicNumber.bisected`, on
+integer endpoints over a common denominator D*2^s; it builds no Fraction
+per step, and `refined()` is one step of it.
 
 The sign of a polynomial at a real algebraic number is decided interval
 first (`sign_at_algebraic`): integer interval Horner over the number's kept
@@ -132,11 +135,13 @@ class Poly:
     """Dense univariate polynomial with Fraction coefficients.
 
     coeffs[i] is the coefficient of x^i; the tuple carries no trailing zeros,
-    and the zero polynomial is the empty tuple (degree -1).  The primitive
-    integer coefficient vector is filled in lazily and kept.
+    and the zero polynomial is the empty tuple (degree -1).  Two integer
+    forms are filled in lazily and kept: the primitive coefficient vector of
+    the sign route and the numerators over the common denominator of the
+    value route.
     """
 
-    __slots__ = ("coeffs", "_ints")
+    __slots__ = ("coeffs", "_ints", "_over_den")
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
         cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
@@ -144,6 +149,7 @@ class Poly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "_ints", None)
+        object.__setattr__(self, "_over_den", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -233,12 +239,29 @@ class Poly:
         return divmod(self, other)[1]
 
     def __call__(self, x) -> Fraction:
-        """Horner evaluation at a rational point."""
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Exact value at a rational point x = n/d, by integer Horner.
+
+        With D the common denominator of the coefficients and N_i = D*c_i,
+        p(n/d) = sum(N_i * n^i * d^(deg-i)) / (D * d^deg).  The numerator is
+        an integer Horner sum, and the one Fraction built at the end costs
+        one gcd.  The N_i are not content-divided and the loop is not the
+        sign route's, so values re-check `sign_at` independently.
+        """
+        if type(x) is not Fraction:
+            x = Fraction(x)
+        if self._over_den is None:
+            den = math.lcm(*(c.denominator for c in self.coeffs))
+            nums = tuple(c.numerator * (den // c.denominator) for c in self.coeffs)
+            object.__setattr__(self, "_over_den", (den, nums))
+        den, nums = self._over_den
+        if not nums:
+            return Fraction(0)
+        n, d = x.numerator, x.denominator
+        acc, dpow = nums[-1], 1
+        for c in reversed(nums[:-1]):
+            dpow *= d
+            acc = acc * n + c * dpow
+        return Fraction(acc, den * dpow)
 
     def primitive_int_coeffs(self) -> tuple:
         """Integer coefficient vector with content 1, same sign pattern."""

@@ -20,7 +20,11 @@ Row values at pq come from the row step `polys._next_row`, the same one
 that builds the row polynomials.  They are scanned once per config: `_scan`
 keeps the first non-positive row, its sign and the two rows it needs in the
 frozen config's instance dict, so classify, predicted_moves and
-terminal_numbers share it.
+terminal_numbers share it.  At a rational pq the scan steps through
+scaled integer rows, the scaling of the root counts in `roots`, and builds
+Fractions only for the two rows it keeps; near the bound B the crossing
+row grows like 1/sqrt(B - pq), so the scan stops with a one-line
+ExactError past GAME_ROW_BUDGET rows.
 Move-count predictions hold for seeds with alpha >= beta only; below that
 the count depends on the strategy, and the predictions refuse.
 """
@@ -41,6 +45,9 @@ from .exactnum import (
 )
 from .polys import GibParams, _next_row
 from .roots import bound_B, largest_root
+
+# Rows the scan for the first non-positive row at pq may step through.
+GAME_ROW_BUDGET = 1 << 16
 
 NODE1 = "g1"
 NODE2 = "g2"
@@ -363,6 +370,13 @@ def _scan(config: GameConfig) -> tuple:
     """(k, sign, row k-1, row k) for the first k >= 2 whose row value at pq
     is not positive.
 
+    At a rational pq = n/d the scan runs in integers, with the scaling of
+    `roots._row_variations`: V_j = L * d^(j//2) * row_j(n/d), L = den(alpha)
+    * den(beta), has row j's sign and V_j = _next_row(n, j, V_{j-1},
+    d * V_{j-2}); only the two rows kept become Fractions.  A ring-element
+    pq (a largest root, reached at k) steps through the ring.  Either scan
+    stops with ExactError past GAME_ROW_BUDGET rows.
+
     The rows are scanned once per config: the result is kept in the frozen
     config's instance dict, so classify, predicted_moves and
     terminal_numbers share one scan.
@@ -370,16 +384,31 @@ def _scan(config: GameConfig) -> tuple:
     found = config.__dict__.get("_row_scan")
     if found is None:
         x = config.pq
-        prev2: Scalar = config.params.alpha
-        prev: Scalar = config.params.beta
+        alpha, beta = config.params.alpha, config.params.beta
+        integer_rows = isinstance(x, Fraction)
+        if integer_rows:
+            n, d = x.numerator, x.denominator
+            prev2, prev = alpha.numerator * beta.denominator, beta.numerator * alpha.denominator
+        else:
+            n, d = x, 1
+            prev2, prev = alpha, beta
         k = 1
         while True:
             k += 1
-            cur = _next_row(x, k, prev, prev2)
+            if k > GAME_ROW_BUDGET:
+                raise ExactError(
+                    f"row scan at pq passed GAME_ROW_BUDGET ({GAME_ROW_BUDGET:,} rows) "
+                    "without a non-positive row"
+                )
+            cur = _next_row(n, k, prev, prev2 if d == 1 else d * prev2)
             s = scalar_sign(cur)
             if s <= 0:
                 break
             prev2, prev = prev, cur
+        if integer_rows:
+            scale = alpha.denominator * beta.denominator
+            prev = Fraction(prev, scale * d ** ((k - 1) // 2))
+            cur = Fraction(cur, scale * d ** (k // 2))
         found = config.__dict__["_row_scan"] = (k, s, prev, cur)
     return found
 

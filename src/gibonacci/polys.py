@@ -105,7 +105,9 @@ def _next_row(x, l: int, prev, prev2):
     return (x * prev if l % 2 == 0 else prev) - prev2
 
 
-@lru_cache(maxsize=4096)
+# Callers such as root isolation ask for new rows all the time, and row size
+# grows with k, so the memo is kept small to hold memory flat.
+@lru_cache(maxsize=256)
 def _sa_poly_cached(params: GibParams, k: int) -> Poly:
     m = k // 2
     return Poly((-1) ** (m - i) * binomial_entry(params, k, m - i) for i in range(m + 1))

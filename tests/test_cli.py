@@ -168,6 +168,17 @@ class TestGameCommands:
         )
         assert code == 1 and "error:" in err
 
+    def test_row_budget_is_one_line_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("gibonacci.game.GAME_ROW_BUDGET", 100)
+        for command in (["predict", "--a", "1", "--b", "1", "--first", "g1"], ["classify"]):
+            code, out, err = run_cli(
+                capsys, "game", command[0], "--alpha", "1", "--beta", "1", "--p", "1",
+                "--q", "3999/1000", *command[1:],
+            )
+            assert code == 1 and out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("error:")
+            assert "GAME_ROW_BUDGET" in err and "Traceback" not in err
+
 
 class TestPosetCommands:
     def test_enum_json_count(self, capsys):

@@ -528,6 +528,61 @@ class TestIntegerCore:
         assert sqrt2.decimal(1) == "1"
 
 
+def fraction_horner(p: Poly, x) -> Fraction:
+    """Horner evaluation in Fractions, one Fraction per step."""
+    x = Fraction(x)
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+class TestValueRoute:
+    def test_fixtures_match_fraction_horner(self):
+        polys = [
+            Poly(),
+            P(5),
+            P(Fraction(-7, 3)),
+            P(-7, 14, -7, 1),
+            P(Fraction(1, 2), Fraction(-3, 4), 6),
+            P(0, Fraction(5, 6), 0, Fraction(-1, 10)),
+            P(Fraction(3, 1 << 70), 0, Fraction(-1, 1 << 40), 1),
+        ]
+        points = [0, 1, -1, 7, -12, Fraction(1, 3), Fraction(-5, 4), Fraction(22, 7),
+                  Fraction(1, 1 << 90), Fraction(-(1 << 100) + 1, 1 << 99)]
+        for p in polys:
+            for x in points:
+                got = p(x)
+                assert type(got) is Fraction and got == fraction_horner(p, x)
+
+    def test_enclosure_ends_of_rows(self):
+        from gibonacci.polys import GibParams
+        from gibonacci.roots import roots_of
+
+        seeds = [(1, 1), (2, 1), (Fraction(3, 2), 1), (Fraction(11, 4), 1),
+                 (Fraction(7, 3), Fraction(1, 2))]
+        for alpha, beta in seeds:
+            params = GibParams.of(alpha, beta)
+            for k in range(2, 131):
+                for root in roots_of(params, k).roots:
+                    p, iv = root.defining, root.enclosure
+                    assert p(iv.lo) == fraction_horner(p, iv.lo)
+                    assert p(iv.hi) == fraction_horner(p, iv.hi)
+
+    def test_matches_fraction_horner_property(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        rationals = st.fractions(min_value=-50, max_value=50, max_denominator=1 << 40)
+
+        @hyp.settings(max_examples=100, deadline=None, derandomize=True)
+        @hyp.given(st.lists(rationals, max_size=12), rationals)
+        def check(coeffs, x):
+            p = Poly(coeffs)
+            assert p(x) == fraction_horner(p, x)
+
+        check()
+
+
 def _sturm_loop_sign(p: Poly, theta: AlgebraicNumber) -> int:
     """Oracle: the former sign_at_algebraic, with a gcd zero test on every
     query and a Sturm count of p after every one-step refinement."""

@@ -1,9 +1,11 @@
 """Firing rules, seeded openings, classification, and exact terminal pairs."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+from gibonacci import game
 from gibonacci.exactnum import ExactError, NumberRing, Poly, RingElement
 from gibonacci.game import (
     NODE1,
@@ -13,6 +15,7 @@ from gibonacci.game import (
     GameState,
     IndeterminateSign,
     LinearForm,
+    _scan,
     classify,
     fire,
     play,
@@ -23,7 +26,7 @@ from gibonacci.game import (
     terminal_numbers,
     value_sign,
 )
-from gibonacci.polys import GibParams
+from gibonacci.polys import GibParams, _next_row
 from gibonacci.roots import bound_B, largest_root
 
 UNIT = GibParams.of(1, 1)
@@ -309,6 +312,58 @@ class TestRowScan:
         # the memo lives on the config: an equal config scans again
         predicted_moves(GameConfig.rational(UNIT, 1, Fraction(5, 2)), 5, 1, NODE1)
         assert calls == [2, 3, 4] * 2
+
+
+@lru_cache(maxsize=None)
+def fraction_scan(params: GibParams, pq) -> tuple:
+    """The row scan in Fractions: (k, sign, row k-1, row k) at pq."""
+    prev2, prev = params.alpha, params.beta
+    k = 1
+    while True:
+        k += 1
+        cur = _next_row(pq, k, prev, prev2)
+        if cur <= 0:
+            return k, (cur > 0) - (cur < 0), prev, cur
+        prev2, prev = prev, cur
+
+
+class TestIntegerRowScan:
+    SEEDS = (UNIT, LUCAS, GibParams.of(Fraction(7, 3), Fraction(1, 2)), WIDE)
+
+    def points(self, params):
+        bound = bound_B(params).value
+        near = [bound - Fraction(1, 10**e) for e in range(1, 6)]
+        # pq = alpha/beta is the root of row 2; 1, 2 and 3 are roots of
+        # unit rows 2, 3 and 5
+        return near + [params.ratio, F(1), F(2), F(3), Fraction(13, 5)]
+
+    def test_matches_fraction_scan(self):
+        zeros = 0
+        for params in self.SEEDS:
+            for pq in self.points(params):
+                want = fraction_scan(params, pq)
+                zeros += want[1] == 0
+                for p in (F(1), Fraction(1, 2), F(3)):
+                    got = _scan(GameConfig.rational(params, p, pq / p))
+                    assert got == want
+                    assert all(type(row) is Fraction for row in got[2:])
+        assert zeros >= len(self.SEEDS) + 3
+
+    def test_near_bound_crossing(self):
+        # unit seeds cross just below 4 at about 2*pi*10^(e/2) rows
+        k, s, _, _ = _scan(GameConfig.rational(UNIT, 1, 4 - Fraction(1, 10**6)))
+        assert (k, s) == (6283, -1)
+
+    def test_row_budget(self, monkeypatch):
+        monkeypatch.setattr(game, "GAME_ROW_BUDGET", 100)
+        near = GameConfig.rational(UNIT, 1, Fraction(3999, 1000))
+        with pytest.raises(ExactError, match="GAME_ROW_BUDGET"):
+            classify(near)
+        # the ring scan at a largest root is bounded the same way
+        monkeypatch.setattr(game, "GAME_ROW_BUDGET", 5)
+        with pytest.raises(ExactError, match="GAME_ROW_BUDGET"):
+            classify(GameConfig.at_largest_root(LUCAS, 9))
+        assert classify(GameConfig.rational(UNIT, 1, Fraction(5, 2))).k_if_root is None
 
 
 class TestTerminalNumbers:
