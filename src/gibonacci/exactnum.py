@@ -703,9 +703,34 @@ class AlgebraicNumber:
         return self.bisected(lambda a, b, den: (b - a) * wd <= wn * den)
 
     def decimal(self, digits: int = 30) -> str:
+        """The value to `digits` significant digits, rounded as `decimal_str`
+        rounds a rational: the string both ends of an enclosure round to.
+
+        The enclosure is bisected until it excludes 0 and its width is at
+        most 10^-digits of its smaller end's magnitude, so it holds at most
+        one rounding boundary.  When the two ends still round apart, the
+        boundary c is the midpoint of their two strings.  A value on c is
+        rational, so one exact sign of the defining polynomial at c settles
+        it: zero means the value is c, rounded exactly; otherwise the value
+        rounds like the end on its side of c.
+        """
         check_digits(digits)
-        cur = self.refined_below(Fraction(1, 10 ** (digits + 2)))
-        return decimal_str(cur.enclosure.mid, digits)
+        p = self.defining
+        e = self.enclosure
+        if e.lo <= 0 <= e.hi and p.sign_at(0) == 0:
+            return "0"
+        scale = 10**digits
+        e = self.bisected(
+            lambda a, b, den: a * b > 0 and (b - a) * scale <= min(abs(a), abs(b))
+        ).enclosure
+        s_lo, s_hi = decimal_str(e.lo, digits), decimal_str(e.hi, digits)
+        if s_lo == s_hi:
+            return s_lo
+        c = (Fraction(s_lo) + Fraction(s_hi)) / 2
+        sign_c = p.sign_at(c)
+        if sign_c == 0:
+            return decimal_str(c, digits)
+        return s_hi if sign_c == p.sign_at(e.lo) else s_lo
 
     def to_json(self) -> dict:
         return {

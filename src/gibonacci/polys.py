@@ -133,7 +133,6 @@ def fibonacci_decomposition_holds(params: GibParams, k: int) -> bool:
     return sign_alternating_poly(params, k) == _next_row(_X, k, f1, f2)
 
 
-@lru_cache(maxsize=4096)
 def companion_poly(ratio: Fraction, k: int) -> Poly:
     """The companion sequence V_k = V_{k-1} + x V_{k-2}, V_0 = 1, V_1 = 1 + rx.
 

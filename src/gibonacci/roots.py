@@ -16,7 +16,11 @@ root lists are ascending and internally disjoint, so one sorted merge sweep
 visits each overlapping pair once instead of testing all pairs.
 
 The closed trigonometric root forms of the unit-seed and (2,1)-seed families
-are handled as high-precision rational enclosures: pi comes from a Machin
+are one identity, 4cos^2(a) = 2 + 2cos(2a): the unit-seed roots
+4cos^2(j pi/(k+1)) are 2 + 2cos(2j pi/(k+1)); the (2,1)-seed angle
+j pi/k - pi/2^(r+1), k = 2^r d with d odd and j = (d + 2l - 1)/2, is
+(2l - 1) pi/(2k) as d/k = 2^-r, so those roots are 2 + 2cos((2l - 1) pi/k).
+Both are rational enclosures of 2 + 2cos(s pi): pi comes from a Machin
 arctangent combination with an alternating-series error bound, cosine from a
 Taylor sum with a Lagrange remainder, and square roots from integer isqrt
 with directed rounding.  The pi and cosine enclosures are rounded outward to
@@ -47,6 +51,7 @@ from .exactnum import (
 from .polys import GibParams, _next_row, sign_alternating_poly
 
 DEFAULT_ENCLOSURE_BITS = 128
+SEPARATION_ROUNDS = 512
 
 
 @dataclass(frozen=True)
@@ -136,7 +141,7 @@ def largest_root(params: GibParams, k: int) -> AlgebraicNumber:
     return roots_of(params, k).roots[-1]
 
 
-def _separate(a_roots, b_roots, max_rounds: int = 512):
+def _separate(a_roots, b_roots):
     """Refine two enclosure lists until no interval crosses between the lists.
 
     Each list is ascending with disjoint enclosures, and refinement only
@@ -155,7 +160,7 @@ def _separate(a_roots, b_roots, max_rounds: int = 512):
             j, rounds = j + 1, 0
         else:
             rounds += 1
-            if rounds > max_rounds:
+            if rounds > SEPARATION_ROUNDS:
                 raise ExactError("enclosures refuse to separate; the two sets share a root")
             a[i], b[j] = a[i].refined(), b[j].refined()
     return a, b
@@ -197,8 +202,6 @@ def sqrt_enclosure(x, bits: int = DEFAULT_ENCLOSURE_BITS) -> Interval:
     x = Fraction(x)
     if x < 0:
         raise ExactError("square root of a negative rational")
-    if x == 0:
-        return Interval(Fraction(0), Fraction(0))
     n, d = x.numerator, x.denominator
     scaled = n * d << (2 * bits)
     r = math.isqrt(scaled)
@@ -213,11 +216,12 @@ def interval_sqrt(iv: Interval, bits: int = DEFAULT_ENCLOSURE_BITS) -> Interval:
     return Interval(sqrt_enclosure(iv.lo, bits).lo, sqrt_enclosure(iv.hi, bits).hi)
 
 
-def _round_out(lo: Fraction, hi: Fraction, grid: int) -> Interval:
-    """Smallest interval on the dyadic grid 2^-grid that contains [lo, hi]."""
+def _round_out(lo: tuple, hi: tuple, grid: int) -> Interval:
+    """Smallest interval on the dyadic grid 2^-grid that contains [lo, hi],
+    each end given as (numerator, denominator > 0)."""
+    (ln, ld), (hn, hd) = lo, hi
     return Interval(
-        Fraction((lo.numerator << grid) // lo.denominator, 1 << grid),
-        Fraction(-((-hi.numerator << grid) // hi.denominator), 1 << grid),
+        Fraction((ln << grid) // ld, 1 << grid), Fraction(-((-hn << grid) // hd), 1 << grid)
     )
 
 
@@ -241,88 +245,67 @@ def pi_enclosure(bits: int = DEFAULT_ENCLOSURE_BITS) -> Interval:
     dyadic grid 2^-(bits+4); the width stays below 2^-bits."""
     a = _arctan_inv_enclosure(5, bits + 8)
     b = _arctan_inv_enclosure(239, bits + 8)
-    return _round_out(16 * a.lo - 4 * b.hi, 16 * a.hi - 4 * b.lo, bits + 4)
-
-
-def _cos_point_enclosure(x: Fraction, bits: int) -> Interval:
-    """Taylor enclosure of cos at a rational point, |x| <= 2."""
-    target = Fraction(1, 1 << bits)
-    x2 = x * x
-    total = Fraction(1)
-    term = Fraction(1)
-    n = 0
-    while True:
-        n += 1
-        term = term * x2 / ((2 * n - 1) * (2 * n))
-        # Lagrange remainder after n terms is at most the next term's magnitude
-        if term < target:
-            return Interval(total - term, total + term)
-        total += term if n % 2 == 0 else -term
+    lo, hi = 16 * a.lo - 4 * b.hi, 16 * a.hi - 4 * b.lo
+    return _round_out(lo.as_integer_ratio(), hi.as_integer_ratio(), bits + 4)
 
 
 @lru_cache(maxsize=100_000)
 def cos_pi_enclosure(t: Fraction, bits: int = DEFAULT_ENCLOSURE_BITS) -> Interval:
     """Dyadic enclosure of cos(t*pi) for rational t in [0, 1/2], width <= 2^-bits.
 
-    The Taylor enclosure is rounded outward to the grid 2^-(bits+4) before
-    the width test, so the result stays certified and has small denominators.
+    One Taylor pass at x = t * pi_lo = p/q, summed in integers over the
+    common denominator q^(2n) (2n)!, stops when the next term, which bounds
+    the remainder, is below 2^-w, w = bits + 16.  The angle t*pi lies in
+    [x, x + t * width(pi)], where cos falls with slope at most 1; rounding
+    outward to the grid 2^-(bits+4) adds 2^-(bits+3), so the width stays
+    below 2.5 * 2^-w + 2^-(bits+3) < 2^-bits.
     """
     t = Fraction(t)
     if not 0 <= t <= Fraction(1, 2):
         raise ExactError("argument must lie in [0, 1/2] turns of pi")
-    if t == 0:
-        return Interval(Fraction(1), Fraction(1))
     work = bits + 16
+    pi_iv = pi_enclosure(work)
+    x = t * pi_iv.lo
+    p2, q2 = x.numerator ** 2, x.denominator ** 2
+    total = term = den = 1  # partial sum and next term, both over den
+    n = 0
     while True:
-        pi_iv = pi_enclosure(work)
-        theta_lo, theta_hi = t * pi_iv.lo, t * pi_iv.hi
-        # cos is decreasing on [0, pi], and theta_hi < pi here
-        lo = _cos_point_enclosure(theta_hi, work).lo
-        hi = _cos_point_enclosure(theta_lo, work).hi
-        iv = _round_out(lo, hi, bits + 4)
-        if iv.width <= Fraction(1, 1 << bits):
-            return iv
-        work *= 2
+        n += 1
+        step = (2 * n - 1) * (2 * n) * q2
+        total, term, den = total * step, term * p2, den * step
+        if term << work < den:
+            break
+        total += term if n % 2 == 0 else -term
+    sn, sd = (t * pi_iv.width).as_integer_ratio()
+    iv = _round_out(((total - term) * sd - sn * den, den * sd), (total + term, den), bits + 4)
+    if iv.width > Fraction(1, 1 << bits):
+        raise ExactError(f"cos({t}*pi) enclosure is wider than 2^-{bits}")
+    return iv
 
 
-def _four_cos_sq(t: Fraction, bits: int) -> Interval:
-    """Enclosure of 4 cos^2(t*pi) of width <= 2^-bits, t in [0, 1/2]."""
-    work = bits + 8
-    while True:
-        c = cos_pi_enclosure(t, work)
-        lo = max(c.lo, Fraction(0))
-        iv = Interval(4 * lo * lo, 4 * c.hi * c.hi)
-        if iv.width <= Fraction(1, 1 << bits):
-            return iv
-        work *= 2
+def _two_plus_two_cos(s: Fraction, bits: int) -> Interval:
+    """Enclosure of 2 + 2cos(s*pi) of width <= 2^-bits, s in [0, 1]."""
+    c = cos_pi_enclosure(min(s, 1 - s), bits + 1)
+    if s > Fraction(1, 2):  # cos(s*pi) = -cos((1 - s)*pi); cos_pi_enclosure takes [0, 1/2]
+        c = Interval(-c.hi, -c.lo)
+    return Interval(2 + 2 * c.lo, 2 + 2 * c.hi)
 
 
 def fibonacci_closed_roots(k: int, bits: int = DEFAULT_ENCLOSURE_BITS) -> list:
-    """Enclosures of 4cos^2(j*pi/(k+1)), j = 1..floor(k/2), ascending."""
+    """Enclosures of 4cos^2(j*pi/(k+1)) = 2 + 2cos(2j*pi/(k+1)),
+    j = floor(k/2)..1, ascending."""
     if k < 2:
         raise ExactError("closed root forms start at k = 2")
-    return [_four_cos_sq(Fraction(j, k + 1), bits) for j in range(k // 2, 0, -1)]
+    return [_two_plus_two_cos(Fraction(2 * j, k + 1), bits) for j in range(k // 2, 0, -1)]
 
 
 def lucas_closed_roots(k: int, bits: int = DEFAULT_ENCLOSURE_BITS) -> list:
-    """Enclosures of the (2,1)-seed roots 4cos^2(j*pi/k - pi/2^(r+1)), ascending.
-
-    Here k = 2^r * d with d odd and j ranges over (d + 2l - 1)/2 for
-    l = 1..floor(k/2); all the angles land in (0, pi/2).
-    """
+    """Enclosures of the (2,1)-seed roots 4cos^2(j*pi/k - pi/2^(r+1)), k = 2^r * d
+    with d odd, j = (d + 2l - 1)/2, which are 2 + 2cos((2l - 1)*pi/k),
+    l = floor(k/2)..1, ascending."""
     if k < 2:
         raise ExactError("closed root forms start at k = 2")
-    r = 0
-    d = k
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    out = []
-    for l in range(k // 2, 0, -1):
-        j = Fraction(d + 2 * l - 1, 2)
-        t = j / k - Fraction(1, 2 ** (r + 1))
-        out.append(_four_cos_sq(t, bits))
-    return out
+    return [_two_plus_two_cos(Fraction(2 * l - 1, k), bits) for l in range(k // 2, 0, -1)]
 
 
 def root_in(root: AlgebraicNumber, target: Interval) -> bool:

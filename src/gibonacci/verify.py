@@ -48,6 +48,7 @@ from .posets import (
     verify_identity_suite,
 )
 from .roots import (
+    SEPARATION_ROUNDS,
     _separate,
     bound_B,
     check_interlacing,
@@ -279,7 +280,7 @@ def _gap_rational(params: GibParams, j: int) -> Fraction:
         return params.ratio / 2
     low = roots_of(params, j - 1).roots[-1]
     high = roots_of(params, j).roots[-1]
-    for _ in range(512):  # the round bound of roots._separate
+    for _ in range(SEPARATION_ROUNDS):
         # strict: a point enclosure [r, r] may touch the next root's enclosure
         if low.enclosure.hi < high.enclosure.lo:
             return (low.enclosure.hi + high.enclosure.lo) / 2

@@ -335,6 +335,28 @@ class TestAlgebraicNumber:
         sqrt2 = AlgebraicNumber(P(-2, 0, 1), iv)
         assert sqrt2.decimal(12).startswith("1.41421356237")
 
+    @pytest.mark.parametrize(
+        "value, other, lo, hi, digits, want",
+        [
+            (Fraction(3, 2), -7, Fraction(1), Fraction(7, 4), 1, "2"),
+            (Fraction(3, 20), -1, Fraction(1, 10), Fraction(1, 4), 1, "0.2"),
+            (Fraction(-3, 20), 1, Fraction(-1, 4), Fraction(-1, 10), 1, "-0.2"),
+            (Fraction(1, 8000), 1, Fraction(1, 10**4), Fraction(1, 10**3), 2, "0.00013"),
+        ],
+    )
+    def test_decimal_on_a_rounding_boundary(self, value, other, lo, hi, digits, want):
+        # a value on a rounding boundary need not be a bisection point, so
+        # refinement alone may never settle it: one exact sign at the boundary
+        # does, and the value rounds half away from zero as decimal_str does
+        theta = AlgebraicNumber(P(-value, 1) * P(-other, 1), Interval(lo, hi))
+        assert theta.decimal(digits) == want == decimal_str(value, digits)
+        assert theta.decimal(digits + 1) == decimal_str(value, digits + 1)
+
+    def test_decimal_of_a_zero_root(self):
+        # 0 is a root of x^2 - x inside (-1/3, 1/2]; bisection never reaches it
+        theta = AlgebraicNumber(P(0, -1, 1), Interval(Fraction(-1, 3), Fraction(1, 2)))
+        assert theta.decimal(30) == "0"
+
     def test_zero_sign_never_contradicted_by_refinement(self):
         # whenever the gcd test says zero, the value must keep straddling 0:
         # refining the enclosure never yields a constant nonzero sign

@@ -59,6 +59,35 @@ def lucas_closed_roots_sine(k, bits):
     return out
 
 
+def four_cos_sq(t, bits):
+    """Oracle: the squaring route to 4cos^2(t*pi), t in [0, 1/2], width <= 2^-bits."""
+    work = bits + 8
+    while True:
+        c = cos_pi_enclosure(t, work)
+        lo = max(c.lo, Fraction(0))
+        iv = Interval(4 * lo * lo, 4 * c.hi * c.hi)
+        if iv.width <= Fraction(1, 1 << bits):
+            return iv
+        work *= 2
+
+
+def fibonacci_closed_roots_paper(k, bits):
+    """Oracle: the unit-seed roots as printed, 4cos^2(j*pi/(k+1)), ascending."""
+    return [four_cos_sq(Fraction(j, k + 1), bits) for j in range(k // 2, 0, -1)]
+
+
+def lucas_closed_roots_paper(k, bits):
+    """Oracle: the (2,1)-seed roots as printed, 4cos^2(j*pi/k - pi/2^(r+1))
+    with k = 2^r * d, d odd, j = (d + 2l - 1)/2, l = floor(k/2)..1."""
+    r, d = 0, k
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    return [
+        four_cos_sq(Fraction(d + 2 * l - 1, 2) / k - Fraction(1, 2 ** (r + 1)), bits)
+        for l in range(k // 2, 0, -1)
+    ]
+
+
 def contains_value(root, value) -> bool:
     """Exact membership test: is the algebraic root equal to this rational?"""
     return sign_at_algebraic(Poly([-Fraction(value), 1]), root) == 0
@@ -224,6 +253,29 @@ class TestClosedForms:
             for a, b in zip(cos_form, sin_form):
                 assert a.lo < b.hi and b.lo < a.hi  # same value inside both
 
+    @pytest.mark.parametrize("bits", [64, 128, 200])
+    def test_identity_forms_match_paper_forms(self, bits):
+        # 2 + 2cos(s*pi) at the doubled angle against the paper's squared
+        # cosines; outward rounding to 2^-(bits+5) bounds the denominators
+        for new_form, paper_form in [
+            (fibonacci_closed_roots, fibonacci_closed_roots_paper),
+            (lucas_closed_roots, lucas_closed_roots_paper),
+        ]:
+            for k in range(2, 201):
+                got, want = new_form(k, bits), paper_form(k, bits)
+                assert len(got) == len(want) == k // 2
+                for a, b in zip(got, want):
+                    assert a.lo <= b.hi and b.lo <= a.hi, (new_form.__name__, k, bits)
+                    assert a.width <= Fraction(1, 1 << bits)
+                    assert a.lo.denominator <= 1 << (bits + 5)
+                    assert a.hi.denominator <= 1 << (bits + 5)
+
+    def test_cos_width_check_is_an_error(self, monkeypatch):
+        # one pass cannot meet 2^-bits from a pi enclosure this wide
+        monkeypatch.setattr(roots_module, "pi_enclosure", lambda bits: Interval(Fraction(3), Fraction(4)))
+        with pytest.raises(ExactError, match=r"enclosure is wider than 2\^-64"):
+            cos_pi_enclosure.__wrapped__(Fraction(1, 3), 64)
+
     def test_match_small_grid(self):
         for k in range(2, 13):
             assert match_closed_forms(roots_of(UNIT, k), fibonacci_closed_roots(k))
@@ -268,8 +320,8 @@ class TestCompanionDuality:
         # accepted the ratio + 1/100 companion, e.g. at seeds (1,1), k = 4
         ratios = [UNIT.ratio, LUCAS.ratio, WIDE.ratio]
         for shift in (Fraction(1, 100), Fraction(1)):
-            # computed before patching: companion_poly recurses through the
-            # module attribute
+            # reciprocal_transform_holds looks companion_poly up on the
+            # module, so the patch hands it these wrong-ratio members
             wrong = {(r, k): companion_poly(r + shift, k) for r in ratios for k in range(1, 10)}
             with monkeypatch.context() as patch:
                 patch.setattr(polys_module, "companion_poly", lambda ratio, k: wrong[ratio, k])
@@ -459,6 +511,56 @@ def _root_in_cases():
                         yield root, Interval(c, c + w), True
                         yield root, Interval(c - w, c), True
                         yield root, Interval(c + w / 4, c + w), False
+
+
+DECIMAL_SEEDS = [(1, 1), (2, 1), (5, 2), (Fraction(7, 3), Fraction(1, 2)), (3, 1)]
+
+
+def mpmath_decimal(mpmath, root, start, digits):
+    """Oracle: `digits` significant digits of the root, computed and rounded
+    by mpmath.
+
+    Newton's method, started from the string `start`, must converge inside
+    the root's isolating enclosure; a wrong start only costs Newton steps.
+    The working digits cover 3*digits plus the cancellation in the monomial
+    sum at |x| <= 5.
+    """
+    coeffs = root.defining.coeffs
+    cancel = len(str(int(sum(abs(c) for c in coeffs) * 5 ** len(coeffs))))
+    with mpmath.workdps(3 * digits + cancel):
+        cs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(coeffs)]
+        x = mpmath.mpf(start)
+        for _ in range(8):
+            y, dy = mpmath.polyval(cs, x, derivative=True)
+            step = y / dy
+            x -= step
+            if abs(step) <= abs(x) * mpmath.mpf(10) ** (-2 * digits):
+                break
+        else:
+            raise AssertionError(f"Newton did not settle from {start}")
+        e = root.enclosure
+        assert mpmath.mpf(e.lo.numerator) / e.lo.denominator <= x
+        assert x <= mpmath.mpf(e.hi.numerator) / e.hi.denominator
+        text = mpmath.nstr(x, digits)
+    return text[:-2] if text.endswith(".0") else text
+
+
+class TestRootDecimals:
+    @pytest.mark.parametrize("alpha, beta", DECIMAL_SEEDS)
+    def test_matches_mpmath(self, alpha, beta):
+        mpmath = pytest.importorskip("mpmath")
+        params = GibParams.of(alpha, beta)
+        for k in range(2, 101):
+            for root in roots_of(params, k).roots:
+                got = root.decimal(30)
+                assert got == mpmath_decimal(mpmath, root, got, 30), (alpha, beta, k)
+
+    def test_unit_row_320_smallest_root(self):
+        mpmath = pytest.importorskip("mpmath")
+        root = roots_of(UNIT, 320).roots[0]
+        got = root.decimal(30)
+        assert got == "0.0000957825100955458938852465361761"
+        assert got == mpmath_decimal(mpmath, root, got, 30)
 
 
 class TestRootIn:
