@@ -27,8 +27,16 @@ per step, and `refined()` is one step of it.
 
 The sign of a polynomial at a real algebraic number is decided interval
 first (`sign_at_algebraic`): integer interval Horner over the number's kept
-enclosure settles every nonzero sign, and only a box that contains 0 pays
-for the exact zero test (a gcd and its signs at the two enclosure ends).
+enclosure settles every nonzero sign.  When the box contains 0, a linear
+query costs one exact sign of the defining polynomial at the query's root,
+and any other query pays for the exact zero test (a gcd and its signs at
+the two enclosure ends).
+
+Every exact real prints by one decimal rule (`_decimal_at`): the value
+f(theta) is enclosed by the same interval Horner, theta's box is bisected
+until the enclosure holds at most one rounding boundary, and one exact sign
+at that boundary settles ends that still round apart.  An algebraic number
+is the rule with f = x, a ring element the rule with f = its polynomial.
 
 Membership has one rule: a simple root isolated in an enclosure whose ends
 are not roots lies in an interval iff the defining polynomial does not keep
@@ -37,8 +45,9 @@ constructor refuses defining polynomials that are not square-free.
 
 Algebraic extensions have one representation, the quotient ring Q[t]/(m)
 (`NumberRing`, `RingElement`): the Binet closed forms compute in
-Q[t]/(t^2 - d) and the game at a largest root in Q[t]/(P_k).  Signs and
-decimals of ring elements are taken at a designated real root of m.
+Q[t]/(t^2 - d) and the game at a largest root in Q[t]/(P_k).  A ring
+element's sign and decimal are those of its polynomial at a designated real
+root of m, by the algebraic-number sign and the one decimal rule.
 """
 
 from __future__ import annotations
@@ -103,12 +112,10 @@ def decimal_str(x: Fraction, digits: int = 30) -> str:
         return "0"
     sign = "-" if x < 0 else ""
     n, d = abs(x.numerator), x.denominator
-    # exponent e with 10^e <= n/d < 10^(e+1)
+    # exponent e with 10^e <= n/d < 10^(e+1); the digit counts leave e or e - 1
     e = len(str(n)) - len(str(d))
-    while 10**e * d > n:
+    if n * 10 ** max(-e, 0) < d * 10 ** max(e, 0):
         e -= 1
-    while 10 ** (e + 1) * d <= n:
-        e += 1
     shift = digits - 1 - e
     if shift >= 0:
         q, r = divmod(n * 10**shift, d)
@@ -401,10 +408,6 @@ class Interval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def to_json(self) -> list:
         return [format_rational(self.lo), format_rational(self.hi)]
 
@@ -459,13 +462,12 @@ def _bisect(int_coeffs: Sequence[int], a: int, b: int, den: int, stop=None, step
     return a, b, den
 
 
-def _box_sign(int_coeffs: Sequence[int], a: int, b: int, den: int) -> int:
-    """Sign of an integer polynomial over all of [a/den, b/den], or 0.
+def _box_range(int_coeffs: Sequence[int], a: int, b: int, den: int) -> tuple:
+    """(lo, hi) enclosing den^deg times an integer polynomial over [a/den, b/den].
 
     Integer interval Horner on the numerator sum(c_i * x^i * den^(deg-i)) for
-    x in [a, b]: the result is +1 or -1 only when the whole box lies on that
-    side of 0, and 0 whenever the box contains 0.  A point box (a == b) is
-    evaluated exactly, so there 0 means the value is zero.
+    x in [a, b].  The polynomial keeps one strict sign over the box when lo > 0
+    or hi < 0.  A point box (a == b) is evaluated exactly (lo == hi).
     """
     lo = hi = int_coeffs[-1]
     dpow = den
@@ -484,7 +486,7 @@ def _box_sign(int_coeffs: Sequence[int], a: int, b: int, den: int) -> int:
         lo += t
         hi += t
         dpow *= den
-    return 1 if lo > 0 else -1 if hi < 0 else 0
+    return lo, hi
 
 
 @lru_cache(maxsize=64)
@@ -637,9 +639,9 @@ class AlgebraicNumber:
     of its Sturm chain is not a constant).  All operations return new
     values, and `enclosure` never changes.
 
-    The tightest enclosure computed for sign decisions is filled in lazily
-    and kept, as integer endpoints (a, b, den) over one common denominator;
-    it lies inside `enclosure`, isolates the same root, and only shrinks.
+    The tightest enclosure computed for signs and decimals is kept, as
+    integer endpoints (a, b, den) over one common denominator; it lies
+    inside `enclosure`, isolates the same root, and only shrinks.
     """
 
     __slots__ = ("defining", "enclosure", "_kept")
@@ -697,40 +699,9 @@ class AlgebraicNumber:
         """Halve the enclosure: one step of the bisection kernel."""
         return self.bisected(steps=1)
 
-    def refined_below(self, width) -> "AlgebraicNumber":
-        width = Fraction(width)
-        wn, wd = width.numerator, width.denominator
-        return self.bisected(lambda a, b, den: (b - a) * wd <= wn * den)
-
     def decimal(self, digits: int = 30) -> str:
-        """The value to `digits` significant digits, rounded as `decimal_str`
-        rounds a rational: the string both ends of an enclosure round to.
-
-        The enclosure is bisected until it excludes 0 and its width is at
-        most 10^-digits of its smaller end's magnitude, so it holds at most
-        one rounding boundary.  When the two ends still round apart, the
-        boundary c is the midpoint of their two strings.  A value on c is
-        rational, so one exact sign of the defining polynomial at c settles
-        it: zero means the value is c, rounded exactly; otherwise the value
-        rounds like the end on its side of c.
-        """
-        check_digits(digits)
-        p = self.defining
-        e = self.enclosure
-        if e.lo <= 0 <= e.hi and p.sign_at(0) == 0:
-            return "0"
-        scale = 10**digits
-        e = self.bisected(
-            lambda a, b, den: a * b > 0 and (b - a) * scale <= min(abs(a), abs(b))
-        ).enclosure
-        s_lo, s_hi = decimal_str(e.lo, digits), decimal_str(e.hi, digits)
-        if s_lo == s_hi:
-            return s_lo
-        c = (Fraction(s_lo) + Fraction(s_hi)) / 2
-        sign_c = p.sign_at(c)
-        if sign_c == 0:
-            return decimal_str(c, digits)
-        return s_hi if sign_c == p.sign_at(e.lo) else s_lo
+        """The number to `digits` significant digits: `_decimal_at` with f = x."""
+        return _decimal_at(Poly([0, 1]), self, digits)
 
     def to_json(self) -> dict:
         return {
@@ -746,15 +717,19 @@ def sign_at_algebraic(p: Poly, theta: AlgebraicNumber) -> int:
     """Exact sign of p at the algebraic point theta: -1, 0, or +1.
 
     Interval first: p's primitive integer coefficients are evaluated by
-    integer interval Horner over theta's kept enclosure (`_box_sign`), and a
-    box that excludes 0 is the sign.  Only when the box contains 0 is zero
-    decided exactly, once: g = gcd(p, theta.defining) divides a square-free
-    polynomial, so within the enclosure its only possible root is theta, a
-    simple one, and theta is a root of p iff g changes sign across the
-    enclosure.  Otherwise the enclosure is bisected with doubling step counts
-    until the box excludes 0, which happens because p is continuous and
-    p(theta) != 0; the tighter enclosure is kept on theta for later queries.
-    No floating point and no Sturm chain of p is involved.
+    integer interval Horner over theta's kept enclosure (`_box_range`), and a
+    box that excludes 0 is the sign.  When the box contains 0, a linear p
+    compares theta with its root r, which then lies in the enclosure: the
+    defining polynomial has the sign it has at the enclosure's lower end at
+    r exactly when theta > r, and vanishes at r exactly when theta = r.  For
+    any other p, zero is decided exactly, once: g = gcd(p, theta.defining)
+    divides a square-free polynomial, so within the enclosure its only
+    possible root is theta, a simple one, and theta is a root of p iff g
+    changes sign across the enclosure.  Otherwise the enclosure is bisected
+    with doubling step counts until the box excludes 0, which happens
+    because p is continuous and p(theta) != 0; the tighter enclosure is kept
+    on theta for later queries.  No floating point and no Sturm chain of p
+    is involved.
     """
     if p.is_zero:
         return 0
@@ -762,20 +737,58 @@ def sign_at_algebraic(p: Poly, theta: AlgebraicNumber) -> int:
         return p.sign_at(theta.rational_value)
     cs = p.primitive_int_coeffs()
     box = theta._kept or _common_box(theta.enclosure)
-    sign = _box_sign(cs, *box)
-    if sign:
-        return sign
-    g = poly_gcd(p, theta.defining)
-    if g.sign_at(theta.enclosure.lo) * g.sign_at(theta.enclosure.hi) < 0:
-        return 0
-    defining = theta.defining.primitive_int_coeffs()
-    steps = 1
-    while not sign:
-        box = _bisect(defining, *box, steps=steps)
-        sign = _box_sign(cs, *box)
-        steps *= 2
+    lo, hi = _box_range(cs, *box)
+    if lo <= 0 <= hi:
+        defining = theta.defining
+        if p.degree == 1:
+            r = -p.coeffs[0] / p.coeffs[1]
+            return (1 if cs[1] > 0 else -1) * defining.sign_at(r) * defining.sign_at(theta.enclosure.lo)
+        g = poly_gcd(p, defining)
+        if g.sign_at(theta.enclosure.lo) * g.sign_at(theta.enclosure.hi) < 0:
+            return 0
+        steps = 1
+        while lo <= 0 <= hi:
+            box = _bisect(defining.primitive_int_coeffs(), *box, steps=steps)
+            lo, hi = _box_range(cs, *box)
+            steps *= 2
+        object.__setattr__(theta, "_kept", box)
+    return 1 if lo > 0 else -1
+
+
+def _decimal_at(f: Poly, theta: AlgebraicNumber, digits: int) -> str:
+    """f(theta) to `digits` significant digits, rounded as `decimal_str`
+    rounds a rational: the string both ends of an enclosure of the value
+    round to.
+
+    The value is enclosed by integer interval Horner over theta's kept box,
+    and the box is bisected until that enclosure excludes 0 and its width is
+    at most 10^-digits of its smaller end's magnitude, so it holds at most
+    one rounding boundary; the bisected box is kept on theta.  When the two
+    ends still round apart, the boundary c is the midpoint of their two
+    strings, and the exact sign of f - c at theta settles it: zero means the
+    value is c, rounded exactly; otherwise the value rounds like the end on
+    its side of c.
+    """
+    check_digits(digits)
+    if sign_at_algebraic(f, theta) == 0:
+        return "0"
+    cs = f.primitive_int_coeffs()
+    scale = 10**digits
+
+    def fine(a, b, den):
+        lo, hi = _box_range(cs, a, b, den)
+        return lo * hi > 0 and (hi - lo) * scale <= min(abs(lo), abs(hi))
+
+    box = theta._kept or _common_box(theta.enclosure)
+    box = _bisect(theta.defining.primitive_int_coeffs(), *box, fine)
     object.__setattr__(theta, "_kept", box)
-    return sign
+    unit = f.leading / cs[-1] / box[2] ** f.degree  # f over the box: unit * _box_range
+    s_lo, s_hi = (decimal_str(unit * v, digits) for v in _box_range(cs, *box))
+    if s_lo == s_hi:
+        return s_lo
+    c = (Fraction(s_lo) + Fraction(s_hi)) / 2
+    sign_c = sign_at_algebraic(f - Poly.constant(c), theta)
+    return decimal_str(c, digits) if sign_c == 0 else s_hi if sign_c > 0 else s_lo
 
 
 # ---------------------------------------------------------------------------
@@ -874,11 +887,8 @@ class RingElement:
         return self.poly.is_zero
 
     def decimal(self, digits: int = 30) -> str:
-        # rendering only: the defining root is boxed far tighter than the
-        # requested digits, so evaluating at the box midpoint is enough
-        check_digits(digits)
-        theta = self._theta().refined_below(Fraction(1, 10 ** (digits + 6)))
-        return decimal_str(self.poly(theta.enclosure.mid), digits)
+        """The value at the designated root: `_decimal_at` with f = poly."""
+        return _decimal_at(self.poly, self._theta(), digits)
 
     def to_json(self):
         return {"coeffs": [format_rational(c) for c in self.poly.coeffs]}

@@ -528,7 +528,7 @@ def value_to_json(v: Value):
 
 def value_to_text(v: Value, digits: int = 30) -> str:
     if isinstance(v, LinearForm):
-        return f"({value_to_text(v.ca)})*a + ({value_to_text(v.cb)})*b"
+        return f"({value_to_text(v.ca, digits)})*a + ({value_to_text(v.cb, digits)})*b"
     if isinstance(v, RingElement):
-        return f"{poly_to_text(v.poly, 't')} ~ {v.decimal(12)}"
+        return f"{poly_to_text(v.poly, 't')} ~ {v.decimal(digits)}"
     return f"{format_rational(v)} = {decimal_str(v, digits)}"

@@ -74,6 +74,13 @@ class TestDecimalStr:
         assert decimal_str(Fraction(10**40), 5) == "1e40"
         assert decimal_str(Fraction(1, 10**10), 4) == "1e-10"
 
+    def test_exponent_next_to_a_power_of_ten(self):
+        # 0.1 + 5e-41 is a tie at 40 digits; a float 10^-1 once misjudged its decade
+        x = Fraction(2 * 10**39 + 1, 2 * 10**40)
+        assert decimal_str(x, 40) == "0.1" + "0" * 38 + "1"
+        assert decimal_str(-x, 41) == "-0.1" + "0" * 38 + "05"
+        assert decimal_str(Fraction(10**40 - 1, 10**41), 40) == "0.0" + "9" * 40
+
 
 class TestPolyArithmetic:
     def test_additive_identity(self):
@@ -306,7 +313,7 @@ class TestAlgebraicNumber:
 
     def test_refinement_keeps_isolation(self):
         theta = self.theta_four()
-        fine = theta.refined_below(Fraction(1, 1 << 40))
+        fine = theta.bisected(lambda a, b, den: (b - a) << 40 <= den)
         assert fine.enclosure.width <= Fraction(1, 1 << 40)
         assert fine.enclosure.lo <= 4 <= fine.enclosure.hi
 
@@ -697,7 +704,7 @@ class TestIntervalFirstSign:
     def test_box_sign_is_sound(self):
         hyp = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
-        from gibonacci.exactnum import _box_sign
+        from gibonacci.exactnum import _box_range
 
         ints = st.integers(min_value=-40, max_value=40)
 
@@ -708,7 +715,8 @@ class TestIntervalFirstSign:
                 coeffs[-1] = 1
             p = Poly(coeffs)
             b = a + width
-            sign = _box_sign(tuple(coeffs), a, b, den)
+            lo, hi = _box_range(tuple(coeffs), a, b, den)
+            sign = 1 if lo > 0 else -1 if hi < 0 else 0
             # a nonzero answer must hold at every point of the box
             for i in range(9):
                 x = Fraction(a * 8 + (b - a) * i, 8 * den)
@@ -753,6 +761,235 @@ class TestIntervalFirstSign:
         assert sign_at_algebraic(P(-2, 0, 1), sqrt2) == 0
         assert sign_at_algebraic(P(-3, 1), sqrt2) == -1
         assert sqrt2._kept is None
+        # a linear query is decided in theta-space and keeps nothing: the box
+        # fills on a query that is not linear
         assert sign_at_algebraic(P(-Fraction(141421, 100000), 1), sqrt2) == 1
+        assert sqrt2._kept is None
+        assert sign_at_algebraic(P(-Fraction(199999, 100000), 0, 1), sqrt2) == 1
         assert sqrt2._kept is not None
         assert sqrt2.to_json()["enclosure"] == iv.to_json()
+
+
+def mpmath_value_decimal(mpmath, element, digits):
+    """Oracle: `digits` significant digits of a ring element at its ring's
+    designated root, computed and rounded by mpmath in decimal_str's layout.
+
+    The root comes from Newton's method started inside its enclosure, at a
+    working precision far beyond the digits of the smallest values tested
+    (10^-30 and below).
+    """
+    theta = element.ring.theta
+    e = theta.enclosure
+
+    def mp(c):
+        return mpmath.mpf(c.numerator) / c.denominator
+
+    with mpmath.workdps(200):
+        defining = [mp(c) for c in reversed(theta.defining.coeffs)]
+        x = (mp(e.lo) + mp(e.hi)) / 2
+        for _ in range(60):
+            y, dy = mpmath.polyval(defining, x, derivative=True)
+            x -= y / dy
+        assert mp(e.lo) <= x <= mp(e.hi)
+        value = mpmath.polyval([mp(c) for c in reversed(element.poly.coeffs)], x)
+        text = mpmath.nstr(value, digits, min_fixed=-6, max_fixed=digits)
+    return text[:-2] if text.endswith(".0") else text
+
+
+class TestDecimalRule:
+    """One decimal rule for every exact real: `_decimal_at` behind both
+    `AlgebraicNumber.decimal` and `RingElement.decimal`."""
+
+    @pytest.mark.parametrize("alpha, beta", [(1, 1), (2, 1), (5, 2), (Fraction(7, 3), Fraction(1, 2))])
+    def test_ring_elements_match_mpmath(self, alpha, beta):
+        import random
+
+        mpmath = pytest.importorskip("mpmath")
+        from gibonacci.polys import GibParams
+        from gibonacci.roots import largest_root
+
+        rng = random.Random(f"{alpha}/{beta}")
+        checked = 0
+        for k in range(3, 31):
+            theta = largest_root(GibParams.of(alpha, beta), k)
+            ring = NumberRing(theta.defining, theta)
+            t = ring.generator()
+            degree = theta.defining.degree
+            elements = [
+                ring.element(Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(degree)]))
+                for _ in range(3)
+            ]
+            if not theta.is_rational:
+                # values down to 10^-30 and below: t - r for a rational r
+                # within 10^-e of theta, and their negatives
+                for e in (10, 20, 30):
+                    r = theta.bisected(lambda a, b, den: (b - a) * 10**e <= den).enclosure.lo
+                    elements += [t - r, r - t]
+            for x in elements:
+                if x.is_zero:
+                    continue
+                got = x.decimal(30)
+                assert got == mpmath_value_decimal(mpmath, x, 30), (alpha, beta, k, x.poly)
+                checked += 1
+        assert checked >= 150
+
+    def test_close_element_of_unit_row_twelve(self):
+        from gibonacci.polys import GibParams
+        from gibonacci.roots import roots_of
+
+        theta = roots_of(GibParams.of(1, 1), 12).roots[-1]
+        r = theta.bisected(lambda a, b, den: (b - a) * 10**25 <= den).enclosure.lo
+        x = NumberRing(theta.defining, theta).generator() - r
+        assert x.decimal(30) == "7.85360161888296974830966218457e-27"
+        assert (-x).decimal(30) == "-7.85360161888296974830966218457e-27"
+
+    def test_exact_boundary_in_the_ring(self):
+        # theta = 3/2 is the root of (2t - 3)(t^2 - 2) in (71/50, 8/5): at one
+        # digit it lies on the boundary between "1" and "2" and rounds away
+        # from zero; no bisection point is ever 3/2 on this grid
+        m = P(-3, 2) * P(-2, 0, 1)
+        theta = AlgebraicNumber(m, Interval(Fraction(71, 50), Fraction(8, 5)))
+        t = NumberRing(m, theta).generator()
+        assert t.decimal(1) == "2"
+        assert t.decimal(2) == "1.5"
+        assert (-t).decimal(1) == "-2"
+        assert (t * t - 2).decimal(2) == "0.25"
+        assert theta.decimal(1) == "2" and theta.decimal(2) == "1.5"
+
+    def test_zero_and_negative_values(self):
+        sqrt2 = AlgebraicNumber(P(-2, 0, 1), Interval(Fraction(1), Fraction(2)))
+        ring = NumberRing(P(-2, 0, 1), sqrt2)
+        t = ring.generator()
+        assert ring.from_rational(0).decimal() == "0"
+        assert (t * t - 2).decimal() == "0"
+        assert (t - t).decimal(5) == "0"
+        assert (1 - t).decimal(6) == "-0.414214"
+        assert (-t).decimal(3) == "-1.41"
+        assert ring.from_rational(Fraction(-1, 3)).decimal(4) == "-0.3333"
+        with pytest.raises(ExactError):
+            t.decimal(0)
+
+    def test_ring_decimal_keeps_the_bisected_box(self):
+        sqrt2 = AlgebraicNumber(P(-2, 0, 1), Interval(Fraction(1), Fraction(2)))
+        t = NumberRing(P(-2, 0, 1), sqrt2).generator()
+        assert (t * 3 + 1).decimal(20) == "5.2426406871192851464"
+        a, b, den = sqrt2._kept  # 3t + 1 over it is 10^-20 wide relative to its value
+        assert 3 * (b - a) * 10**20 <= 3 * a + den
+        assert sqrt2.enclosure == Interval(Fraction(1), Fraction(2))
+        assert t.decimal(20) == "1.4142135623730950488"
+
+
+class TestLinearQueries:
+    """A linear query compares theta with its root r in theta-space: one
+    exact sign of the defining polynomial at r, no gcd and no kept box."""
+
+    @staticmethod
+    def sqrt2():
+        return AlgebraicNumber(P(-2, 0, 1), Interval(Fraction(1), Fraction(2)))
+
+    def test_root_below_and_above_theta(self, monkeypatch):
+        from gibonacci import exactnum
+
+        monkeypatch.setattr(exactnum, "poly_gcd", None)
+        theta = self.sqrt2()
+        assert sign_at_algebraic(P(-Fraction(7, 5), 1), theta) == 1  # 7/5 < sqrt2
+        assert sign_at_algebraic(P(-Fraction(3, 2), 1), theta) == -1  # 3/2 > sqrt2
+        assert sign_at_algebraic(P(Fraction(7, 5), -1), theta) == -1
+        assert sign_at_algebraic(P(3, -2), theta) == 1
+        assert theta._kept is None
+
+    def test_root_at_an_enclosure_end(self, monkeypatch):
+        from gibonacci import exactnum
+
+        monkeypatch.setattr(exactnum, "poly_gcd", None)
+        theta = self.sqrt2()
+        assert sign_at_algebraic(P(-1, 1), theta) == 1
+        assert sign_at_algebraic(P(-2, 1), theta) == -1
+        assert sign_at_algebraic(P(2, -1), theta) == 1
+
+    def test_root_equal_to_a_rational_theta(self, monkeypatch):
+        from gibonacci import exactnum
+
+        monkeypatch.setattr(exactnum, "poly_gcd", None)
+        m = P(-3, 2) * P(-2, 0, 1)
+        theta = AlgebraicNumber(m, Interval(Fraction(71, 50), Fraction(8, 5)))
+        assert not theta.is_rational
+        assert sign_at_algebraic(P(-Fraction(3, 2), 1), theta) == 0
+        assert sign_at_algebraic(P(6, -4), theta) == 0
+        assert sign_at_algebraic(P(-Fraction(149, 100), 1), theta) == 1
+        point = AlgebraicNumber.from_rational(Fraction(3, 2))
+        assert sign_at_algebraic(P(-Fraction(3, 2), 1), point) == 0
+
+    def test_matches_sturm_loop_on_row_roots(self):
+        from gibonacci.polys import GibParams
+        from gibonacci.roots import roots_of
+
+        for alpha, beta in ORACLE_SEEDS:
+            for k in (6, 9, 14):
+                roots = roots_of(GibParams.of(alpha, beta), k).roots
+                for root in roots:
+                    e = root.enclosure
+                    for r in (e.lo, e.hi, (e.lo + e.hi) / 2, (2 * e.lo + e.hi) / 3, Fraction(2), Fraction(3)):
+                        for p in (P(-r, 1), P(r, -3)):
+                            assert sign_at_algebraic(p, _fresh(root)) == _sturm_loop_sign(p, root)
+
+
+class TestDecimalStrProperty:
+    @staticmethod
+    def decade(x: Fraction) -> int:
+        """E with 10^E <= |x| < 10^(E+1)."""
+        x, e = abs(x), 0
+        while x >= 10:
+            x, e = x / 10, e + 1
+        while x < 1:
+            x, e = x * 10, e - 1
+        return e
+
+    def check(self, x: Fraction, d: int) -> tuple:
+        """The three properties of decimal_str(x, d); returns (|x - s|, ulp/2)."""
+        out = decimal_str(x, d)
+        s = Fraction(out)
+        if x == 0:
+            assert out == "0"
+            return Fraction(0), Fraction(0)
+        mantissa = out.lstrip("-").split("e")[0].replace(".", "").lstrip("0")
+        assert len(mantissa) <= d, (x, d, out)
+        half_ulp = Fraction(10) ** (self.decade(x) - d + 1) / 2
+        error = abs(x - s)
+        assert error <= half_ulp, (x, d, out)
+        if error == half_ulp:
+            assert abs(s) > abs(x), (x, d, out)  # a tie rounds away from zero
+        return error, half_ulp
+
+    def test_rounds_to_nearest(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hyp.settings(max_examples=300, deadline=None, derandomize=True)
+        @hyp.given(
+            st.fractions(max_denominator=10**12),
+            st.integers(min_value=-40, max_value=40),
+            st.integers(min_value=1, max_value=40),
+        )
+        def check(x, shift, d):
+            self.check(x * Fraction(10) ** shift, d)
+
+        check()
+
+    def test_ties_round_away_from_zero(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hyp.settings(max_examples=200, deadline=None, derandomize=True)
+        @hyp.given(
+            st.integers(min_value=1, max_value=10**39),
+            st.integers(min_value=-40, max_value=40),
+            st.booleans(),
+        )
+        def check(m, shift, negative):
+            # (m + 1/2) * 10^shift lies halfway between two len(str(m))-digit values
+            x = Fraction(2 * m + 1, 2) * Fraction(10) ** shift * (-1 if negative else 1)
+            error, half_ulp = self.check(x, len(str(m)))
+            assert error == half_ulp
+
+        check()

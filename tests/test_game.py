@@ -515,6 +515,24 @@ class TestValueSign:
         assert (root * root - 4 * root + 2).sign() == 0
 
 
+class TestValueText:
+    """`value_to_text` prints every kind of value to the requested digits."""
+
+    def test_ring_element_digits(self):
+        theta = largest_root(LUCAS, 4)  # 2 + sqrt2
+        root = NumberRing(theta.defining, theta).generator()
+        assert game.value_to_text(root, 5) == "t ~ 3.4142"
+        assert game.value_to_text(root - 3, 20) == "t - 3 ~ 0.4142135623730950488"
+        assert game.value_to_text(root) == "t ~ 3.41421356237309504880168872421"
+
+    def test_linear_form_digits(self):
+        theta = largest_root(LUCAS, 4)
+        root = NumberRing(theta.defining, theta).generator()
+        assert game.value_to_text(form(Fraction(1, 3), -2), 4) == "(1/3 = 0.3333)*a + (-2/1 = -2)*b"
+        text = game.value_to_text(LinearForm(root, Fraction(2, 3)), 3)
+        assert text == "(t ~ 3.41)*a + (2/3 = 0.667)*b"
+
+
 def test_play_matches_prediction_on_random_configs():
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")

@@ -490,13 +490,14 @@ def _root_in_cases():
             for i, root in enumerate(roots):
                 e = root.enclosure
                 w = e.width or Fraction(1, 8)
+                mid = (e.lo + e.hi) / 2
                 targets = [
                     e,
                     Interval(e.lo + w / 3, e.hi + w / 3),  # shifted
                     Interval(e.lo - w / 3, e.hi - w / 3),
                     Interval(e.hi, e.hi + w),  # touching
                     Interval(e.lo - w, e.lo),
-                    Interval(e.mid, e.mid),  # point
+                    Interval(mid, mid),  # point
                 ]
                 # disjoint: other roots' enclosures, with 0, 1 or 2 roots between
                 near = [j for j in range(i - 3, i + 4) if j != i and 0 <= j < len(roots)]
