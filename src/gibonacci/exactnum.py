@@ -112,10 +112,13 @@ def decimal_str(x: Fraction, digits: int = 30) -> str:
         return "0"
     sign = "-" if x < 0 else ""
     n, d = abs(x.numerator), x.denominator
-    # exponent e with 10^e <= n/d < 10^(e+1); the digit counts leave e or e - 1
-    e = len(str(n)) - len(str(d))
-    if n * 10 ** max(-e, 0) < d * 10 ** max(e, 0):
+    # exponent e with 10^e <= n/d < 10^(e+1): the bit lengths put e within
+    # one step, and integer comparisons settle it (no str() of n or d)
+    e = (n.bit_length() - d.bit_length()) * 30103 // 100000
+    while n * 10 ** max(-e, 0) < d * 10 ** max(e, 0):
         e -= 1
+    while n * 10 ** max(-e - 1, 0) >= d * 10 ** max(e + 1, 0):
+        e += 1
     shift = digits - 1 - e
     if shift >= 0:
         q, r = divmod(n * 10**shift, d)

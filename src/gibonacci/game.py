@@ -16,15 +16,14 @@ Sturm zero test only when the box contains 0), and linear forms are signed
 when both coefficients agree (a mixed form means the outcome genuinely
 depends on the start pair, which callers treat as an error).
 
-Row values at pq come from the row step `polys._next_row`, the same one
-that builds the row polynomials.  They are scanned once per config: `_scan`
-keeps the first non-positive row, its sign and the two rows it needs in the
-frozen config's instance dict, so classify, predicted_moves and
-terminal_numbers share it.  At a rational pq the scan steps through
-scaled integer rows, the scaling of the root counts in `roots`, and builds
-Fractions only for the two rows it keeps; near the bound B the crossing
-row grows like 1/sqrt(B - pq), so the scan stops with a one-line
-ExactError past GAME_ROW_BUDGET rows.
+Row values at pq come from the row walk `polys._row_walk` that the root
+counts of `roots` read: scaled integers at a rational pq, ring elements at a
+largest root.  `_scan` keeps the first non-positive row, its sign and rows
+k-1 and k over one positive scale in the frozen config's instance dict, so
+classify, predicted_moves and terminal_numbers share one scan; the margins
+are homogeneous in the two rows, and only terminal_numbers divides by the
+scale.  Near the bound B the crossing row grows like 1/sqrt(B - pq), so the
+scan stops with a one-line ExactError past GAME_ROW_BUDGET rows.
 Move-count predictions hold for seeds with alpha >= beta only; below that
 the count depends on the strategy, and the predictions refuse.
 """
@@ -33,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice, pairwise
 from typing import Optional, Sequence, Union
 
 from .exactnum import (
@@ -43,7 +43,7 @@ from .exactnum import (
     format_rational,
     poly_to_text,
 )
-from .polys import GibParams, _next_row
+from .polys import GibParams, _row_scale, _row_walk
 from .roots import bound_B, largest_root
 
 # Rows the scan for the first non-positive row at pq may step through.
@@ -153,14 +153,14 @@ class GameConfig:
     def g_hat(self, upto: int) -> list:
         """[g_hat_{-1}, g_hat_0, ..., g_hat_upto]: row values at x = p*q.
 
-        Index l lives at position l + 1.  g_hat_{-1} is alpha - beta.
+        Index l lives at position l + 1.  g_hat_{-1} is alpha - beta, the
+        rest `_row_walk` divided by its scales.
         """
-        alpha, beta = self.params.alpha, self.params.beta
-        x = self.pq
-        out: list = [alpha - beta, alpha, beta]
-        for l in range(2, upto + 1):
-            out.append(_next_row(x, l, out[-1], out[-2]))
-        return out[: upto + 2]
+        if upto < -1:
+            raise ExactError(f"g_hat needs upto >= -1 (got {upto})")
+        params, x = self.params, self.pq
+        rows = enumerate(islice(_row_walk(params, x), upto + 1))
+        return [params.alpha - params.beta] + [v * Fraction(1, _row_scale(params, x, j)) for j, v in rows]
 
 
 @dataclass(frozen=True)
@@ -308,7 +308,7 @@ def _certify_divergence(config: GameConfig, budget: int) -> bool:
     gap = config.pq - bound
     if scalar_sign(gap) < 0:
         return False
-    return all(scalar_sign(g) > 0 for g in config.g_hat(budget)[1:])
+    return all(scalar_sign(v) > 0 for v in islice(_row_walk(config.params, config.pq), budget + 1))
 
 
 def _run(trace: GameTrace, state: GameState, config: GameConfig, strategy, budget: int, last: str) -> GameTrace:
@@ -367,15 +367,12 @@ class Classification:
 
 
 def _scan(config: GameConfig) -> tuple:
-    """(k, sign, row k-1, row k) for the first k >= 2 whose row value at pq
-    is not positive.
+    """(k, sign, w_{k-1}, w_k, scale) for the first k >= 2 whose row value at
+    pq is not positive: rows k-1 and k are w_{k-1}/scale and w_k/scale.
 
-    At a rational pq = n/d the scan runs in integers, with the scaling of
-    `roots._row_variations`: V_j = L * d^(j//2) * row_j(n/d), L = den(alpha)
-    * den(beta), has row j's sign and V_j = _next_row(n, j, V_{j-1},
-    d * V_{j-2}); only the two rows kept become Fractions.  A ring-element
-    pq (a largest root, reached at k) steps through the ring.  Either scan
-    stops with ExactError past GAME_ROW_BUDGET rows.
+    The rows come from `polys._row_walk` (a largest root is reached at k),
+    with row k-1 brought over row k's scale; the scan stops with ExactError
+    past GAME_ROW_BUDGET rows.
 
     The rows are scanned once per config: the result is kept in the frozen
     config's instance dict, so classify, predicted_moves and
@@ -383,40 +380,25 @@ def _scan(config: GameConfig) -> tuple:
     """
     found = config.__dict__.get("_row_scan")
     if found is None:
-        x = config.pq
-        alpha, beta = config.params.alpha, config.params.beta
-        integer_rows = isinstance(x, Fraction)
-        if integer_rows:
-            n, d = x.numerator, x.denominator
-            prev2, prev = alpha.numerator * beta.denominator, beta.numerator * alpha.denominator
-        else:
-            n, d = x, 1
-            prev2, prev = alpha, beta
-        k = 1
-        while True:
-            k += 1
-            if k > GAME_ROW_BUDGET:
-                raise ExactError(
-                    f"row scan at pq passed GAME_ROW_BUDGET ({GAME_ROW_BUDGET:,} rows) "
-                    "without a non-positive row"
-                )
-            cur = _next_row(n, k, prev, prev2 if d == 1 else d * prev2)
+        params, x = config.params, config.pq
+        rows = pairwise(islice(_row_walk(params, x), 1, GAME_ROW_BUDGET + 1))
+        for k, (prev, cur) in enumerate(rows, 2):
             s = scalar_sign(cur)
             if s <= 0:
-                break
-            prev2, prev = prev, cur
-        if integer_rows:
-            scale = alpha.denominator * beta.denominator
-            prev = Fraction(prev, scale * d ** ((k - 1) // 2))
-            cur = Fraction(cur, scale * d ** (k // 2))
-        found = config.__dict__["_row_scan"] = (k, s, prev, cur)
+                scale = _row_scale(params, x, k)
+                found = (k, s, prev * (scale // _row_scale(params, x, k - 1)), cur, scale)
+                config.__dict__["_row_scan"] = found
+                return found
+        raise ExactError(
+            f"row scan at pq passed GAME_ROW_BUDGET ({GAME_ROW_BUDGET:,} rows) "
+            "without a non-positive row"
+        )
     return found
 
 
 def _locate(config: GameConfig):
     """(first k >= 2 with row value at pq not positive, its sign)."""
-    k, s, _, _ = _scan(config)
-    return k, s
+    return _scan(config)[:2]
 
 
 def _check_seed_order(config: GameConfig):
@@ -469,7 +451,7 @@ def predicted_moves(config: GameConfig, a, b, first_node: str) -> int:
     if cls.k_if_root is not None:
         k = cls.k_if_root
         return k + 1 if (a > 0 and b > 0) else k
-    j, _, gj1, gj = _scan(config)  # rows j-1 and j at pq
+    j, _, gj1, gj, _ = _scan(config)  # rows j-1 and j at pq over one positive scale
     p, q = config.p, config.q
     if first_node == NODE1:
         if a == 0:
@@ -500,16 +482,16 @@ def terminal_numbers(config: GameConfig, a, b):
     cls = classify(config)
     if cls.k_if_root is None:
         raise ExactError("terminal formulas need pq equal to a largest root")
-    k, _, g_km1, g_k = _scan(config)
-    g_kp1 = _next_row(config.pq, k + 1, g_k, g_km1)
+    k, _, w_km1, _, scale = _scan(config)
+    g_km1 = w_km1 * Fraction(1, scale)  # row k is 0, so row k+1 is -g_km1
     a, b = Fraction(a), Fraction(b)
     p, q = config.p, config.q
     if k % 2 == 0:
-        final_u = q * (g_kp1 * b)
+        final_u = -(q * (g_km1 * b))
         final_v = -(p * (g_km1 * a))
     else:
         final_u = -(g_km1 * a)
-        final_v = g_kp1 * b
+        final_v = -(g_km1 * b)
     return final_u, final_v
 
 

@@ -9,11 +9,13 @@ recurrence
 
     P_k = x^((k-1) mod 2) * P_{k-1} - P_{k-2},   P_0 = alpha, P_1 = beta.
 
-`_next_row` is that one row step, shared with the game's row scan and the
-root counts of `roots`.  The row polynomials themselves are built from the
-closed binomial form of the array entries, so row k needs no lower row;
-`GibonacciArray` keeps the array recurrence, and `verify` checks the
-three-term recurrence as an exact identity between closed-form rows.
+`_next_row` is that one row step, and `_row_walk` runs it at a point, in
+integers scaled by `_row_scale` or in the quotient ring at a largest root:
+root counts, the game's row scan and `GameConfig.g_hat` all read it.  The
+row polynomials themselves are built from the closed binomial form of the
+array entries, so row k needs no lower row; `GibonacciArray` keeps the
+array recurrence, and `verify` checks the three-term recurrence as an exact
+identity between closed-form rows.
 
 The Binet-type closed form evaluates a row at x through the eigenvalues of
 the step matrix, computed in the quotient ring Q[t]/(t^2 - (x^2 - 4x)); the
@@ -27,6 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 
 from .exactnum import ExactError, NumberRing, Poly, rational
 
@@ -103,6 +106,27 @@ _X = Poly([0, 1])
 def _next_row(x, l: int, prev, prev2):
     """The one row step, over any ring: row l at x from rows l-1 and l-2."""
     return (x * prev if l % 2 == 0 else prev) - prev2
+
+
+def _row_scale(params: GibParams, x, j: int) -> int:
+    """L * d^(j//2) with L = den(alpha) * den(beta) and d = den(x), 1 at a ring x."""
+    d = x.denominator if isinstance(x, Fraction) else 1
+    return params.alpha.denominator * params.beta.denominator * d ** (j // 2)
+
+
+def _row_walk(params: GibParams, x):
+    """V_0, V_1, ... with V_j = _row_scale(params, x, j) * row_j(x), made on demand.
+
+    At x = n/d, V_j = _next_row(n, j, V_{j-1}, d * V_{j-2}) are integers of
+    the rows' signs; at a ring element x (a largest root) they are ring elements.
+    """
+    n, d = (x.numerator, x.denominator) if isinstance(x, Fraction) else (x, 1)
+    a, b = params.alpha, params.beta
+    prev2, prev = a.numerator * b.denominator, b.numerator * a.denominator
+    yield prev2
+    for j in count(2):
+        yield prev
+        prev2, prev = prev, _next_row(n, j, prev, prev2 if d == 1 else d * prev2)
 
 
 # Callers such as root isolation ask for new rows all the time, and row size

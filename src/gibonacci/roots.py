@@ -6,8 +6,9 @@ The Sturm sequence is the rows of k's parity: two row steps give the
 three-term recurrence P_k = (x - 2) P_{k-2} - P_{k-4} with positive
 coefficients (Barth, Martin & Wilkinson, Numer. Math. 9, 1967), so no
 remainder chain is built.  Its sign variations at a bisection point n/d
-come from the row recurrence run on integers scaled by powers of d
-(`_row_variations`): k integer row steps, with no row polynomial evaluated.
+are those of the first k + 1 values of the one row walk `polys._row_walk`,
+integers scaled by powers of d (`_row_variations`): k integer row steps,
+with no row polynomial evaluated.
 Each root set is certified on P_k alone, by degree and sign changes
 (`roots_of`).
 Interlacing between consecutive root sets is decided by refining isolating
@@ -38,6 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import islice
 from typing import Optional
 
 from .exactnum import (
@@ -48,7 +50,7 @@ from .exactnum import (
     _separation_bits,
     _sign_changes,
 )
-from .polys import GibParams, _next_row, sign_alternating_poly
+from .polys import GibParams, _row_walk, sign_alternating_poly
 
 DEFAULT_ENCLOSURE_BITS = 128
 SEPARATION_ROUNDS = 512
@@ -85,19 +87,11 @@ class RootSet:
 
 def _row_variations(params: GibParams, k: int, x: Fraction) -> Optional[int]:
     """Sign variations of the Sturm sequence (P_k, P_{k-2}, ..., P_{k mod 2})
-    at the rational x = n/d, from the row recurrence in integers.
-
-    V_j = L * d^(j//2) * P_j(n/d) with L = den(alpha) * den(beta) is an
-    integer of P_j's sign, and the row step carries over with the row two
-    back scaled by d: V_j = _next_row(n, j, V_{j-1}, d * V_{j-2}).  So a
-    count costs k integer row steps instead of k/2 Horner evaluations.
-    None where V_k = 0, that is where x is a root of P_k.
+    at the rational x: those of the first k + 1 values of `polys._row_walk`,
+    integers of the rows' signs.  So a count costs k integer row steps
+    instead of k/2 Horner evaluations.  None where x is a root of P_k.
     """
-    n, d = x.numerator, x.denominator
-    a, b = params.alpha, params.beta
-    values = [a.numerator * b.denominator, b.numerator * a.denominator]
-    for j in range(2, k + 1):
-        values.append(_next_row(n, j, values[-1], d * values[-2]))
+    values = list(islice(_row_walk(params, x), k + 1))
     return _sign_changes(values[k % 2 :: 2]) if values[k] else None
 
 

@@ -418,6 +418,9 @@ FUZZ_ARGV = [
     "binet --alpha 1 --beta 1 --k -1 --x 2",
     "binet --alpha 1 --beta 1 --k 3 --x 1e3",
     "binet --alpha 1 --beta 1 --k 3 --x 2 --digits 0",
+    # values past Python's 4,300-digit int-to-str limit still print
+    "binet --alpha 1 --beta 1 --k 20000 --x 1/3",
+    "binet --alpha 1 --beta 1 --k 20000 --x 1/3 --format json",
     "array --alpha 1 --beta 1 --rows 0",
     "array --alpha 1 --beta 1 --rows -1",
     "array --alpha 1/0 --beta 1",

@@ -1,5 +1,6 @@
 """Exact scalar/polynomial arithmetic, Sturm counting, and algebraic signs."""
 
+import sys
 import time
 from fractions import Fraction
 
@@ -80,6 +81,19 @@ class TestDecimalStr:
         assert decimal_str(x, 40) == "0.1" + "0" * 38 + "1"
         assert decimal_str(-x, 41) == "-0.1" + "0" * 38 + "05"
         assert decimal_str(Fraction(10**40 - 1, 10**41), 40) == "0.0" + "9" * 40
+
+    def test_numerator_past_the_str_digit_limit(self):
+        # 5,000 digits, past Python's default 4,300-digit int-to-str limit
+        x = Fraction(10**5000 + 1, 3)
+        saved = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        if saved is not None:
+            sys.set_int_max_str_digits(4300)
+        try:
+            assert decimal_str(x, 30) == "3.33333333333333333333333333333e4999"
+            assert decimal_str(-1 / x, 5) == "-3e-5000"
+        finally:
+            if saved is not None:
+                sys.set_int_max_str_digits(saved)
 
 
 class TestPolyArithmetic:

@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import pytest
 
-from gibonacci import game
+from gibonacci import game, polys
 from gibonacci.exactnum import ExactError, NumberRing, Poly, RingElement
 from gibonacci.game import (
     NODE1,
@@ -26,7 +26,7 @@ from gibonacci.game import (
     terminal_numbers,
     value_sign,
 )
-from gibonacci.polys import GibParams, _next_row
+from gibonacci.polys import GibParams, _next_row, binet_eval
 from gibonacci.roots import bound_B, largest_root
 
 UNIT = GibParams.of(1, 1)
@@ -277,16 +277,15 @@ class TestSeedOrder:
 
 class TestRowScan:
     def count_rows(self, monkeypatch):
-        from gibonacci import game
-
+        # the row step as `polys._row_walk` calls it
         calls = []
-        real = game._next_row
+        real = polys._next_row
 
         def counting(*args):
             calls.append(args[1])
             return real(*args)
 
-        monkeypatch.setattr(game, "_next_row", counting)
+        monkeypatch.setattr(polys, "_next_row", counting)
         return calls
 
     def test_root_config_scans_once(self, monkeypatch):
@@ -298,8 +297,8 @@ class TestRowScan:
         assert predicted_moves(cfg, 2, 3, NODE1) == 10
         final = terminal_numbers(cfg, 2, 3)
         assert classify(cfg).k_if_root == 9 and _locate(cfg) == (9, 0)
-        # rows 2..9 once, then row 10 for the terminal pair
-        assert calls == list(range(2, 11))
+        # rows 2..9 once; row 10 at the root is minus row 8, no new step
+        assert calls == list(range(2, 10))
         trace = play(2, 3, NODE1, cfg, budget=20)
         assert trace.moves == 10 and _values_equal(trace.final, final)
 
@@ -345,13 +344,15 @@ class TestIntegerRowScan:
                 zeros += want[1] == 0
                 for p in (F(1), Fraction(1, 2), F(3)):
                     got = _scan(GameConfig.rational(params, p, pq / p))
-                    assert got == want
-                    assert all(type(row) is Fraction for row in got[2:])
+                    k, s, w_prev, w_cur, scale = got
+                    assert (k, s, Fraction(w_prev, scale), Fraction(w_cur, scale)) == want
+                    # the scan holds integers only: no Fraction is built
+                    assert all(type(v) is int for v in got) and scale > 0
         assert zeros >= len(self.SEEDS) + 3
 
     def test_near_bound_crossing(self):
         # unit seeds cross just below 4 at about 2*pi*10^(e/2) rows
-        k, s, _, _ = _scan(GameConfig.rational(UNIT, 1, 4 - Fraction(1, 10**6)))
+        k, s = _scan(GameConfig.rational(UNIT, 1, 4 - Fraction(1, 10**6)))[:2]
         assert (k, s) == (6283, -1)
 
     def test_row_budget(self, monkeypatch):
@@ -364,6 +365,108 @@ class TestIntegerRowScan:
         with pytest.raises(ExactError, match="GAME_ROW_BUDGET"):
             classify(GameConfig.at_largest_root(LUCAS, 9))
         assert classify(GameConfig.rational(UNIT, 1, Fraction(5, 2))).k_if_root is None
+
+
+@lru_cache(maxsize=None)
+def closed_form_rows(params: GibParams, pq) -> tuple:
+    """(j, row j-1, row j) at a pq that is no root: j from the integer scan,
+    the rows in Fractions from the eigenvalue closed form, which must show
+    row j-1 > 0 > row j.  (`fraction_scan` is too slow for the grid: at unit
+    seeds and pq = 4 - 10^-6 it normalizes 6,283 ever larger Fractions.)"""
+    j, s = game._locate(GameConfig.rational(params, 1, pq))
+    g1, g = binet_eval(params, j - 1, pq), binet_eval(params, j, pq)
+    assert s == -1 and g1 > 0 > g
+    return j, g1, g
+
+
+class TestScaledMargins:
+    """`predicted_moves` signs its margins on the scan's scaled integer rows;
+    they must decide as the margins on the Fraction rows do."""
+
+    @staticmethod
+    def fraction_moves(cfg, a, b, first, j, g1, g):
+        p, q = cfg.p, cfg.q
+        if first == NODE1:
+            margin = -g * a - q * g1 * b if j % 2 == 0 else -g * p * a - g1 * b
+        else:
+            margin = -g * b - p * g1 * a if j % 2 == 0 else -g * q * b - g1 * a
+        return j if margin >= 0 else j + 1
+
+    @staticmethod
+    def start_pairs(cfg, first, j, g1, g):
+        """Pairs on the threshold, just past it and on the boundary."""
+        p, q = cfg.p, cfg.q
+        if first == NODE1:  # threshold on b/a
+            t = -g / (q * g1) if j % 2 == 0 else -g * p / g1
+            return [(t.denominator, t.numerator), (t.denominator, t.numerator + 1), (1, 0)]
+        t = -g / (p * g1) if j % 2 == 0 else -g * q / g1  # threshold on a/b
+        return [(t.numerator, t.denominator), (t.numerator + 1, t.denominator), (0, 1)]
+
+    def test_match_fraction_margins(self):
+        from gibonacci.verify import _gap_rational
+
+        parities = set()
+        for params in TestIntegerRowScan.SEEDS:
+            bound = bound_B(params).value
+            points = [bound - Fraction(1, 10**e) for e in range(1, 7)]
+            points += [_gap_rational(params, j) for j in range(2, 9)]
+            for pq in points:
+                j, g1, g = closed_form_rows(params, pq)
+                if pq.denominator > 1:
+                    parities.add(j % 2)
+                for p in (F(1), Fraction(1, 2), F(3)):
+                    cfg = GameConfig.rational(params, p, pq / p)
+                    for first in (NODE1, NODE2):
+                        moves = set()
+                        for a, b in self.start_pairs(cfg, first, j, g1, g):
+                            want = self.fraction_moves(cfg, a, b, first, j, g1, g)
+                            assert predicted_moves(cfg, a, b, first) == want
+                            moves.add(want)
+                        assert moves == {j, j + 1}  # both sides of the threshold
+        assert parities == {0, 1}
+
+
+class TestScaledTerminalPairs:
+    """terminal_numbers divides the scan's row k-1 by its scale; at rational
+    roots with a denominator above 1 that gives the Fraction pair."""
+
+    def test_row_two_roots(self):
+        # alpha/beta is the root of row 2: 5/2 for (5,2), 14/3 for (7/3,1/2)
+        for params in (WIDE, GibParams.of(Fraction(7, 3), Fraction(1, 2))):
+            pq = params.ratio
+            k, s, g_km1, g_k = fraction_scan(params, pq)
+            assert (k, s, g_k) == (2, 0, 0) and pq.denominator > 1
+            g_kp1 = _next_row(pq, k + 1, g_k, g_km1)
+            for p in (F(1), Fraction(1, 2), F(3)):
+                cfg = GameConfig.rational(params, p, pq / p)
+                assert _scan(cfg)[4] > 1
+                for a, b in [(1, 1), (2, 3), (Fraction(1, 2), 5)]:
+                    want = (cfg.q * g_kp1 * b, -(p * g_km1 * a))  # row 2 is even
+                    assert terminal_numbers(cfg, a, b) == want
+                    for strategy in ("alternate", "greedy-g1", "greedy-g2"):
+                        trace = play(a, b, NODE1, cfg, strategy=strategy)
+                        assert trace.moves == k + 1 and trace.final == want
+
+
+class TestGHat:
+    def test_matches_fraction_rows(self):
+        for params in TestIntegerRowScan.SEEDS:
+            for pq in (Fraction(5, 2), Fraction(13, 5), params.ratio / 3):
+                cfg = GameConfig.rational(params, 3, pq / 3)
+                rows = [params.alpha - params.beta, params.alpha, params.beta]
+                for l in range(2, 13):
+                    rows.append(_next_row(pq, l, rows[-1], rows[-2]))
+                for upto in range(-1, 12):
+                    got = cfg.g_hat(upto)
+                    assert got == rows[: upto + 2]
+                    assert all(type(v) is Fraction for v in got)
+
+    def test_refuses_upto_below_minus_one(self):
+        cfg = GameConfig.rational(UNIT, 1, Fraction(5, 2))
+        for upto in (-2, -3, -4):
+            with pytest.raises(ExactError, match="upto >= -1") as err:
+                cfg.g_hat(upto)
+            assert "\n" not in str(err.value)
 
 
 class TestTerminalNumbers:
