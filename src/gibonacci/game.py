@@ -240,12 +240,9 @@ def _seeded_transition(a: Value, b: Value, node: str, config: GameConfig):
     return new_u, new_v
 
 
-def seeded_fire(a, b, node: str, config: GameConfig) -> GameState:
-    """The modified opening move that injects the seeds into play.
-
-    Firing g1 first requires a > 0 and firing g2 first requires b > 0,
-    mirroring the ordinary legality rule on the fired coordinate.
-    """
+def _check_opening(a, b, node: str) -> tuple:
+    """(a, b) as Fractions if the seeded opening may fire node first; one rule
+    for `seeded_fire` and `predicted_moves`."""
     _check_node(node)
     a, b = Fraction(a), Fraction(b)
     if a < 0 or b < 0:
@@ -256,6 +253,16 @@ def seeded_fire(a, b, node: str, config: GameConfig) -> GameState:
         raise ExactError("seeded firing of g1 needs a > 0; open with g2 instead")
     if node == NODE2 and b == 0:
         raise ExactError("seeded firing of g2 needs b > 0; open with g1 instead")
+    return a, b
+
+
+def seeded_fire(a, b, node: str, config: GameConfig) -> GameState:
+    """The modified opening move that injects the seeds into play.
+
+    Firing g1 first requires a > 0 and firing g2 first requires b > 0,
+    mirroring the ordinary legality rule on the fired coordinate.
+    """
+    a, b = _check_opening(a, b, node)
     new_u, new_v = _seeded_transition(a, b, node, config)
     return GameState(new_u, new_v, 1, True)
 
@@ -438,13 +445,11 @@ def predicted_moves(config: GameConfig, a, b, first_node: str) -> int:
     At pq equal to a largest root: k+1 moves for strongly dominant pairs and
     k otherwise.  Strictly between consecutive largest roots (bracket index
     j), the count is j or j+1 depending on which side of the proof threshold
-    the start ratio falls.  Seeds with alpha < beta are refused.
+    the start ratio falls.  Openings that `play` refuses are refused too, as
+    are seeds with alpha < beta.
     """
-    _check_node(first_node)
+    a, b = _check_opening(a, b, first_node)
     _check_seed_order(config)
-    a, b = Fraction(a), Fraction(b)
-    if a < 0 or b < 0 or (a == 0 and b == 0):
-        raise ExactError("start pair must be nonzero dominant")
     cls = classify(config)
     if cls.regime == "all-diverge":
         raise ExactError("no games terminate for this configuration")
@@ -454,15 +459,11 @@ def predicted_moves(config: GameConfig, a, b, first_node: str) -> int:
     j, _, gj1, gj, _ = _scan(config)  # rows j-1 and j at pq over one positive scale
     p, q = config.p, config.q
     if first_node == NODE1:
-        if a == 0:
-            raise ExactError("seeded firing of g1 needs a > 0")
         if j % 2 == 0:
             margin = -gj * a - q * (gj1 * b)
         else:
             margin = -gj * (p * a) - gj1 * b
     else:
-        if b == 0:
-            raise ExactError("seeded firing of g2 needs b > 0")
         if j % 2 == 0:
             margin = -gj * b - p * (gj1 * a)
         else:

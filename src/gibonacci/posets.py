@@ -17,11 +17,14 @@ Internally a string is its digit code.  The digits d_j = T_j - (j-1)n - 1
 lie in [0, n); the no-successor rule becomes "no adjacent digit pair
 (n-1, 0)", the end-pair rule becomes "not (d_1 <= alpha-2 and
 d_1 + d_k = n-1)", and the rank is k(n-1) minus the digit sum.  The code
-reads the digits in radix n + 1 with d_1 most significant, so numeric order
-is lexicographic order.  Adding (n+1)^(k-j) to a code raises d_j by one, and
-a raised top digit reads n, which no member has: the cover lookup never
-carries into the next digit, exactly like bumping T_j in a tuple.  Tuples
-are decoded only when a caller reads SGPoset.elements.
+holds d_j in an f-bit field, f = (n-1).bit_length() + 1, with d_1 most
+significant, so numeric order is lexicographic order.  The top bit of each
+field is a guard bit, which lets the lattice check take componentwise max
+and min with a few integer operations.  Adding 2^(f(k-j)) raises d_j by
+one; a raised top digit reads n, which no member has and which still fits
+its field, so the cover lookup never carries into the next digit.  Tuples
+and Hasse edges are derived from the codes only when a caller reads
+SGPoset.elements or SGPoset.hasse_edges.
 """
 
 from __future__ import annotations
@@ -36,12 +39,13 @@ from typing import Optional
 from .exactnum import ExactError, Poly
 from .polys import GibParams, binet_eval, sign_alternating_poly
 
-# build_poset refuses posets with more elements than this and check_lattice
-# refuses more element pairs than this, naming the size and the budget.  The
-# verify grids build at most about 13,000 elements and check the lattice
-# closure of posets with at most a few hundred.
+# build_poset refuses more elements than this, check_lattice more element
+# pairs and _triangle_rows more computed entries (about k^2 (n-1)/2), naming
+# the size and the budget.  The verify grids stay far below all three; CI's
+# deepest triangle row, (2; 3) row 300, computes 90,600 entries.
 POSET_ELEMENT_BUDGET = 2_000_000
 LATTICE_PAIR_BUDGET = 50_000_000
+TRIANGLE_ENTRY_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -95,9 +99,8 @@ class SGPoset:
     n: int
     k: int
     alpha: int
-    codes: list  # digit codes in radix n + 1, ascending (= lexicographic order)
+    codes: list  # digit codes in f-bit fields, ascending (= lexicographic order)
     ranks: list  # per element: k(n-1) minus the digit sum
-    hasse_edges: list  # (cover_index, covered_index)
 
     @property
     def size(self) -> int:
@@ -106,16 +109,33 @@ class SGPoset:
     @cached_property
     def elements(self) -> list:
         """The strings as tuples, decoded from the codes on first read."""
-        return [_decode(c, self.n, self.k) for c in self.codes]
+        f = _width(self.n)
+        fields = [(f * (self.k - 1 - j), j * self.n + 1) for j in range(self.k)]
+        ones = (1 << f) - 1
+        return [tuple(((c >> shift) & ones) + low for shift, low in fields) for c in self.codes]
+
+    @cached_property
+    def hasse_edges(self) -> list:
+        """(cover_index, covered_index) pairs, derived from the codes on first read."""
+        return list(_covers(self))
 
 
-def _decode(code: int, n: int, k: int) -> tuple:
-    """The string (T_1, ..., T_k) of a radix-(n+1) digit code."""
-    out = [0] * k
-    for j in range(k - 1, -1, -1):
-        code, d = divmod(code, n + 1)
-        out[j] = d + j * n + 1
-    return tuple(out)
+def _width(n: int) -> int:
+    """Bits per digit field: the digits 0..n-1 and a guard bit above them."""
+    return (n - 1).bit_length() + 1
+
+
+def _covers(poset: SGPoset):
+    """Yield the cover pairs (i, j), i < j: in the reverse ordering t covers
+    t + e_pos, so code j is code i with one digit raised."""
+    f = _width(poset.n)
+    get = {c: i for i, c in enumerate(poset.codes)}.get
+    weights = [1 << (f * pos) for pos in range(poset.k - 1, -1, -1)]
+    for i, c in enumerate(poset.codes):
+        for w in weights:
+            j = get(c + w)
+            if j is not None:
+                yield i, j
 
 
 def _checked_size(n: int, k: int, alpha: int) -> int:
@@ -140,7 +160,7 @@ def _checked_size(n: int, k: int, alpha: int) -> int:
 
 
 def build_poset(n: int, k: int, alpha: int) -> SGPoset:
-    """Enumerate the digit codes and assemble ranks and Hasse edges.
+    """Enumerate the digit codes and their ranks.
 
     k = 0 yields the conventional alpha-element antichain of empty strings;
     k = 1 is the n-chain.  Seeds with n <= alpha are refused: the triangle
@@ -153,30 +173,25 @@ def build_poset(n: int, k: int, alpha: int) -> SGPoset:
         raise ExactError(f"n must exceed alpha (got n={n}, alpha={alpha})")
     _checked_size(n, k, alpha)
     if k == 0:
-        return SGPoset(n, 0, alpha, [0] * alpha, [0] * alpha, [])
-    radix, top = n + 1, n - 1
+        return SGPoset(n, 0, alpha, [0] * alpha, [0] * alpha)
+    f, top = _width(n), n - 1
+    ones = (1 << f) - 1
     # level 1: the first digit, rank so far (n-1) - d_1
     codes, ranks = list(range(n)), list(range(top, -1, -1))
     for _ in range(k - 1):
         next_codes, next_ranks = [], []
         for c, r in zip(codes, ranks):
-            lo = 1 if c % radix == top else 0  # no (n-1, 0) digit pair
-            next_codes.extend(range(c * radix + lo, c * radix + n))
+            lo = 1 if c & ones == top else 0  # no (n-1, 0) digit pair
+            next_codes.extend(range((c << f) + lo, (c << f) + n))
             next_ranks.extend(range(r + top - lo, r - 1, -1))
         codes, ranks = next_codes, next_ranks
     # end pairs: only codes with d_1 <= alpha - 2 can be forbidden
-    lead = radix ** (k - 1)
-    cut = bisect_left(codes, (alpha - 1) * lead) if k >= 2 else 0
-    keep = [i for i in range(cut) if codes[i] // lead + codes[i] % radix != top]
+    lead = f * (k - 1)
+    cut = bisect_left(codes, (alpha - 1) << lead) if k >= 2 else 0
+    keep = [i for i in range(cut) if (codes[i] >> lead) + (codes[i] & ones) != top]
     codes[:cut] = [codes[i] for i in keep]
     ranks[:cut] = [ranks[i] for i in keep]
-    # t covers t + e_pos (reverse ordering); a bumped top digit reads n,
-    # which no member has, so the lookup never carries into the next digit
-    index = {c: i for i, c in enumerate(codes)}
-    get = index.get
-    weights = [radix**p for p in range(k - 1, -1, -1)]
-    edges = [(i, j) for i, c in enumerate(codes) for w in weights if (j := get(c + w)) is not None]
-    return SGPoset(n, k, alpha, codes, ranks, edges)
+    return SGPoset(n, k, alpha, codes, ranks)
 
 
 def count_by_formula(n: int, k: int, alpha: int) -> int:
@@ -257,8 +272,7 @@ def count_by_inclusion_exclusion(n: int, k: int, alpha: int) -> int:
 
 def rank_generating_function(poset: SGPoset) -> Poly:
     """Coefficient of q^r counts the elements of rank r."""
-    top = max(poset.ranks) if poset.ranks else 0
-    coeffs = [0] * (top + 1)
+    coeffs = [0] * (max(poset.ranks, default=0) + 1)
     for r in poset.ranks:
         coeffs[r] += 1
     return Poly(coeffs)
@@ -275,12 +289,12 @@ def is_palindromic(p: Poly) -> bool:
 
 def is_connected(poset: SGPoset) -> bool:
     """Connectivity of the underlying Hasse graph, by union-find with path
-    halving over the edges.  build_poset emits every edge (i, j) with i < j;
-    putting the root of j under the root of i keeps the roots at small
-    indices and the paths short."""
+    halving over the cover pairs, read from the codes without storing them.
+    Every pair (i, j) has i < j; putting the root of j under the root of i
+    keeps the roots at small indices and the paths short."""
     parent = list(range(poset.size))
     components = poset.size
-    for i, j in poset.hasse_edges:
+    for i, j in _covers(poset):
         while parent[i] != i:
             parent[i] = parent[parent[i]]
             i = parent[i]
@@ -301,24 +315,8 @@ class LatticeReport:
     witness: Optional[tuple] = None  # a pair whose meet or join escapes
 
 
-def _fields(n: int, k: int) -> tuple:
-    """(f, guards): digits packed into f-bit fields whose top bit is a guard
-    bit, and the word with every guard bit set."""
-    f = (n - 1).bit_length() + 1
-    return f, sum(1 << (f * pos + f - 1) for pos in range(k))
-
-
-def _pack(code: int, n: int, k: int, f: int) -> int:
-    """A radix-(n+1) digit code repacked into f-bit fields."""
-    packed = 0
-    for pos in range(k):
-        code, d = divmod(code, n + 1)
-        packed |= d << (f * pos)
-    return packed
-
-
 def _joins(x: int, ys: list, guards: int, f: int) -> list:
-    """Componentwise max of x with each packed word in ys.
+    """Componentwise max of the digit code x with each code in ys.
 
     Setting the guard bits of x and subtracting y leaves a field's guard bit
     set exactly where x's digit is at least y's, and no borrow crosses a
@@ -334,10 +332,6 @@ def check_lattice(poset: SGPoset) -> LatticeReport:
     element counts.  Quadratic in the poset size, so more than
     LATTICE_PAIR_BUDGET pairs are refused; the non-closed seeds fail fast
     on an early pair, reported as the witness."""
-    covered = {j for _, j in poset.hasse_edges}
-    covers = {i for i, _ in poset.hasse_edges}
-    maximal = poset.size - len(covered)
-    minimal = poset.size - len(covers)
     if poset.k == 0:
         return LatticeReport(poset.alpha == 1, poset.size, poset.size)
     pairs = poset.size * (poset.size - 1) // 2
@@ -346,12 +340,13 @@ def check_lattice(poset: SGPoset) -> LatticeReport:
             f"lattice check of {poset.size:,} elements needs {pairs:,} pairs, "
             f"over the pair budget of {LATTICE_PAIR_BUDGET:,}"
         )
-    n, k = poset.n, poset.k
-    f, guards = _fields(n, k)
-    packed = [_pack(c, n, k, f) for c in poset.codes]
-    members = set(packed)
-    for i, x in enumerate(packed):
-        tail = packed[i + 1 :]
+    maximal = poset.size - len({j for _, j in poset.hasse_edges})
+    minimal = poset.size - len({i for i, _ in poset.hasse_edges})
+    codes, f = poset.codes, _width(poset.n)
+    guards = sum(1 << (f * pos + f - 1) for pos in range(poset.k))
+    members = set(codes)
+    for i, x in enumerate(codes):
+        tail = codes[i + 1 :]
         joins = _joins(x, tail, guards, f)
         meets = [x ^ y ^ z for y, z in zip(tail, joins)]
         if members.issuperset(meets) and members.issuperset(joins):
@@ -361,8 +356,7 @@ def check_lattice(poset: SGPoset) -> LatticeReport:
             for j, meet, join in zip(range(i + 1, poset.size), meets, joins)
             if meet not in members or join not in members
         )
-        witness = (_decode(poset.codes[i], n, k), _decode(poset.codes[j], n, k))
-        return LatticeReport(False, maximal, minimal, witness)
+        return LatticeReport(False, maximal, minimal, (poset.elements[i], poset.elements[j]))
     return LatticeReport(True, maximal, minimal)
 
 
@@ -382,9 +376,15 @@ def _triangle_rows(alpha: int, n: int, k: int) -> tuple:
     """
     if alpha < 1 or n < 2 or k < 0:
         raise ExactError("need alpha >= 1, n >= 2, k >= 0")
-    prev2, row = (alpha,), (1,) * n
+    entries = (n - 1) * k * (k + 1) // 2 + k  # rows 1..k
+    if entries > TRIANGLE_ENTRY_BUDGET:
+        raise ExactError(
+            f"triangle row {k} of ({alpha}; {n}) needs {entries:,} entries, "
+            f"over the entry budget of {TRIANGLE_ENTRY_BUDGET:,}"
+        )
     if k == 0:
-        return prev2
+        return (alpha,)
+    prev2, row = (alpha,), (1,) * n
     zeros = (0,) * (n - 1)
     for _ in range(k - 1):
         sums = (0, *accumulate(zeros + row + zeros))  # window sums by prefix sums

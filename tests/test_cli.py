@@ -162,6 +162,15 @@ class TestGameCommands:
         )
         assert code == 0 and out.strip() == "5"
 
+    def test_predict_refuses_unplayable_opening(self, capsys):
+        # pq = 1 is the largest root of unit row 2, and g1 cannot open at a = 0
+        code, out, err = run_cli(
+            capsys, "game", "predict", "--alpha", "1", "--beta", "1", "--p", "1", "--q", "1",
+            "--a", "0", "--b", "1", "--first", "g1",
+        )
+        assert code == 1 and out == ""
+        assert err == "error: seeded firing of g1 needs a > 0; open with g2 instead\n"
+
     def test_illegal_start_is_domain_error(self, capsys):
         code, _, err = run_cli(
             capsys, "game", "play", *self.ARGS, "--a", "0", "--b", "0", "--first", "g1"
@@ -260,6 +269,14 @@ class TestTriangle:
         assert code == 0
         row = json.loads(out)
         assert len(row) == 1201 and row == row[::-1] and row[0] == 1
+
+    def test_entry_budget_is_one_line_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "triangle", "--alpha", "2", "--n", "3", "--k", "100000000000", "--as-poly"
+        )
+        assert code == 1 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: triangle row 100000000000 of (2; 3) needs ")
+        assert err.endswith(" entries, over the entry budget of 2,000,000\n")
 
 
 class TestErrorsAndEnv:
@@ -483,6 +500,9 @@ FUZZ_ARGV = [
     "triangle --alpha 3 --n 2 --k 2",
     "triangle --alpha 1 --n 3 --k 0 --format csv",
     "triangle --alpha -2 --n -1 --k 2",
+    "triangle --alpha 2 --n 3 --k 100000000000",
+    "triangle --alpha 1 --n 1000000000000 --k 1 --format csv",
+    "triangle --alpha 1 --n 1000000000000 --k 0 --as-poly",
     "verify everything",
     "verify",
     "game",

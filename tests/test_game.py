@@ -235,6 +235,20 @@ class TestPredictedMoves:
         with pytest.raises(ExactError):
             predicted_moves(GameConfig.rational(UNIT, 2, 2), 1, 1, NODE1)
 
+    def test_unplayable_openings_refused_at_roots(self):
+        # a zero coordinate under the first fired node: play refuses the
+        # opening, so predict refuses it too; the other node opens the same
+        # pair in k moves
+        for params in (UNIT, LUCAS, WIDE):
+            for k in range(2, 11):
+                cfg = GameConfig.at_largest_root(params, k)
+                for (a, b), first, other in [((0, 1), NODE1, NODE2), ((1, 0), NODE2, NODE1)]:
+                    for call in (lambda: predicted_moves(cfg, a, b, first), lambda: play(a, b, first, cfg)):
+                        with pytest.raises(ExactError, match=f"seeded firing of {first} needs"):
+                            call()
+                    assert predicted_moves(cfg, a, b, other) == k
+                    assert play(a, b, other, cfg, budget=k + 4).moves == k
+
 
 class TestSeedOrder:
     """Below alpha/beta = 1 the move count depends on the strategy, so

@@ -8,11 +8,11 @@ import pytest
 from gibonacci.exactnum import ExactError, Poly
 from gibonacci.polys import GibParams, binet_eval, eigen_pair
 from gibonacci.posets import (
+    TRIANGLE_ENTRY_BUDGET,
     LatticeReport,
-    _fields,
     _joins,
-    _pack,
     _triangle_rows,
+    _width,
     build_poset,
     check_lattice,
     count_by_formula,
@@ -134,15 +134,19 @@ def tuple_poset(n, k, alpha):
     if k == 0:
         return [()] * alpha, [0] * alpha, []
     elements = tuple_strings(n, k, alpha)
+    return elements, [rank_of(t, n, k) for t in elements], tuple_edges(elements)
+
+
+def tuple_edges(elements):
+    """(i, j) for every t_j that is t_i with one coordinate bumped by one."""
     index = {t: i for i, t in enumerate(elements)}
-    ranks = [rank_of(t, n, k) for t in elements]
     edges = []
     for i, t in enumerate(elements):
-        for pos in range(k):
+        for pos in range(len(t)):
             j = index.get(t[:pos] + (t[pos] + 1,) + t[pos + 1 :])
             if j is not None:
                 edges.append((i, j))
-    return elements, ranks, edges
+    return edges
 
 
 def dfs_connected(size, edges):
@@ -276,29 +280,64 @@ class TestDigitCodesAgainstTuples:
         # loses meets but no joins, so only the meet test can catch it
         poset = build_poset(4, 3, 1)
         assert poset.codes[0] == 0
+        topless = dataclasses.replace(poset, codes=poset.codes[1:], ranks=poset.ranks[1:])
         edges = [(i - 1, j - 1) for i, j in poset.hasse_edges if i > 0]
-        topless = dataclasses.replace(
-            poset, codes=poset.codes[1:], ranks=poset.ranks[1:], hasse_edges=edges
-        )
+        assert topless.hasse_edges == edges == tuple_edges(topless.elements)
         report = check_lattice(topless)
         assert report == tuple_lattice(poset.elements[1:], edges, 3, 1)
         assert not report.distributive
 
     def test_cut_edges_disconnect(self):
         poset = build_poset(4, 3, 2)
-        # drop every edge between ranks 4 and 5: the two halves fall apart
-        cut = [(i, j) for i, j in poset.hasse_edges if poset.ranks[j] != 4]
-        assert len(cut) < len(poset.hasse_edges)
-        broken = dataclasses.replace(poset, hasse_edges=cut)
-        assert not is_connected(broken)
-        assert not dfs_connected(broken.size, cut)
-        assert not is_connected(dataclasses.replace(poset, hasse_edges=[]))
+
+        def only(keep):
+            return dataclasses.replace(
+                poset,
+                codes=[c for c, r in zip(poset.codes, poset.ranks) if keep(r)],
+                ranks=[r for r in poset.ranks if keep(r)],
+            )
+
+        # covers step the rank by one, so without rank 4 the ranks 0..3 and
+        # 5..9 fall apart; rank 4 alone is an antichain with no edges at all
+        for broken in (only(lambda r: r != 4), only(lambda r: r == 4)):
+            assert 1 < broken.size < poset.size
+            assert broken.hasse_edges == tuple_edges(broken.elements)
+            assert not is_connected(broken)
+            assert not dfs_connected(broken.size, broken.hasse_edges)
+        assert only(lambda r: r == 4).hasse_edges == []
 
     def test_elements_decoded_on_read(self):
         poset = build_poset(4, 3, 3)
         assert "elements" not in vars(poset)
         assert poset.elements[0] == (1, 5, 9)
         assert vars(poset)["elements"] is poset.elements
+
+    def test_hasse_edges_derived_on_read(self):
+        poset = build_poset(4, 3, 3)
+        assert "hasse_edges" not in vars(poset)
+        # connectivity reads the cover pairs without storing them
+        assert is_connected(poset) and "hasse_edges" not in vars(poset)
+        top = (1, 5, 9)  # covers one string per coordinate, in coordinate order
+        covered = [poset.elements[j] for i, j in poset.hasse_edges[:3]]
+        assert covered == [(2, 5, 9), (1, 6, 9), (1, 5, 10)]
+        assert [poset.elements[i] for i, _ in poset.hasse_edges[:3]] == [top] * 3
+        assert vars(poset)["hasse_edges"] is poset.hasse_edges
+
+    def test_codes_are_guarded_fields(self):
+        # d_j = T_j - (j-1)n - 1 in an f-bit field, d_1 most significant,
+        # every guard bit clear; n = 2, 4, 8 and 16 put a raised top digit
+        # on the guard bit
+        for n, k, alpha in [(2, 6, 1), (4, 3, 3), (5, 4, 2), (8, 3, 1), (16, 2, 5), (27, 2, 1)]:
+            poset = build_poset(n, k, alpha)
+            f = _width(n)
+            assert 2 ** (f - 2) < n <= 2 ** (f - 1)
+            guards = int(("1" + "0" * (f - 1)) * k, 2)
+            codes = [
+                sum((t - j * n - 1) << (f * (k - 1 - j)) for j, t in enumerate(element))
+                for element in poset.elements
+            ]
+            assert poset.codes == codes == sorted(codes)
+            assert not any(c & guards for c in codes)
 
     def test_packed_join_and_meet(self):
         hyp = pytest.importorskip("hypothesis")
@@ -309,13 +348,14 @@ class TestDigitCodesAgainstTuples:
         def check(data, n, k):
             digits = st.lists(st.integers(0, n - 1), min_size=k, max_size=k)
             xs, ys = data.draw(digits), data.draw(digits)
-            f, guards = _fields(n, k)
+            f = _width(n)
+            guards = int(("1" + "0" * (f - 1)) * k, 2)
 
             def pack(ds):
                 code = 0
                 for d in ds:
-                    code = code * (n + 1) + d
-                return _pack(code, n, k, f)
+                    code = (code << f) | d
+                return code
 
             def unpack(word):
                 return [(word >> (f * pos)) & ((1 << f) - 1) for pos in range(k - 1, -1, -1)]
@@ -344,6 +384,20 @@ class TestBudgets:
         with pytest.raises(ExactError, match="pair budget") as err:
             check_lattice(poset)
         assert "156,830,905 pairs" in str(err.value)
+
+    def test_triangle_entry_budget(self):
+        # rows 1..k take (n-1)k(k+1)/2 + k entries: (1; 3) row 1,413 takes
+        # 1,999,395 and row 1,414 takes 2,002,224
+        assert TRIANGLE_ENTRY_BUDGET == 2_000_000
+        for alpha, n, k, count in [(1, 3, 1414, "2,002,224"), (3, 64, 600, "11,359,500"),
+                                   (2, 3, 10**11, "10,000,000,000,200,000,000,000"),
+                                   (1, 10**12, 1, "1,000,000,000,000")]:
+            with pytest.raises(ExactError, match="entry budget of 2,000,000") as err:
+                triangle_row(alpha, n, k)
+            assert "\n" not in str(err.value) and f"needs {count} entries" in str(err.value)
+        # row 0 takes no computed entries, whatever n is
+        assert triangle_row(2, 10**12, 0) == [2]
+        assert len(triangle_row(2, 3, 300)) == 601  # the deepest row CI prints
 
 
 class TestCounts:
