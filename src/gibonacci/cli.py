@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .exactnum import (
     ExactError,
@@ -185,17 +184,14 @@ def run_repl(cfg: GameConfig, a, b, lines, write, digits: int = DEFAULT_DIGITS) 
     The first firing uses the seeded opening move; afterwards the ordinary
     rules apply.  Illegal choices leave the state unchanged.
     """
-    from .game import GameState, _legal_nodes
+    from .game import GameState, _check_pair, _legal_nodes
 
-    a, b = Fraction(a), Fraction(b)
-    if a < 0 or b < 0 or (a == 0 and b == 0):
-        raise ExactError("start pair must be nonzero dominant (a, b >= 0, not both 0)")
-    state = GameState(a, b, 0, False)
+    state = GameState(*_check_pair(a, b), 0, False)
     write(f"seeds ({format_rational(cfg.params.alpha)}, {format_rational(cfg.params.beta)}), "
           f"p = {format_rational(cfg.p)}, q = {format_rational(cfg.q)}\n")
     write(f"start: u = {value_to_text(state.u, digits)}, v = {value_to_text(state.v, digits)}\n")
     while True:
-        if state.initial_done and not _legal_nodes(state):
+        if state.initial_done and not _legal_nodes(state.u, state.v):
             write(f"terminated after {state.moves_made} moves at "
                   f"(u = {value_to_text(state.u, digits)}, v = {value_to_text(state.v, digits)})\n")
             return 0

@@ -16,6 +16,13 @@ Sturm zero test only when the box contains 0), and linear forms are signed
 when both coefficients agree (a mixed form means the outcome genuinely
 depends on the start pair, which callers treat as an error).
 
+Play holds the node pair as (U, V, S) with one positive scale S, so the
+values are u = U/S and v = V/S.  Each multiplier is split as (numerator,
+denominator) when the game is rational, so U, V and S are integers and
+`_step` fires without a gcd; ring elements and linear forms split as (m, 1)
+and keep S = 1.  Legality and strategies read the signs of U and V, and a
+`Firing` builds its Fractions only when u or v is read.
+
 Row values at pq come from the row walk `polys._row_walk` that the root
 counts of `roots` read: scaled integers at a rational pq, ring elements at a
 largest root.  `_scan` keeps the first non-positive row, its sign and rows
@@ -33,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, pairwise
+from math import lcm
 from typing import Optional, Sequence, Union
 
 from .exactnum import (
@@ -171,11 +179,41 @@ class GameState:
     initial_done: bool
 
 
-@dataclass(frozen=True)
+def _over(w, s: int) -> Value:
+    """The node value w/s: a Fraction for an integer w (rational play),
+    w itself at s = 1 otherwise."""
+    if s == 1 and type(w) is not int:
+        return w
+    return Fraction(w, s)
+
+
 class Firing:
-    node: str
-    u: Value
-    v: Value
+    """A fired node and the pair after it, held as (U, V, S).
+
+    u = U/S and v = V/S are built on first read: one Fraction per move
+    would cost gcds on numbers that grow with the move count.
+    """
+
+    __slots__ = ("node", "_scaled", "_values")
+
+    def __init__(self, node: str, u: Value, v: Value, s: int = 1):
+        self.node = node
+        self._scaled = (u, v, s)
+        self._values = None
+
+    def _read(self) -> tuple:
+        if self._values is None:
+            u, v, s = self._scaled
+            self._values = (_over(u, s), _over(v, s))
+        return self._values
+
+    @property
+    def u(self) -> Value:
+        return self._read()[0]
+
+    @property
+    def v(self) -> Value:
+        return self._read()[1]
 
 
 @dataclass
@@ -207,25 +245,51 @@ def _check_node(node: str):
         raise ExactError(f"unknown node {node!r}; use {NODE1} or {NODE2}")
 
 
+def _is_rational(config: GameConfig, u: Value, v: Value) -> bool:
+    return all(isinstance(x, (int, Fraction)) for x in (config.q, u, v))
+
+
+def _multipliers(config: GameConfig, rational: bool) -> tuple:
+    """((p_n, p_d), (q_n, q_d)) for `_step`: numerator and denominator in a
+    rational game, else (p, 1) and (q, 1)."""
+    p, q = config.p, config.q
+    if rational:
+        return (p.numerator, p.denominator), (q.numerator, q.denominator)
+    return (p, 1), (q, 1)
+
+
+def _step(node: str, u: Value, v: Value, s: int, multipliers: tuple) -> tuple:
+    """The one firing step on the pair (u/s, v/s); returns the new (u, v, s).
+
+    g1 maps (u, v, s) to (-u*p_d, p_n*u + p_d*v, s*p_d) and g2 maps it to
+    (u*q_d + q_n*v, -v*q_d, s*q_d).  A denominator 1 is never multiplied
+    in, so ring and linear-form values keep s = 1 and plain arithmetic.
+    """
+    if node == NODE1:
+        n, d = multipliers[0]
+        if d == 1:
+            return -u, _scale(n, u) + v, s
+        return -u * d, n * u + d * v, s * d
+    n, d = multipliers[1]
+    if d == 1:
+        return u + _scale(n, v), -v, s
+    return u * d + n * v, -v * d, s * d
+
+
 def fire(state: GameState, node: str, config: GameConfig) -> GameState:
     """Ordinary firing: g1 sends (u,v) to (-u, pu+v) and needs u > 0;
-    g2 sends (u,v) to (u+qv, -v) and needs v > 0."""
+    g2 sends (u,v) to (u+qv, -v) and needs v > 0.
+
+    Runs `_step` from scale 1 and divides the result by its scale."""
     _check_node(node)
     if not state.initial_done:
         raise ExactError("the opening move must use the seeded initial firing")
-    if node == NODE1:
-        s = value_sign(state.u)
-        if s <= 0:
-            raise ExactError(f"illegal firing: node {NODE1} value has sign {s}")
-        new_u = -state.u
-        new_v = _scale(config.p, state.u) + state.v
-    else:
-        s = value_sign(state.v)
-        if s <= 0:
-            raise ExactError(f"illegal firing: node {NODE2} value has sign {s}")
-        new_u = state.u + _scale(config.q, state.v)
-        new_v = -state.v
-    return GameState(new_u, new_v, state.moves_made + 1, True)
+    s = value_sign(state.u if node == NODE1 else state.v)
+    if s <= 0:
+        raise ExactError(f"illegal firing: node {node} value has sign {s}")
+    multipliers = _multipliers(config, _is_rational(config, state.u, state.v))
+    u, v, scale = _step(node, state.u, state.v, 1, multipliers)
+    return GameState(_over(u, scale), _over(v, scale), state.moves_made + 1, True)
 
 
 def _seeded_transition(a: Value, b: Value, node: str, config: GameConfig):
@@ -240,15 +304,22 @@ def _seeded_transition(a: Value, b: Value, node: str, config: GameConfig):
     return new_u, new_v
 
 
-def _check_opening(a, b, node: str) -> tuple:
-    """(a, b) as Fractions if the seeded opening may fire node first; one rule
-    for `seeded_fire` and `predicted_moves`."""
-    _check_node(node)
+def _check_pair(a, b) -> tuple:
+    """(a, b) as Fractions if they may start a game; the repl checks its
+    start pair with this before the user picks the first node."""
     a, b = Fraction(a), Fraction(b)
     if a < 0 or b < 0:
         raise ExactError("start pair must be dominant (both coordinates >= 0)")
     if a == 0 and b == 0:
         raise ExactError("start pair must be nonzero")
+    return a, b
+
+
+def _check_opening(a, b, node: str) -> tuple:
+    """(a, b) as Fractions if the seeded opening may fire node first; one rule
+    for `seeded_fire` and `predicted_moves`."""
+    _check_node(node)
+    a, b = _check_pair(a, b)
     if node == NODE1 and a == 0:
         raise ExactError("seeded firing of g1 needs a > 0; open with g2 instead")
     if node == NODE2 and b == 0:
@@ -282,11 +353,11 @@ def seeded_fire_symbolic(node: str, config: GameConfig) -> GameState:
 # ---------------------------------------------------------------------------
 
 
-def _legal_nodes(state: GameState) -> list:
+def _legal_nodes(u: Value, v: Value) -> list:
     out = []
-    if value_sign(state.u) > 0:
+    if value_sign(u) > 0:
         out.append(NODE1)
-    if value_sign(state.v) > 0:
+    if value_sign(v) > 0:
         out.append(NODE2)
     return out
 
@@ -318,21 +389,32 @@ def _certify_divergence(config: GameConfig, budget: int) -> bool:
     return all(scalar_sign(v) > 0 for v in islice(_row_walk(config.params, config.pq), budget + 1))
 
 
-def _run(trace: GameTrace, state: GameState, config: GameConfig, strategy, budget: int, last: str) -> GameTrace:
+def _run(trace: GameTrace, first_node: str, opening: GameState, strategy, budget: int) -> GameTrace:
+    """Play on from the seeded opening: the pair over one integer scale for
+    a rational game, over scale 1 otherwise."""
+    u, v = opening.u, opening.v
+    rational = _is_rational(trace.config, u, v)
+    multipliers = _multipliers(trace.config, rational)
+    s = 1
+    if rational:
+        s = lcm(u.denominator, v.denominator)
+        u, v = u.numerator * (s // u.denominator), v.numerator * (s // v.denominator)
+    firings = trace.firings
+    firings.append(Firing(first_node, u, v, s))
+    last = first_node
     while True:
-        legal = _legal_nodes(state)
+        legal = _legal_nodes(u, v)
         if not legal:
             trace.outcome = "terminated"
             return trace
-        if state.moves_made >= budget:
-            trace.outcome = (
-                "diverges-certified" if _certify_divergence(config, budget) else "exceeded-budget"
-            )
+        moves = len(firings)
+        if moves >= budget:
+            certified = _certify_divergence(trace.config, budget)
+            trace.outcome = "diverges-certified" if certified else "exceeded-budget"
             return trace
-        node = _pick(legal, strategy, last, state.moves_made)
-        state = fire(state, node, config)
-        trace.firings.append(Firing(node, state.u, state.v))
-        last = node
+        last = _pick(legal, strategy, last, moves)
+        u, v, s = _step(last, u, v, s, multipliers)
+        firings.append(Firing(last, u, v, s))
 
 
 def play(a, b, first_node: str, config: GameConfig, strategy="alternate", budget: int = 64) -> GameTrace:
@@ -340,25 +422,23 @@ def play(a, b, first_node: str, config: GameConfig, strategy="alternate", budget
 
     Outcome is "terminated" when no legal move remains, "diverges-certified"
     when the budget runs out but pq >= B certifies divergence analytically,
-    and "exceeded-budget" otherwise.
+    and "exceeded-budget" otherwise.  A rational game runs on integers over
+    one scale; each firing's values are built when read.
     """
     if budget <= 0:
         raise ExactError("budget must be positive")
-    state = seeded_fire(a, b, first_node, config)
-    trace = GameTrace(config, (Fraction(a), Fraction(b)))
-    trace.firings.append(Firing(first_node, state.u, state.v))
-    return _run(trace, state, config, strategy, budget, first_node)
+    opening = seeded_fire(a, b, first_node, config)
+    return _run(GameTrace(config, (Fraction(a), Fraction(b))), first_node, opening, strategy, budget)
 
 
 def play_symbolic(first_node: str, config: GameConfig, strategy="alternate", budget: int = 64) -> GameTrace:
     """Play with (a, b) as formal coordinates of a strongly dominant pair."""
     if budget <= 0:
         raise ExactError("budget must be positive")
-    state = seeded_fire_symbolic(first_node, config)
+    opening = seeded_fire_symbolic(first_node, config)
     one, zero = Fraction(1), Fraction(0)
     trace = GameTrace(config, (LinearForm(one, zero), LinearForm(zero, one)))
-    trace.firings.append(Firing(first_node, state.u, state.v))
-    return _run(trace, state, config, strategy, budget, first_node)
+    return _run(trace, first_node, opening, strategy, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -374,6 +374,17 @@ class TestRepl:
         assert "illegal:" in text  # g1 opening refused when a = 0
         assert "terminated after 5 moves" in text
 
+    @pytest.mark.parametrize("a, b", [("0", "0"), ("-1", "2"), ("1/2", "-3")])
+    def test_refused_start_pair(self, capsys, monkeypatch, a, b):
+        # the repl refuses a start pair with the words of `game predict`
+        config = ["--alpha", "5", "--beta", "2", "--p", "7/2", "--q", "8/7", f"--a={a}", f"--b={b}"]
+        monkeypatch.setattr("sys.stdin", io.StringIO("g2\n"))
+        code, out, err = run_cli(capsys, "game", "repl", *config)
+        assert code == 1 and out == ""
+        _, _, predict_err = run_cli(capsys, "game", "predict", *config, "--first", "g2")
+        assert err == predict_err and err.startswith("error: start pair must be")
+        assert len(err.splitlines()) == 1
+
 
 class TestDomainErrors:
     @pytest.mark.parametrize("digits", ["0", "-3"])

@@ -1,5 +1,6 @@
 """Firing rules, seeded openings, classification, and exact terminal pairs."""
 
+import time
 from fractions import Fraction
 from functools import lru_cache
 
@@ -10,6 +11,7 @@ from gibonacci.exactnum import ExactError, NumberRing, Poly, RingElement
 from gibonacci.game import (
     NODE1,
     NODE2,
+    NODES,
     Classification,
     GameConfig,
     GameState,
@@ -338,6 +340,125 @@ def fraction_scan(params: GibParams, pq) -> tuple:
         if cur <= 0:
             return k, (cur > 0) - (cur < 0), prev, cur
         prev2, prev = prev, cur
+
+
+def fraction_play(a, b, first, config, strategy="alternate", budget=64) -> tuple:
+    """`play` as a Fraction loop: ([(node, u, v), ...], outcome), each
+    firing normalized as it is made."""
+    opening = seeded_fire(a, b, first, config)
+    u, v = opening.u, opening.v
+    firings = [(first, u, v)]
+    last = first
+    while True:
+        legal = [node for node, x in ((NODE1, u), (NODE2, v)) if value_sign(x) > 0]
+        if not legal:
+            return firings, "terminated"
+        if len(firings) >= budget:
+            certified = game._certify_divergence(config, budget)
+            return firings, "diverges-certified" if certified else "exceeded-budget"
+        last = game._pick(legal, strategy, last, len(firings))
+        if last == NODE1:
+            u, v = -u, config.p * u + v
+        else:
+            u, v = u + config.q * v, -v
+        firings.append((last, u, v))
+
+
+class TestScaledPlay:
+    """`play` runs a rational game on integers over one scale; every firing
+    it reports must equal the Fraction loop's."""
+
+    SEEDS = (UNIT, LUCAS, GibParams.of(Fraction(7, 3), Fraction(1, 2)), WIDE)
+    STARTS = {NODE1: (F(2), Fraction(3, 4)), NODE2: (Fraction(1, 3), F(5))}
+
+    def assert_same(self, a, b, first, cfg, strategy="alternate", budget=64):
+        trace = play(a, b, first, cfg, strategy=strategy, budget=budget)
+        firings, outcome = fraction_play(a, b, first, cfg, strategy, budget)
+        assert (trace.outcome, trace.moves) == (outcome, len(firings))
+        got = [(f.node, f.u, f.v) for f in trace.firings]
+        assert got == firings
+        assert all(type(f.u) is Fraction and type(f.v) is Fraction for f in trace.firings)
+        return trace
+
+    def test_matches_fraction_play_near_bound(self):
+        outcomes = set()
+        for params in self.SEEDS:
+            bound = bound_B(params).value
+            for p in (F(1), Fraction(1, 2), F(3)):
+                for e in range(1, 5):
+                    cfg = GameConfig.rational(params, p, (bound - Fraction(1, 10**e)) / p)
+                    for first, (a, b) in self.STARTS.items():
+                        for strategy in ("alternate", "greedy-g1", "greedy-g2"):
+                            trace = self.assert_same(a, b, first, cfg, strategy, budget=2000)
+                            outcomes.add(trace.outcome)
+        assert outcomes == {"terminated"}
+
+    def test_scripted_strategy(self):
+        cfg = GameConfig.rational(LUCAS, Fraction(1, 2), 2 * (4 - Fraction(1, 10**3)))
+        for first, (a, b) in self.STARTS.items():
+            nodes = [node for node, _, _ in fraction_play(a, b, first, cfg, "greedy-g2", 2000)[0]]
+            assert len(nodes) > 20
+            self.assert_same(a, b, first, cfg, nodes[1:], budget=2000)
+
+    def test_divergence_and_budget_exhaustion(self):
+        for params in self.SEEDS:
+            bound = bound_B(params).value
+            for first, (a, b) in self.STARTS.items():
+                above = GameConfig.rational(params, 3, bound / 3)
+                assert self.assert_same(a, b, first, above, budget=40).outcome == "diverges-certified"
+                near = GameConfig.rational(params, Fraction(1, 2), 2 * (bound - Fraction(1, 10**3)))
+                assert self.assert_same(a, b, first, near, budget=6).outcome == "exceeded-budget"
+
+    def test_ring_game_keeps_its_values(self):
+        cfg = GameConfig.at_largest_root(LUCAS, 9, Fraction(3, 2))
+        for first, (a, b) in self.STARTS.items():
+            trace = play(a, b, first, cfg)
+            firings, outcome = fraction_play(a, b, first, cfg)
+            assert (trace.outcome, trace.moves) == (outcome, len(firings)) == ("terminated", 10)
+            for f, (node, u, v) in zip(trace.firings, firings):
+                assert f.node == node and _values_equal((f.u, f.v), (u, v))
+
+    def test_fire_divides_by_its_scale(self):
+        cfg = GameConfig.rational(WIDE, Fraction(7, 2), Fraction(8, 7))
+        state = seeded_fire(1, 1, NODE1, cfg)
+        for f in play(1, 1, NODE1, cfg).firings[1:]:
+            state = fire(state, f.node, cfg)
+            assert (state.u, state.v) == (f.u, f.v)
+            assert type(state.u) is Fraction and type(state.v) is Fraction
+
+
+class TestPlayNearBound:
+    """`play` against `predicted_moves` where the games run thousands of
+    moves: pq = B - 10^-e with B = 4 (seed ratio at most 2)."""
+
+    SEEDS = (UNIT, LUCAS, GibParams.of(Fraction(3, 2), 1), GibParams.of(Fraction(5, 3), Fraction(4, 3)))
+
+    @staticmethod
+    def check(params, e, first):
+        cfg = GameConfig.rational(params, 1, 4 - Fraction(1, 10**e))
+        want = predicted_moves(cfg, 1, 1, first)
+        trace = play(1, 1, first, cfg, budget=want + 4)
+        assert (trace.outcome, trace.moves) == ("terminated", want)
+        return want
+
+    @pytest.mark.parametrize("first", NODES)
+    @pytest.mark.parametrize("e", [5, 6])
+    def test_matches_prediction(self, e, first):
+        for params in self.SEEDS:
+            assert self.check(params, e, first) > 10 ** (e / 2)
+
+    @pytest.mark.parametrize("first", NODES)
+    def test_matches_prediction_at_e7(self, first):
+        params = UNIT if first == NODE1 else self.SEEDS[3]
+        assert self.check(params, 7, first) > 10**3.5
+
+    def test_unit_game_at_e6_is_fast(self):
+        cfg = GameConfig.rational(UNIT, 1, 4 - Fraction(1, 10**6))
+        start = time.perf_counter()
+        trace = play(1, 1, NODE1, cfg, budget=7000)
+        elapsed = time.perf_counter() - start
+        assert (trace.outcome, trace.moves) == ("terminated", 6283)
+        assert elapsed < 0.5, f"play at pq = 4 - 10^-6 took {elapsed:.2f} s"
 
 
 class TestIntegerRowScan:
