@@ -85,6 +85,7 @@ def cmd_array(args) -> int:
         raise ExactError(f"--rows must be at least 1 (got {args.rows})")
     params = _params(args)
     arr = GibonacciArray(params)
+    arr.row(args.rows - 1)  # refuses past the entry budget before any row is built
     rows = [arr.row(k) for k in range(args.rows)]
     if _format_choice(args) == "json":
         _emit(json.dumps([[format_rational(v) for v in row] for row in rows]))

@@ -16,12 +16,14 @@ Sturm zero test only when the box contains 0), and linear forms are signed
 when both coefficients agree (a mixed form means the outcome genuinely
 depends on the start pair, which callers treat as an error).
 
-Play holds the node pair as (U, V, S) with one positive scale S, so the
-values are u = U/S and v = V/S.  Each multiplier is split as (numerator,
-denominator) when the game is rational, so U, V and S are integers and
-`_step` fires without a gcd; ring elements and linear forms split as (m, 1)
-and keep S = 1.  Legality and strategies read the signs of U and V, and a
-`Firing` builds its Fractions only when u or v is read.
+Play runs on the pair (u, w) with w = v/p, where g1 maps it to (-u, u + w)
+and g2 to (u + pq*w, -w): a firing knows only the product pq, the one number
+the game's fate depends on.  The pair is held as (U, W, S) with one positive
+scale S, so u = U/S and w = W/S.  In a rational game pq is split as
+(numerator, denominator), so U, W and S are integers and `_step` fires
+without a gcd; ring elements and linear forms split it as (pq, 1) and keep
+S = 1.  Legality and strategies read the signs of U and W (p > 0), and a
+`Firing` builds u and v = p*W/S only when they are read.
 
 Row values at pq come from the row walk `polys._row_walk` that the root
 counts of `roots` read: scaled integers at a rational pq, ring elements at a
@@ -179,32 +181,27 @@ class GameState:
     initial_done: bool
 
 
-def _over(w, s: int) -> Value:
-    """The node value w/s: a Fraction for an integer w (rational play),
-    w itself at s = 1 otherwise."""
-    if s == 1 and type(w) is not int:
-        return w
-    return Fraction(w, s)
-
-
 class Firing:
-    """A fired node and the pair after it, held as (U, V, S).
+    """A fired node and the pair after it, held as (U, W, S) and p.
 
-    u = U/S and v = V/S are built on first read: one Fraction per move
-    would cost gcds on numbers that grow with the move count.
+    u = U/S and v = p*W/S are built on first read: one Fraction per move
+    would cost gcds on numbers that grow with the move count.  U and W are
+    integers in a rational game; otherwise S = 1.
     """
 
     __slots__ = ("node", "_scaled", "_values")
 
-    def __init__(self, node: str, u: Value, v: Value, s: int = 1):
+    def __init__(self, node: str, u: Value, w: Value, s: int, p: Fraction):
         self.node = node
-        self._scaled = (u, v, s)
+        self._scaled = (u, w, s, p)
         self._values = None
 
     def _read(self) -> tuple:
         if self._values is None:
-            u, v, s = self._scaled
-            self._values = (_over(u, s), _over(v, s))
+            u, w, s, p = self._scaled
+            if type(u) is int:
+                u, w = Fraction(u, s), Fraction(w, s)
+            self._values = (u, _scale(p, w))
         return self._values
 
     @property
@@ -245,51 +242,38 @@ def _check_node(node: str):
         raise ExactError(f"unknown node {node!r}; use {NODE1} or {NODE2}")
 
 
-def _is_rational(config: GameConfig, u: Value, v: Value) -> bool:
-    return all(isinstance(x, (int, Fraction)) for x in (config.q, u, v))
+def _step(node: str, u: Value, w: Value, s: int, x: tuple) -> tuple:
+    """The one firing step on the pair (u/s, w/s) with w = v/p; returns the
+    new (u, w, s).
 
-
-def _multipliers(config: GameConfig, rational: bool) -> tuple:
-    """((p_n, p_d), (q_n, q_d)) for `_step`: numerator and denominator in a
-    rational game, else (p, 1) and (q, 1)."""
-    p, q = config.p, config.q
-    if rational:
-        return (p.numerator, p.denominator), (q.numerator, q.denominator)
-    return (p, 1), (q, 1)
-
-
-def _step(node: str, u: Value, v: Value, s: int, multipliers: tuple) -> tuple:
-    """The one firing step on the pair (u/s, v/s); returns the new (u, v, s).
-
-    g1 maps (u, v, s) to (-u*p_d, p_n*u + p_d*v, s*p_d) and g2 maps it to
-    (u*q_d + q_n*v, -v*q_d, s*q_d).  A denominator 1 is never multiplied
-    in, so ring and linear-form values keep s = 1 and plain arithmetic.
+    g1 maps (u, w, s) to (-u, u + w, s).  g2 maps it to (u*d + n*w, -w*d,
+    s*d) for the multiplier x = pq split as (n, d).  A denominator 1 is
+    never multiplied in, so ring and linear-form values keep s = 1 and
+    plain arithmetic.
     """
     if node == NODE1:
-        n, d = multipliers[0]
-        if d == 1:
-            return -u, _scale(n, u) + v, s
-        return -u * d, n * u + d * v, s * d
-    n, d = multipliers[1]
+        return -u, u + w, s
+    n, d = x
     if d == 1:
-        return u + _scale(n, v), -v, s
-    return u * d + n * v, -v * d, s * d
+        return u + _scale(n, w), -w, s
+    return u * d + n * w, -w * d, s * d
 
 
 def fire(state: GameState, node: str, config: GameConfig) -> GameState:
     """Ordinary firing: g1 sends (u,v) to (-u, pu+v) and needs u > 0;
     g2 sends (u,v) to (u+qv, -v) and needs v > 0.
 
-    Runs `_step` from scale 1 and divides the result by its scale."""
+    Runs `_step` on (u, v/p) with the multiplier (pq, 1) and reads v back
+    as p times the new w."""
     _check_node(node)
     if not state.initial_done:
         raise ExactError("the opening move must use the seeded initial firing")
     s = value_sign(state.u if node == NODE1 else state.v)
     if s <= 0:
         raise ExactError(f"illegal firing: node {node} value has sign {s}")
-    multipliers = _multipliers(config, _is_rational(config, state.u, state.v))
-    u, v, scale = _step(node, state.u, state.v, 1, multipliers)
-    return GameState(_over(u, scale), _over(v, scale), state.moves_made + 1, True)
+    p = config.p
+    u, w, _ = _step(node, state.u, _scale(1 / p, state.v), 1, (config.pq, 1))
+    return GameState(u, _scale(p, w), state.moves_made + 1, True)
 
 
 def _seeded_transition(a: Value, b: Value, node: str, config: GameConfig):
@@ -390,20 +374,21 @@ def _certify_divergence(config: GameConfig, budget: int) -> bool:
 
 
 def _run(trace: GameTrace, first_node: str, opening: GameState, strategy, budget: int) -> GameTrace:
-    """Play on from the seeded opening: the pair over one integer scale for
-    a rational game, over scale 1 otherwise."""
-    u, v = opening.u, opening.v
-    rational = _is_rational(trace.config, u, v)
-    multipliers = _multipliers(trace.config, rational)
-    s = 1
-    if rational:
-        s = lcm(u.denominator, v.denominator)
-        u, v = u.numerator * (s // u.denominator), v.numerator * (s // v.denominator)
+    """Play on from the seeded opening on (u, w) with w = v/p: over one
+    integer scale with pq split as (numerator, denominator) in a rational
+    game, over scale 1 with the multiplier (pq, 1) otherwise."""
+    p, pq = trace.config.p, trace.config.pq
+    u, w = opening.u, _scale(1 / p, opening.v)
+    s, x = 1, (pq, 1)
+    if all(isinstance(y, Fraction) for y in (pq, u, w)):
+        s = lcm(u.denominator, w.denominator)
+        u, w = u.numerator * (s // u.denominator), w.numerator * (s // w.denominator)
+        x = (pq.numerator, pq.denominator)
     firings = trace.firings
-    firings.append(Firing(first_node, u, v, s))
+    firings.append(Firing(first_node, u, w, s, p))
     last = first_node
     while True:
-        legal = _legal_nodes(u, v)
+        legal = _legal_nodes(u, w)
         if not legal:
             trace.outcome = "terminated"
             return trace
@@ -413,8 +398,8 @@ def _run(trace: GameTrace, first_node: str, opening: GameState, strategy, budget
             trace.outcome = "diverges-certified" if certified else "exceeded-budget"
             return trace
         last = _pick(legal, strategy, last, moves)
-        u, v, s = _step(last, u, v, s, multipliers)
-        firings.append(Firing(last, u, v, s))
+        u, w, s = _step(last, u, w, s, x)
+        firings.append(Firing(last, u, w, s, p))
 
 
 def play(a, b, first_node: str, config: GameConfig, strategy="alternate", budget: int = 64) -> GameTrace:

@@ -15,7 +15,9 @@ root counts, the game's row scan and `GameConfig.g_hat` all read it.  The
 row polynomials themselves are built from the closed binomial form of the
 array entries, so row k needs no lower row; `GibonacciArray` keeps the
 array recurrence, and `verify` checks the three-term recurrence as an exact
-identity between closed-form rows.
+identity between closed-form rows.  Both builds refuse with a one-line
+ExactError before any work: the array past ARRAY_ENTRY_BUDGET entries, a
+row polynomial past row POLY_ROW_BUDGET.
 
 The Binet-type closed form evaluates a row at x through the eigenvalues of
 the step matrix, computed in the quotient ring Q[t]/(t^2 - (x^2 - 4x)); the
@@ -32,6 +34,11 @@ from functools import lru_cache
 from itertools import count
 
 from .exactnum import ExactError, NumberRing, Poly, rational
+
+# Entries `GibonacciArray.row` may compute (rows 0..k hold k*k//4 + k + 1).
+ARRAY_ENTRY_BUDGET = 300_000
+# Largest row index `sign_alternating_poly` builds.
+POLY_ROW_BUDGET = 10_000
 
 
 @dataclass(frozen=True)
@@ -87,6 +94,12 @@ class GibonacciArray:
     def row(self, k: int) -> list:
         if k < 0:
             raise ExactError("row index must be nonnegative")
+        entries = k * k // 4 + k + 1
+        if entries > ARRAY_ENTRY_BUDGET:
+            raise ExactError(
+                f"array row {k} needs {entries:,} entries, "
+                f"over the entry budget of {ARRAY_ENTRY_BUDGET:,}"
+            )
         while len(self._rows) <= k:
             i = len(self._rows)
             prev, prev2 = self._rows[i - 1], self._rows[i - 2]
@@ -138,9 +151,12 @@ def _sa_poly_cached(params: GibParams, k: int) -> Poly:
 
 
 def sign_alternating_poly(params: GibParams, k: int) -> Poly:
-    """Row polynomial from the closed binomial form of its entries."""
+    """Row polynomial from the closed binomial form of its entries;
+    ExactError past POLY_ROW_BUDGET."""
     if k < -1:
         raise ExactError("row index must be at least -1")
+    if k > POLY_ROW_BUDGET:
+        raise ExactError(f"row {k} is over the row budget of {POLY_ROW_BUDGET:,}")
     return _sa_poly_cached(params, k)
 
 

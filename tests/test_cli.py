@@ -63,6 +63,11 @@ class TestPoly:
         assert code == 1 and out == ""
         assert err == "error: bad rational literal: '1_0'\n"
 
+    def test_poly_row_budget_is_one_line_error(self, capsys):
+        code, out, err = run_cli(capsys, "poly", "--alpha", "1", "--beta", "1", "--k", "100000000")
+        assert code == 1 and out == ""
+        assert err == "error: row 100000000 is over the row budget of 10,000\n"
+
 
 class TestArray:
     def test_json_rows_round_trip(self, capsys):
@@ -72,6 +77,11 @@ class TestArray:
         assert code == 0
         rows = [[rational(v) for v in row] for row in json.loads(out)]
         assert rows[7] == [1, 7, 14, 7]
+
+    def test_array_budget_is_one_line_error(self, capsys):
+        code, out, err = run_cli(capsys, "array", "--alpha", "1", "--beta", "1", "--rows", "100000000")
+        assert code == 1 and out == ""
+        assert err == "error: array row 99999999 needs 2,500,000,050,000,000 entries, over the entry budget of 300,000\n"
 
 
 class TestRootsCommand:

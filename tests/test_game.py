@@ -384,7 +384,7 @@ class TestScaledPlay:
         outcomes = set()
         for params in self.SEEDS:
             bound = bound_B(params).value
-            for p in (F(1), Fraction(1, 2), F(3)):
+            for p in (F(1), Fraction(1, 2), Fraction(7, 5), F(3)):
                 for e in range(1, 5):
                     cfg = GameConfig.rational(params, p, (bound - Fraction(1, 10**e)) / p)
                     for first, (a, b) in self.STARTS.items():
