@@ -28,10 +28,9 @@ from .game import (
     terminal_numbers,
 )
 from .polys import (
-    GibonacciArray,
     GibParams,
+    array_rows,
     binet_eval,
-    binomial_entry,
     companion_poly,
     eigen_pair,
     sign_alternating_poly,

@@ -36,7 +36,7 @@ from .game import (
     value_to_json,
     value_to_text,
 )
-from .polys import GibonacciArray, GibParams, binet_eval, sign_alternating_poly
+from .polys import GibParams, array_rows, binet_eval, sign_alternating_poly
 from .posets import (
     build_poset,
     check_lattice,
@@ -83,12 +83,11 @@ def _emit(text: str):
 def cmd_array(args) -> int:
     if args.rows < 1:
         raise ExactError(f"--rows must be at least 1 (got {args.rows})")
-    params = _params(args)
-    arr = GibonacciArray(params)
-    arr.row(args.rows - 1)  # refuses past the entry budget before any row is built
-    rows = [arr.row(k) for k in range(args.rows)]
+    rows = array_rows(_params(args), args.rows)  # refuses past the entry budget before any row is built
     if _format_choice(args) == "json":
-        _emit(json.dumps([[format_rational(v) for v in row] for row in rows]))
+        for k, row in enumerate(rows):  # streamed: the rows of one json.dumps list, one at a time
+            sys.stdout.write(("[" if k == 0 else ", ") + json.dumps([format_rational(v) for v in row]))
+        _emit("]")
     else:
         for k, row in enumerate(rows):
             _emit(f"row {k}: " + "  ".join(decimal_str(v, 12) if v.denominator != 1 else str(v.numerator) for v in row))

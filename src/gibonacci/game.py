@@ -186,22 +186,35 @@ class Firing:
 
     u = U/S and v = p*W/S are built on first read: one Fraction per move
     would cost gcds on numbers that grow with the move count.  U and W are
-    integers in a rational game; otherwise S = 1.
+    integers in a rational game; otherwise S = 1.  A firing negates one
+    value (g1 keeps -u, g2 keeps -v), so when the previous firing has been
+    read, that value is taken from it and only the other one is built.
     """
 
-    __slots__ = ("node", "_scaled", "_values")
+    __slots__ = ("node", "_scaled", "_values", "_prev")
 
-    def __init__(self, node: str, u: Value, w: Value, s: int, p: Fraction):
+    def __init__(self, node: str, u: Value, w: Value, s: int, p: Fraction, prev: "Firing | None" = None):
         self.node = node
         self._scaled = (u, w, s, p)
         self._values = None
+        self._prev = prev
 
     def _read(self) -> tuple:
         if self._values is None:
             u, w, s, p = self._scaled
-            if type(u) is int:
-                u, w = Fraction(u, s), Fraction(w, s)
-            self._values = (u, _scale(p, w))
+            scaled = type(u) is int
+            before = None if self._prev is None else self._prev._values
+            if before is not None and self.node == NODE1:
+                u = -before[0]
+            elif scaled:
+                u = Fraction(u, s)
+            if before is not None and self.node == NODE2:
+                v = -before[1]
+            elif scaled:
+                v = Fraction(p.numerator * w, p.denominator * s)
+            else:
+                v = _scale(p, w)
+            self._values = (u, v)
         return self._values
 
     @property
@@ -399,7 +412,7 @@ def _run(trace: GameTrace, first_node: str, opening: GameState, strategy, budget
             return trace
         last = _pick(legal, strategy, last, moves)
         u, w, s = _step(last, u, w, s, x)
-        firings.append(Firing(last, u, w, s, p))
+        firings.append(Firing(last, u, w, s, p, firings[-1]))
 
 
 def play(a, b, first_node: str, config: GameConfig, strategy="alternate", budget: int = 64) -> GameTrace:

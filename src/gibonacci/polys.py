@@ -11,13 +11,13 @@ recurrence
 
 `_next_row` is that one row step, and `_row_walk` runs it at a point, in
 integers scaled by `_row_scale` or in the quotient ring at a largest root:
-root counts, the game's row scan and `GameConfig.g_hat` all read it.  The
-row polynomials themselves are built from the closed binomial form of the
-array entries, so row k needs no lower row; `GibonacciArray` keeps the
-array recurrence, and `verify` checks the three-term recurrence as an exact
-identity between closed-form rows.  Both builds refuse with a one-line
-ExactError before any work: the array past ARRAY_ENTRY_BUDGET entries, a
-row polynomial past row POLY_ROW_BUDGET.
+root counts, the game's row scan and `GameConfig.g_hat` all read it.  Row k
+itself is built once, by `_row`, in one exact integer pass over the closed
+binomial form of its entries, so it needs no lower row: `array_rows` reads
+it unsigned and the row polynomial signed, and `verify` checks the entry
+rule and the three-term recurrence as exact identities between such rows.
+Both refuse with a one-line ExactError before any work: the array past
+ARRAY_ENTRY_BUDGET entries, a row polynomial past row POLY_ROW_BUDGET.
 
 The Binet-type closed form evaluates a row at x through the eigenvalues of
 the step matrix, computed in the quotient ring Q[t]/(t^2 - (x^2 - 4x)); the
@@ -27,7 +27,6 @@ or negative.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -35,7 +34,7 @@ from itertools import count
 
 from .exactnum import ExactError, NumberRing, Poly, rational
 
-# Entries `GibonacciArray.row` may compute (rows 0..k hold k*k//4 + k + 1).
+# Entries `array_rows` may compute (rows 0..k hold k*k//4 + k + 1).
 ARRAY_ENTRY_BUDGET = 300_000
 # Largest row index `sign_alternating_poly` builds.
 POLY_ROW_BUDGET = 10_000
@@ -64,53 +63,40 @@ class GibParams:
         return cls(rational(alpha), rational(beta))
 
 
-def binomial_entry(params: GibParams, k: int, j: int) -> Fraction:
-    """Array entry by the closed binomial form C(k-j-1,j-1)a + C(k-j-1,j)b.
+def _row(params: GibParams, k: int, sign: int = 1) -> list:
+    """Entries e(k, 0), ..., e(k, k//2) of array row k, entry j times sign**j.
 
-    The closed form starts holding at k = 1; row 0 is the seed alpha by
-    definition.  Out-of-range positions are 0.
+    One exact integer pass over the closed form
+    e(k, j) = C(k-j-1, j-1)*alpha + C(k-j-1, j)*beta (k >= 1; row 0 is the
+    seed alpha, and row -1 is empty): consecutive binomials differ by exact
+    integer ratios, and the seeds are scaled by L = den(alpha)*den(beta).
     """
-    if k < 0 or j < 0 or j > k // 2:
-        return Fraction(0)
-    if k == 0:
-        return params.alpha
-    top = k - j - 1
+    if k <= 0:
+        return [params.alpha] if k == 0 else []
+    a, b = params.alpha, params.beta
+    scale = a.denominator * b.denominator
+    sa, sb = a.numerator * b.denominator, b.numerator * a.denominator
+    ca, cb = 0, 1  # C(k-j-1, j-1) and C(k-j-1, j) at j = 0
+    row = [Fraction(sb, scale)]
+    for j in range(1, k // 2 + 1):
+        ca = cb * (k - 2 * j + 1) // (k - j)
+        cb = ca * (k - 2 * j) // j
+        sa, sb = sign * sa, sign * sb
+        row.append(Fraction(ca * sa + cb * sb, scale))
+    return row
 
-    def choose(n_, k_):
-        if k_ < 0 or k_ > n_ or n_ < 0:
-            return 0
-        return math.comb(n_, k_)
 
-    return choose(top, j - 1) * params.alpha + choose(top, j) * params.beta
-
-
-class GibonacciArray:
-    """Rows of the two-seed triangular array, grown on demand and cached."""
-
-    def __init__(self, params: GibParams):
-        self.params = params
-        self._rows = [[params.alpha], [params.beta]]
-
-    def row(self, k: int) -> list:
-        if k < 0:
-            raise ExactError("row index must be nonnegative")
-        entries = k * k // 4 + k + 1
-        if entries > ARRAY_ENTRY_BUDGET:
-            raise ExactError(
-                f"array row {k} needs {entries:,} entries, "
-                f"over the entry budget of {ARRAY_ENTRY_BUDGET:,}"
-            )
-        while len(self._rows) <= k:
-            i = len(self._rows)
-            prev, prev2 = self._rows[i - 1], self._rows[i - 2]
-            width = i // 2 + 1
-            row = []
-            for j in range(width):
-                above = prev[j] if j < len(prev) else Fraction(0)
-                diag = prev2[j - 1] if 0 <= j - 1 < len(prev2) else Fraction(0)
-                row.append(above + diag)
-            self._rows.append(row)
-        return list(self._rows[k])
+def array_rows(params: GibParams, count: int):
+    """Rows 0..count-1 of the array, built one at a time; ExactError past
+    ARRAY_ENTRY_BUDGET entries, before any row is built."""
+    k = count - 1
+    entries = k * k // 4 + k + 1
+    if entries > ARRAY_ENTRY_BUDGET:
+        raise ExactError(
+            f"array row {k} needs {entries:,} entries, "
+            f"over the entry budget of {ARRAY_ENTRY_BUDGET:,}"
+        )
+    return (_row(params, j) for j in range(count))
 
 
 _X = Poly([0, 1])
@@ -146,12 +132,11 @@ def _row_walk(params: GibParams, x):
 # grows with k, so the memo is kept small to hold memory flat.
 @lru_cache(maxsize=256)
 def _sa_poly_cached(params: GibParams, k: int) -> Poly:
-    m = k // 2
-    return Poly((-1) ** (m - i) * binomial_entry(params, k, m - i) for i in range(m + 1))
+    return Poly(reversed(_row(params, k, -1)))
 
 
 def sign_alternating_poly(params: GibParams, k: int) -> Poly:
-    """Row polynomial from the closed binomial form of its entries;
+    """Row k read with alternating signs, highest power first;
     ExactError past POLY_ROW_BUDGET."""
     if k < -1:
         raise ExactError("row index must be at least -1")

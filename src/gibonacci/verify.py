@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 
 from .exactnum import ExactError, Interval, Poly, RingElement
 from .game import (
@@ -26,11 +27,10 @@ from .game import (
     terminal_numbers,
 )
 from .polys import (
-    GibonacciArray,
     GibParams,
     _next_row,
+    array_rows,
     binet_eval,
-    binomial_entry,
     eigen_pair,
     fibonacci_decomposition_holds,
     reciprocal_transform_holds,
@@ -102,23 +102,21 @@ class CheckResult:
 
 
 def check_array_fixtures() -> CheckResult:
-    """Rows 0-9 of the two integer triangles, and the symbolic triangle via
-    the closed binomial form for five rational seed pairs."""
+    """Rows 0-9 of the two integer triangles, and the entry rule
+    e(k, j) = e(k-1, j) + e(k-2, j-1) on rows 2-60 for five rational seed
+    pairs (the three-term recurrence read coefficient by coefficient)."""
     res = CheckResult("array-fixtures")
     for params, rows in ((UNIT, FIB_ROWS), (LUCAS, LUCAS_ROWS)):
-        arr = GibonacciArray(params)
-        for k, expected in enumerate(rows):
-            if arr.row(k) != expected:
-                res.fail(f"row {k} of seeds {params} is {arr.row(k)}, wanted {expected}")
+        for k, (row, expected) in enumerate(zip(array_rows(params, len(rows)), rows)):
+            if row != expected:
+                res.fail(f"row {k} of seeds {params} is {row}, wanted {expected}")
     pairs = [(1, 1), (2, 1), (5, 2), (Fraction(7, 3), Fraction(1, 2)), (3, 4)]
     for a, b in pairs:
-        params = GibParams.of(a, b)
-        arr = GibonacciArray(params)
-        for k in range(10):
-            row = arr.row(k)
-            closed = [binomial_entry(params, k, j) for j in range(k // 2 + 1)]
-            if row != closed:
-                res.fail(f"closed form mismatch at seeds ({a},{b}), row {k}")
+        rows = list(array_rows(GibParams.of(a, b), 61))
+        for k in range(2, 61):
+            rule = [x + y for x, y in zip_longest(rows[k - 1], [0] + rows[k - 2], fillvalue=0)]
+            if rows[k] != rule:
+                res.fail(f"entry rule fails at seeds ({a},{b}), row {k}")
     return res
 
 

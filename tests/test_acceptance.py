@@ -30,8 +30,8 @@ def _report(criterion: str, result) -> None:
 
 
 def test_criterion_01_array_fixtures():
-    # rows 0-9 of both integer triangles, and the symbolic triangle through
-    # the closed binomial form for five rational seed pairs
+    # rows 0-9 of both integer triangles, and the entry rule on rows 2-60
+    # of the one-pass rows for five rational seed pairs
     _report("criterion 1", _run("check_array_fixtures"))
 
 

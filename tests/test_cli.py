@@ -12,6 +12,7 @@ from gibonacci.exactnum import poly_from_strings, rational
 from gibonacci.game import GameConfig
 from gibonacci.polys import GibParams, _sa_poly_cached, sign_alternating_poly
 from gibonacci.posets import _triangle_rows
+from test_polys import comb_entry, recurrence_rows
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +78,16 @@ class TestArray:
         assert code == 0
         rows = [[rational(v) for v in row] for row in json.loads(out)]
         assert rows[7] == [1, 7, 14, 7]
+
+    def test_json_rows_match_oracles(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "array", "--alpha", "7/3", "--beta", "1/2", "--rows", "40", "--format", "json"
+        )
+        assert code == 0
+        rows = [[rational(v) for v in row] for row in json.loads(out)]
+        params = GibParams.of(Fraction(7, 3), Fraction(1, 2))
+        assert rows == recurrence_rows(params, 40)
+        assert rows == [[comb_entry(params, k, j) for j in range(k // 2 + 1)] for k in range(40)]
 
     def test_array_budget_is_one_line_error(self, capsys):
         code, out, err = run_cli(capsys, "array", "--alpha", "1", "--beta", "1", "--rows", "100000000")

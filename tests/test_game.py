@@ -418,6 +418,19 @@ class TestScaledPlay:
             for f, (node, u, v) in zip(trace.firings, firings):
                 assert f.node == node and _values_equal((f.u, f.v), (u, v))
 
+    def test_read_order_does_not_change_values(self):
+        # a firing read after its predecessor takes the kept value from it;
+        # one read first builds both, and reads no earlier firing
+        cfg = GameConfig.rational(LUCAS, Fraction(7, 5), (4 - Fraction(1, 10**3)) * Fraction(5, 7))
+        for first, (a, b) in self.STARTS.items():
+            backward = play(a, b, first, cfg, budget=2000)
+            assert backward.final == (backward.firings[-1].u, backward.firings[-1].v)
+            assert all(f._values is None for f in backward.firings[:-1])
+            got = [(f.node, f.u, f.v) for f in reversed(backward.firings)][::-1]
+            forward = self.assert_same(a, b, first, cfg, budget=2000)
+            assert [(f.node, f.u, f.v) for f in forward.firings] == got
+            assert forward.final == backward.final
+
     def test_fire_divides_by_its_scale(self):
         cfg = GameConfig.rational(WIDE, Fraction(7, 2), Fraction(8, 7))
         state = seeded_fire(1, 1, NODE1, cfg)

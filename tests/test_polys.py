@@ -1,16 +1,16 @@
 """Gibonacci arrays, sign-alternating polynomials, and closed evaluations."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from gibonacci.exactnum import ExactError, Poly
 from gibonacci.polys import (
-    GibonacciArray,
     GibParams,
     _sa_poly_cached,
+    array_rows,
     binet_eval,
-    binomial_entry,
     companion_poly,
     eigen_pair,
     fibonacci_decomposition_holds,
@@ -63,33 +63,65 @@ SYMBOLIC_ROWS = [
 ]
 
 
+
+def recurrence_rows(params, count):
+    """Oracle: rows 0..count-1 by the entry rule e(k, j) = e(k-1, j) + e(k-2, j-1)."""
+    rows = [[params.alpha], [params.beta]]
+    for k in range(2, count):
+        prev, prev2 = rows[k - 1], rows[k - 2]
+        row = []
+        for j in range(k // 2 + 1):
+            above = prev[j] if j < len(prev) else Fraction(0)
+            diag = prev2[j - 1] if 0 <= j - 1 < len(prev2) else Fraction(0)
+            row.append(above + diag)
+        rows.append(row)
+    return rows[:count]
+
+
+def comb_entry(params, k, j):
+    """Oracle: entry e(k, j) by C(k-j-1, j-1)*alpha + C(k-j-1, j)*beta, row 0
+    the seed alpha, and 0 out of range."""
+    if k < 0 or j < 0 or j > k // 2:
+        return Fraction(0)
+    if k == 0:
+        return params.alpha
+    top = k - j - 1
+
+    def choose(n_, k_):
+        if k_ < 0 or k_ > n_ or n_ < 0:
+            return 0
+        return math.comb(n_, k_)
+
+    return choose(top, j - 1) * params.alpha + choose(top, j) * params.beta
+
+
+ORACLE_SEEDS = [(1, 1), (2, 1), (5, 2), (Fraction(1, 3), Fraction(2, 7)), (3, 1), (Fraction(7, 3), Fraction(1, 2))]
+
+
 class TestArray:
     def test_fibonacci_rows(self):
-        arr = GibonacciArray(UNIT)
-        for k, expected in enumerate(FIB_ROWS):
-            assert arr.row(k) == expected
+        assert list(array_rows(UNIT, len(FIB_ROWS))) == FIB_ROWS
+        assert recurrence_rows(UNIT, len(FIB_ROWS)) == FIB_ROWS
 
     def test_lucas_rows(self):
-        arr = GibonacciArray(LUCAS)
-        for k, expected in enumerate(LUCAS_ROWS):
-            assert arr.row(k) == expected
+        assert list(array_rows(LUCAS, len(LUCAS_ROWS))) == LUCAS_ROWS
+        assert recurrence_rows(LUCAS, len(LUCAS_ROWS)) == LUCAS_ROWS
 
     def test_symbolic_rows_match_five_rational_seed_pairs(self):
         pairs = [(1, 1), (2, 1), (5, 2), (Fraction(7, 3), Fraction(1, 2)), (3, 4)]
         for a, b in pairs:
             params = GibParams.of(a, b)
-            arr = GibonacciArray(params)
-            for k, row in enumerate(SYMBOLIC_ROWS):
-                expected = [ca * params.alpha + cb * params.beta for ca, cb in row]
-                assert arr.row(k) == expected
+            expected = [[ca * params.alpha + cb * params.beta for ca, cb in row] for row in SYMBOLIC_ROWS]
+            assert list(array_rows(params, len(SYMBOLIC_ROWS))) == expected
+            assert recurrence_rows(params, len(SYMBOLIC_ROWS)) == expected
+            for k, row in enumerate(expected):
+                assert [comb_entry(params, k, j) for j in range(len(row))] == row
 
     def test_row_sums_are_fibonacci_and_lucas(self):
         fib = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144]
         luc = [2, 1, 3, 4, 7, 11, 18, 29, 47, 76, 123, 199]
-        fa, la = GibonacciArray(UNIT), GibonacciArray(LUCAS)
-        for k in range(12):
-            assert sum(fa.row(k)) == fib[k]
-            assert sum(la.row(k)) == luc[k]
+        assert [sum(row) for row in array_rows(UNIT, 12)] == fib
+        assert [sum(row) for row in array_rows(LUCAS, 12)] == luc
 
     def test_seed_positivity_enforced(self):
         with pytest.raises(ExactError):
@@ -97,26 +129,45 @@ class TestArray:
         with pytest.raises(ExactError):
             GibParams.of(1, -2)
 
+    def test_entry_budget_refused_before_any_row(self):
+        with pytest.raises(ExactError, match="array row 1094 needs 300,304 entries, over the entry budget of 300,000"):
+            array_rows(UNIT, 1095)
+        assert next(array_rows(UNIT, 1094)) == [1]
+
 
 class TestBinomialEntry:
     def test_named_entries(self):
-        assert binomial_entry(UNIT, 8, 2) == 15
-        assert binomial_entry(LUCAS, 7, 3) == 7
-        assert binomial_entry(GibParams.of(Fraction(9, 4), 5), 0, 0) == Fraction(9, 4)
+        assert list(array_rows(UNIT, 9))[8][2] == comb_entry(UNIT, 8, 2) == 15
+        assert list(array_rows(LUCAS, 8))[7][3] == comb_entry(LUCAS, 7, 3) == 7
+        params = GibParams.of(Fraction(9, 4), 5)
+        assert list(array_rows(params, 1)) == [[comb_entry(params, 0, 0)]] == [[Fraction(9, 4)]]
 
     def test_out_of_range_is_zero(self):
-        assert binomial_entry(UNIT, 5, 3) == 0
-        assert binomial_entry(UNIT, 5, -1) == 0
+        assert comb_entry(UNIT, 5, 3) == 0
+        assert comb_entry(UNIT, 5, -1) == 0
+        assert len(list(array_rows(UNIT, 6))[5]) == 3  # e(5, 3) is past the row's end
 
     def test_matches_recurrence_everywhere(self):
-        # closed form == recurrence for k in 1..60 over a seed grid
-        for a, b in [(1, 1), (2, 1), (5, 2), (Fraction(1, 3), Fraction(2, 7)), (3, 1)]:
+        # the pass, unsigned and signed, against both oracles: k in 0..400
+        # over six seed pairs
+        for a, b in ORACLE_SEEDS:
             params = GibParams.of(a, b)
-            arr = GibonacciArray(params)
-            for k in range(1, 61):
-                row = arr.row(k)
-                for j, val in enumerate(row):
-                    assert binomial_entry(params, k, j) == val
+            rows = list(array_rows(params, 401))
+            assert rows == recurrence_rows(params, 401)
+            for k, row in enumerate(rows):
+                assert row == [comb_entry(params, k, j) for j in range(k // 2 + 1)]
+                signed = sign_alternating_poly(params, k).coeffs[::-1]
+                assert list(signed) == [(-1) ** j * e for j, e in enumerate(row)]
+
+    def test_deep_row_entries_match_binomials(self):
+        params = GibParams.of(7, 3)
+        try:
+            coeffs = sign_alternating_poly(params, 10_000).coeffs
+        finally:
+            _sa_poly_cached.cache_clear()
+        assert len(coeffs) == 5001
+        for j in (0, 1, 2, 3, 17, 1000, 2499, 2500, 3333, 4998, 4999, 5000):
+            assert coeffs[5000 - j] == (-1) ** j * comb_entry(params, 10_000, j)
 
 
 class TestSignAlternatingPoly:
@@ -146,11 +197,10 @@ class TestSignAlternatingPoly:
         # coefficient of x^(floor(k/2)-j) must be (-1)^j * entry(k, j)
         for a, b in [(1, 1), (2, 1), (5, 2), (3, 1), (7, 2)]:
             params = GibParams.of(a, b)
-            arr = GibonacciArray(params)
-            for k in range(61):
+            for k, row in enumerate(recurrence_rows(params, 61)):
                 p = sign_alternating_poly(params, k)
                 d = k // 2
-                for j, entry in enumerate(arr.row(k)):
+                for j, entry in enumerate(row):
                     assert p.coeffs[d - j] == (-1) ** j * entry
 
     def test_closed_form_matches_recursive_builder(self):
@@ -166,8 +216,8 @@ class TestSignAlternatingPoly:
                 assert sign_alternating_poly(params, k) == prev
 
     def test_cold_deep_row_is_one_memo_entry(self):
-        # row k comes from its own binomials: no lower row is cached, and
-        # no recursion runs however deep k is
+        # row k comes from its own pass: no lower row is cached, and no
+        # recursion runs however deep k is
         _sa_poly_cached.cache_clear()
         try:
             p = sign_alternating_poly(GibParams.of(7, 3), 3000)

@@ -587,6 +587,37 @@ class TestRootIn:
         assert rational_ends > 100 and point_roots > 10
 
 
+class TestSympyIsolation:
+    def test_root_sets_match_sympy_intervals(self):
+        # sympy isolates the real roots of the same rows by its own route;
+        # each of our roots lies in its own sympy interval and in no other
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+
+        def fraction(r):
+            return Fraction(int(r.p), int(r.q))
+
+        def inside(root, lo, hi):
+            # a sympy interval is open unless it is one point, a rational
+            # root, so a wider one may end at a neighbouring rational root
+            if lo == hi:
+                return root_in(root, Interval(lo, hi))
+            ends = (root_in(root, Interval(e, e)) for e in (lo, hi))
+            return root_in(root, Interval(lo, hi)) and not any(ends)
+
+        for alpha, beta in [(1, 1), (Fraction(3, 2), 1), (Fraction(11, 4), 1), (Fraction(7, 3), Fraction(1, 2))]:
+            params = GibParams.of(alpha, beta)
+            for k in range(2, 41):
+                coeffs = [sympy.Rational(c.numerator, c.denominator) for c in sign_alternating_poly(params, k).coeffs]
+                found = sympy.Poly(coeffs[::-1], x, domain="QQ").intervals()
+                assert len(found) == k // 2 and all(mult == 1 for _, mult in found)
+                ends = sorted((fraction(lo), fraction(hi)) for (lo, hi), _ in found)
+                roots = roots_of(params, k).roots
+                assert len(roots) == len(ends)
+                for i, root in enumerate(roots):
+                    assert [inside(root, lo, hi) for lo, hi in ends] == [j == i for j in range(len(ends))], (params, k, i)
+
+
 def _separate_all_pairs(a_roots, b_roots, max_rounds=512):
     """Oracle: the all-pairs refinement loop the sorted sweep replaced."""
     a, b = list(a_roots), list(b_roots)
