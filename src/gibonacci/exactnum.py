@@ -21,16 +21,17 @@ the integer numerator of p(n/d).  Values come from a second integer route:
 denominator (not content-divided) and builds one Fraction at the end.  The
 two routes share no code, because the root intervals certified by
 `sign_at` are re-checked through values.  Every refinement of an algebraic
-number runs one integer bisection kernel, `AlgebraicNumber.bisected`, on
-integer endpoints over a common denominator D*2^s; it builds no Fraction
-per step, and `refined()` is one step of it.
+number runs one integer bisection kernel, `_bisect`, on integer endpoints
+over a common denominator D*2^s, and builds no Fraction per step.
 
-The sign of a polynomial at a real algebraic number is decided interval
-first (`sign_at_algebraic`): integer interval Horner over the number's kept
-enclosure settles every nonzero sign.  When the box contains 0, a linear
-query costs one exact sign of the defining polynomial at the query's root,
-and any other query pays for the exact zero test (a gcd and its signs at
-the two enclosure ends).
+Each algebraic number keeps one integer box, which its signs, decimals and
+order all refine.  The sign of a polynomial at it is decided interval first
+(`sign_at_algebraic`): integer interval Horner over the box settles every
+nonzero sign.  When the box contains 0, a linear query costs one exact sign
+of the defining polynomial at the query's root, and any other query bisects
+three steps before it pays for the exact zero test (a gcd and its signs at
+the two enclosure ends).  Two numbers are ordered by bisecting their boxes
+until one lies below the other (`rational_between`).
 
 Every exact real prints by one decimal rule (`_decimal_at`): the value
 f(theta) is enclosed by the same interval Horner, theta's box is bisected
@@ -642,8 +643,8 @@ class AlgebraicNumber:
     of its Sturm chain is not a constant).  All operations return new
     values, and `enclosure` never changes.
 
-    The tightest enclosure computed for signs and decimals is kept, as
-    integer endpoints (a, b, den) over one common denominator; it lies
+    The tightest enclosure computed for signs, decimals and order is kept,
+    as integer endpoints (a, b, den) over one common denominator; it lies
     inside `enclosure`, isolates the same root, and only shrinks.
     """
 
@@ -681,7 +682,7 @@ class AlgebraicNumber:
         return self.enclosure.lo
 
     def bisected(self, stop=None, steps=None) -> "AlgebraicNumber":
-        """The integer bisection kernel behind every refinement.
+        """A new number, bisected by the integer kernel `_bisect`.
 
         The enclosure is held as integer endpoints a/den < b/den over one
         common denominator den = D*2^s (see `_bisect`).  Bisection stops as
@@ -724,15 +725,15 @@ def sign_at_algebraic(p: Poly, theta: AlgebraicNumber) -> int:
     box that excludes 0 is the sign.  When the box contains 0, a linear p
     compares theta with its root r, which then lies in the enclosure: the
     defining polynomial has the sign it has at the enclosure's lower end at
-    r exactly when theta > r, and vanishes at r exactly when theta = r.  For
-    any other p, zero is decided exactly, once: g = gcd(p, theta.defining)
-    divides a square-free polynomial, so within the enclosure its only
-    possible root is theta, a simple one, and theta is a root of p iff g
-    changes sign across the enclosure.  Otherwise the enclosure is bisected
-    with doubling step counts until the box excludes 0, which happens
-    because p is continuous and p(theta) != 0; the tighter enclosure is kept
-    on theta for later queries.  No floating point and no Sturm chain of p
-    is involved.
+    r exactly when theta > r, and vanishes at r exactly when theta = r.  Any
+    other p bisects the box with doubling step counts 1, 2, 4, ... until it
+    excludes 0, and keeps the tighter box on theta.  After three steps zero
+    is decided exactly, once: g = gcd(p, theta.defining) divides a
+    square-free polynomial, so within the enclosure its only possible root
+    is theta, a simple one, and theta is a root of p iff g changes sign
+    across the enclosure; a zero keeps nothing on theta.  Otherwise the
+    bisection ends, as p is continuous and p(theta) != 0.  No floating
+    point and no Sturm chain of p is involved.
     """
     if p.is_zero:
         return 0
@@ -746,11 +747,12 @@ def sign_at_algebraic(p: Poly, theta: AlgebraicNumber) -> int:
         if p.degree == 1:
             r = -p.coeffs[0] / p.coeffs[1]
             return (1 if cs[1] > 0 else -1) * defining.sign_at(r) * defining.sign_at(theta.enclosure.lo)
-        g = poly_gcd(p, defining)
-        if g.sign_at(theta.enclosure.lo) * g.sign_at(theta.enclosure.hi) < 0:
-            return 0
         steps = 1
         while lo <= 0 <= hi:
+            if steps == 4:
+                g = poly_gcd(p, defining)
+                if g.sign_at(theta.enclosure.lo) * g.sign_at(theta.enclosure.hi) < 0:
+                    return 0
             box = _bisect(defining.primitive_int_coeffs(), *box, steps=steps)
             lo, hi = _box_range(cs, *box)
             steps *= 2
@@ -792,6 +794,38 @@ def _decimal_at(f: Poly, theta: AlgebraicNumber, digits: int) -> str:
     c = (Fraction(s_lo) + Fraction(s_hi)) / 2
     sign_c = sign_at_algebraic(f - Poly.constant(c), theta)
     return decimal_str(c, digits) if sign_c == 0 else s_hi if sign_c > 0 else s_lo
+
+
+SEPARATION_ROUNDS = 512
+
+
+def _below(p: tuple, q: tuple) -> bool:
+    """Whether the ends of the boxes p = (a, b, den) and q put p's root below
+    q's: a root lies strictly inside a box that is not a point."""
+    (pa, pb, pd), (qa, qb, qd) = p, q
+    return pb * qd < qa * pd or (pb * qd == qa * pd and pa < pb and qa < qb)
+
+
+def rational_between(x: AlgebraicNumber, y: AlgebraicNumber) -> Optional[Fraction]:
+    """A rational strictly between x and y when x < y, None when y < x.
+
+    The wider of the two kept integer boxes is bisected one `_bisect` step
+    at a time until one box lies below the other, and both tighter boxes are
+    kept.  The rational is the midpoint of the gap, or the boxes' shared end.
+    Equal numbers never separate: ExactError after SEPARATION_ROUNDS steps.
+    """
+    bx, by = (t._kept or _common_box(t.enclosure) for t in (x, y))
+    for _ in range(SEPARATION_ROUNDS):
+        if _below(bx, by) or _below(by, bx):
+            object.__setattr__(x, "_kept", bx)
+            object.__setattr__(y, "_kept", by)
+            (_, xb, xd), (ya, _, yd) = bx, by
+            return Fraction(xb * yd + ya * xd, 2 * xd * yd) if _below(bx, by) else None
+        if (bx[1] - bx[0]) * by[2] >= (by[1] - by[0]) * bx[2]:
+            bx = _bisect(x.defining.primitive_int_coeffs(), *bx, steps=1)
+        else:
+            by = _bisect(y.defining.primitive_int_coeffs(), *by, steps=1)
+    raise ExactError("enclosures refuse to separate; the two numbers may share a root")
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ Node values live in one of three worlds, all exact:
 
 Sign decisions are never numeric guesses: rationals compare directly, ring
 elements go through the exact sign of a polynomial at an algebraic point
-(an integer interval box over the root's kept enclosure, with a gcd and
-Sturm zero test only when the box contains 0), and linear forms are signed
-when both coefficients agree (a mixed form means the outcome genuinely
-depends on the start pair, which callers treat as an error).
+(an integer interval box over the root's kept enclosure, bisected while it
+holds 0, with a gcd zero test after three steps), and linear forms are
+signed when both coefficients agree (a mixed form means the outcome
+genuinely depends on the start pair, which callers treat as an error).
 
 Play runs on the pair (u, w) with w = v/p, where g1 maps it to (-u, u + w)
 and g2 to (u + pq*w, -w): a firing knows only the product pq, the one number

@@ -11,10 +11,9 @@ integers scaled by powers of d (`_row_variations`): k integer row steps,
 with no row polynomial evaluated.
 Each root set is certified on P_k alone, by degree and sign changes
 (`roots_of`).
-Interlacing between consecutive root sets is decided by refining isolating
-intervals until the two sets separate; no floating point is involved.  Both
-root lists are ascending and internally disjoint, so one sorted merge sweep
-visits each overlapping pair once instead of testing all pairs.
+Interlacing of consecutive root sets is the claim that their expected
+interleaving is strictly increasing; `exactnum.rational_between` orders each
+adjacent pair on the roots' kept integer boxes, with no floating point.
 
 The closed trigonometric root forms of the unit-seed and (2,1)-seed families
 are one identity, 4cos^2(a) = 2 + 2cos(2a): the unit-seed roots
@@ -49,11 +48,11 @@ from .exactnum import (
     _isolate,
     _separation_bits,
     _sign_changes,
+    rational_between,
 )
 from .polys import GibParams, _row_walk, sign_alternating_poly
 
 DEFAULT_ENCLOSURE_BITS = 128
-SEPARATION_ROUNDS = 512
 
 
 @dataclass(frozen=True)
@@ -135,31 +134,6 @@ def largest_root(params: GibParams, k: int) -> AlgebraicNumber:
     return roots_of(params, k).roots[-1]
 
 
-def _separate(a_roots, b_roots):
-    """Refine two enclosure lists until no interval crosses between the lists.
-
-    Each list is ascending with disjoint enclosures, and refinement only
-    shrinks an enclosure, so a merge sweep suffices: the enclosure that lies
-    wholly left of the other cannot meet anything later in the other list.
-    Enclosure roots are strictly interior, so touching endpoints separate.
-    """
-    a = list(a_roots)
-    b = list(b_roots)
-    i = j = rounds = 0
-    while i < len(a) and j < len(b):
-        x, y = a[i].enclosure, b[j].enclosure
-        if x.hi <= y.lo:
-            i, rounds = i + 1, 0
-        elif y.hi <= x.lo:
-            j, rounds = j + 1, 0
-        else:
-            rounds += 1
-            if rounds > SEPARATION_ROUNDS:
-                raise ExactError("enclosures refuse to separate; the two sets share a root")
-            a[i], b[j] = a[i].refined(), b[j].refined()
-    return a, b
-
-
 def check_interlacing(a: RootSet, b: RootSet) -> str:
     """Classify how root set `a` interlaces root set `b`.
 
@@ -171,18 +145,10 @@ def check_interlacing(a: RootSet, b: RootSet) -> str:
         raise ExactError("root sets come from different seed pairs")
     if a.k not in (b.k + 1, b.k + 2):
         raise ExactError("interlacing is checked for row offsets 1 and 2")
-    ra, rb = _separate(a.roots, b.roots)
-    # separated enclosures order lexicographically by (lo, hi): a point [p, p]
-    # precedes a proper interval (p, q] whose root is strictly interior
-    merged = [((r.enclosure.lo, r.enclosure.hi), "a") for r in ra] + [
-        ((r.enclosure.lo, r.enclosure.hi), "b") for r in rb
-    ]
-    merged.sort()
-    pattern = "".join(tag for _, tag in merged)
-    if len(rb) == len(ra) - 1 and pattern == "ab" * len(rb) + "a":
-        return "both-sides"
-    if len(rb) == len(ra) and pattern == "ba" * len(ra):
-        return "right"
+    lead = a.count - b.count  # 1: a_0 comes first, 0: b_0 does
+    order = [*a.roots[:lead], *(r for pair in zip(b.roots, a.roots[lead:]) for r in pair)]
+    if lead in (0, 1) and all(rational_between(x, y) is not None for x, y in zip(order, order[1:])):
+        return "both-sides" if lead else "right"
     return "none"
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
 
-from .exactnum import ExactError, Interval, Poly, RingElement
+from .exactnum import ExactError, Interval, Poly, RingElement, rational_between
 from .game import (
     NODE1,
     NODE2,
@@ -48,8 +48,6 @@ from .posets import (
     verify_identity_suite,
 )
 from .roots import (
-    SEPARATION_ROUNDS,
-    _separate,
     bound_B,
     check_interlacing,
     fibonacci_closed_roots,
@@ -151,11 +149,11 @@ def check_root_geometry(k_max: int) -> CheckResult:
                 res.fail(f"seeds ({a},{b}) k={k}: offset-2 interlacing fails")
         for k in range(3, k_max + 1):
             try:
-                (x,), (y,) = _separate([sets[k - 1].roots[-1]], [sets[k].roots[-1]])
+                between = rational_between(sets[k - 1].roots[-1], sets[k].roots[-1])
             except ExactError as exc:
                 res.fail(f"seeds ({a},{b}) k={k}: largest roots: {exc}")
                 continue
-            if not x.enclosure.hi <= y.enclosure.lo:
+            if between is None:
                 res.fail(f"seeds ({a},{b}) k={k}: largest roots not increasing")
     return res
 
@@ -276,14 +274,14 @@ def _gap_rational(params: GibParams, j: int) -> Fraction:
     """A rational strictly between the largest roots of rows j-1 and j."""
     if j == 2:
         return params.ratio / 2
-    low = roots_of(params, j - 1).roots[-1]
-    high = roots_of(params, j).roots[-1]
-    for _ in range(SEPARATION_ROUNDS):
-        # strict: a point enclosure [r, r] may touch the next root's enclosure
-        if low.enclosure.hi < high.enclosure.lo:
-            return (low.enclosure.hi + high.enclosure.lo) / 2
-        low, high = low.refined(), high.refined()
-    raise ExactError(f"largest roots of rows {j - 1} and {j} refuse to separate")
+    low, high = roots_of(params, j - 1).roots[-1], roots_of(params, j).roots[-1]
+    try:
+        between = rational_between(low, high)
+    except ExactError:
+        between = None
+    if between is None:
+        raise ExactError(f"largest roots of rows {j - 1} and {j} refuse to separate")
+    return between
 
 
 def _threshold(config: GameConfig, j: int, first: str) -> Fraction:

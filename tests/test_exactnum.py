@@ -769,6 +769,26 @@ class TestIntervalFirstSign:
                 assert sturm_count(theta.defining, kept) == 1
         assert refined >= 2
 
+    def test_zero_that_only_the_gcd_decides(self, monkeypatch):
+        # unit row 8 is (x - 1)(x^3 - 6x^2 + 9x - 1), and its largest root is
+        # a root of the cubic: no box excludes 0, so bisection alone never ends
+        from gibonacci import exactnum
+        from gibonacci.polys import GibParams, sign_alternating_poly
+        from gibonacci.roots import largest_root
+
+        unit = GibParams.of(1, 1)
+        row = sign_alternating_poly(unit, 8)
+        cubic = P(-1, 9, -6, 1)
+        assert row == P(-1, 1) * cubic
+        calls = []
+        monkeypatch.setattr(exactnum, "poly_gcd", lambda a, b: calls.append(a) or poly_gcd(a, b))
+        theta = _fresh(largest_root(unit, 8))
+        assert sign_at_algebraic(cubic, theta) == 0
+        assert theta._kept is None  # a zero keeps nothing
+        element = NumberRing(row, theta).element(cubic)
+        assert not element.is_zero and element.sign() == 0
+        assert calls == [cubic, cubic]  # one zero test per query
+
     def test_kept_enclosure_not_filled_by_coarse_or_zero_queries(self):
         iv = isolate_real_roots(P(-2, 0, 1), Interval(Fraction(0), Fraction(2)))[0]
         sqrt2 = AlgebraicNumber(P(-2, 0, 1), iv)

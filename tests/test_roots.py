@@ -1,5 +1,6 @@
 """Root sets, interlacing, bounds, and closed trigonometric root forms."""
 
+import random
 from fractions import Fraction
 from functools import partial
 
@@ -15,6 +16,7 @@ from gibonacci.exactnum import (
     _sign_at_point,
     _variations,
     isolate_real_roots,
+    rational_between,
     sign_at_algebraic,
     sturm_chain,
     sturm_count,
@@ -158,9 +160,7 @@ class TestLargestRoot:
             for k in range(2, 14):
                 cur = largest_root(params, k)
                 if prev is not None:
-                    a, b = prev, cur
-                    while not a.enclosure.hi <= b.enclosure.lo:
-                        a, b = a.refined(), b.refined()
+                    assert rational_between(prev, cur) is not None, (params, k)
                 prev = cur
 
 
@@ -204,6 +204,27 @@ class TestInterlacing:
         fake_b = RootSet(2, UNIT, (sqrt2,))
         with pytest.raises(ExactError, match="share a root"):
             check_interlacing(fake_a, fake_b)
+
+    def test_shared_rational_root_diagnostic(self):
+        # point enclosures [3, 3] touch without separating: equal, not ordered
+        from gibonacci.roots import RootSet
+
+        fake_a = RootSet(3, UNIT, (AlgebraicNumber.from_rational(3),))
+        fake_b = RootSet(2, UNIT, (AlgebraicNumber.from_rational(3),))
+        with pytest.raises(ExactError, match="share a root"):
+            check_interlacing(fake_a, fake_b)
+
+    def test_enclosures_and_decimals_unchanged(self):
+        from gibonacci.roots import RootSet
+
+        def fresh(k):
+            return RootSet(k, UNIT, tuple(map(_fresh, roots_of(UNIT, k).roots)))
+
+        a, b = fresh(41), fresh(40)
+        before = [(r.to_json(), r.decimal(30)) for r in (*fresh(41).roots, *fresh(40).roots)]
+        assert check_interlacing(a, b) == "right"
+        assert all(r._kept is not None for r in (*a.roots, *b.roots))
+        assert [(r.to_json(), r.decimal(30)) for r in (*a.roots, *b.roots)] == before
 
 
 class TestEnclosures:
@@ -619,7 +640,7 @@ class TestSympyIsolation:
 
 
 def _separate_all_pairs(a_roots, b_roots, max_rounds=512):
-    """Oracle: the all-pairs refinement loop the sorted sweep replaced."""
+    """Oracle: refine every crossing pair of enclosures until none cross."""
     a, b = list(a_roots), list(b_roots)
     changed = True
     while changed:
@@ -638,29 +659,66 @@ def _separate_all_pairs(a_roots, b_roots, max_rounds=512):
     return a, b
 
 
+def _merge_verdict(a, b) -> str:
+    """Oracle: the former interlacing verdict, a tagged sort of the
+    enclosures after all-pairs separation."""
+    ra, rb = _separate_all_pairs(a.roots, b.roots)
+    # separated enclosures order lexicographically by (lo, hi): a point [p, p]
+    # precedes a proper interval (p, q] whose root is strictly interior
+    merged = [((r.enclosure.lo, r.enclosure.hi), "a") for r in ra] + [
+        ((r.enclosure.lo, r.enclosure.hi), "b") for r in rb
+    ]
+    pattern = "".join(tag for _, tag in sorted(merged))
+    if len(rb) == len(ra) - 1 and pattern == "ab" * len(rb) + "a":
+        return "both-sides"
+    if len(rb) == len(ra) and pattern == "ba" * len(ra):
+        return "right"
+    return "none"
+
+
+def _fresh(root):
+    """The same number without a kept box (roots_of caches its roots)."""
+    return AlgebraicNumber(root.defining, root.enclosure, _checked=True)
+
+
 def _is_dyadic(x: Fraction) -> bool:
     return x.denominator & (x.denominator - 1) == 0
 
 
 class TestIntegerDyadicCore:
-    def test_sweep_matches_all_pairs_oracle(self, monkeypatch):
+    def test_sweep_matches_all_pairs_oracle(self):
         pairs = [
             (params, k, offset)
             for params in (UNIT, LUCAS)
             for k in range(2, 41)
             for offset in (1, 2)
         ]
-        sweep = [check_interlacing(roots_of(p, k + d), roots_of(p, k)) for p, k, d in pairs]
-        monkeypatch.setattr(roots_module, "_separate", _separate_all_pairs)
-        oracle = [check_interlacing(roots_of(p, k + d), roots_of(p, k)) for p, k, d in pairs]
-        assert sweep == oracle
-        assert set(sweep) <= {"both-sides", "right"}
+        got = [check_interlacing(roots_of(p, k + d), roots_of(p, k)) for p, k, d in pairs]
+        oracle = [_merge_verdict(roots_of(p, k + d), roots_of(p, k)) for p, k, d in pairs]
+        assert got == oracle
+        assert set(got) <= {"both-sides", "right"}
 
     def test_sweep_leaves_no_crossing_pair(self):
-        a, b = roots_module._separate(roots_of(WIDE, 21).roots, roots_of(WIDE, 20).roots)
+        a = [_fresh(r) for r in roots_of(WIDE, 21).roots]
+        b = [_fresh(r) for r in roots_of(WIDE, 20).roots]
+        assert len(a) == len(b)  # b_0 < a_0 < b_1 < ... < a_9
+        order = [r for pair in zip(b, a) for r in pair]
+        for x, y in zip(order, order[1:]):
+            c = rational_between(x, y)
+            assert sign_at_algebraic(Poly([-c, 1]), x) == -1  # x < c
+            assert sign_at_algebraic(Poly([-c, 1]), y) == 1  # c < y
+        kept = {}
+        for r in order:
+            lo, hi, den = r._kept
+            box = kept[id(r)] = Interval(Fraction(lo, den), Fraction(hi, den))
+            assert r.enclosure.lo <= box.lo and box.hi <= r.enclosure.hi
+            if box.lo == box.hi:
+                assert r.defining.sign_at(box.lo) == 0
+            else:
+                assert sturm_count(r.defining, box) == 1
         for x in a:
             for y in b:
-                ex, ey = x.enclosure, y.enclosure
+                ex, ey = kept[id(x)], kept[id(y)]
                 assert ex.hi <= ey.lo or ey.hi <= ex.lo
 
     def test_rim_enclosures_strictly_inside_window(self):
@@ -697,12 +755,55 @@ class TestIntegerDyadicCore:
         assert not root_in(three, Interval(Fraction(31, 10), Fraction(4)))
 
 
+def mpmath_root(mpmath, root):
+    """Oracle: the root by mpmath's bracketing solver inside its enclosure,
+    at the caller's working precision."""
+    e = root.enclosure
+    lo, hi = (mpmath.mpf(v.numerator) / v.denominator for v in (e.lo, e.hi))
+    if e.lo == e.hi:
+        return lo
+    cs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(root.defining.coeffs)]
+    x = mpmath.findroot(lambda t: mpmath.polyval(cs, t), (lo, hi), solver="anderson")
+    assert lo <= x <= hi
+    return x
+
+
+class TestRationalBetween:
+    def test_order_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        seeds = [UNIT, GibParams.of(Fraction(3, 2), 1), GibParams.of(Fraction(11, 4), 1), GibParams.of(Fraction(7, 3), Fraction(1, 2))]
+        rng = random.Random(20201229)
+        ordered = shared = 0
+        with mpmath.workdps(90):  # 50 digits above the cancellation at |x| <= 5
+            for _ in range(150):
+                (p, q), (j, k) = rng.sample(seeds, 2), rng.sample(range(2, 41), 2)
+                x = _fresh(rng.choice(roots_of(p, j).roots))
+                y = _fresh(rng.choice(roots_of(q, k).roots))
+                mx, my = mpmath_root(mpmath, x), mpmath_root(mpmath, y)
+                if mpmath.nstr(mx, 50) == mpmath.nstr(my, 50):
+                    # a rational root of both rows, checked exactly: equal
+                    # numbers never separate
+                    r = Fraction(mpmath.nstr(mx, 50)).limit_denominator(1000)
+                    assert root_in(x, Interval(r, r)) and root_in(y, Interval(r, r))
+                    with pytest.raises(ExactError, match="share a root"):
+                        rational_between(x, y)
+                    shared += 1
+                    continue
+                c, back = rational_between(x, y), rational_between(y, x)
+                if mx < my:
+                    assert back is None and mx < mpmath.mpf(c.numerator) / c.denominator < my
+                    ordered += 1
+                else:
+                    assert c is None and my < mpmath.mpf(back.numerator) / back.denominator < mx
+        assert 30 < ordered < 120 and shared < 10
+
+
 class TestVerifySeparation:
     def test_root_geometry_reports_unseparated_largest_roots(self, monkeypatch):
-        def refuse(a_roots, b_roots):
+        def refuse(x, y):
             raise ExactError("enclosures refuse to separate; the two sets share a root")
 
-        monkeypatch.setattr(verify_module, "_separate", refuse)
+        monkeypatch.setattr(verify_module, "rational_between", refuse)
         res = verify_module.check_root_geometry(4)
         assert not res.ok
         assert res.details[0] == (
