@@ -2,9 +2,10 @@
 
 Everything in the verified path is exact: scalars are `fractions.Fraction`
 (arbitrary-precision, always in lowest terms with positive denominator),
-polynomials are dense coefficient tuples of Fractions, and real algebraic
-numbers are (defining polynomial, isolating interval) pairs whose interval
-holds exactly one root, a simple one, of the defining polynomial.
+polynomials are a positive rational content times a primitive integer
+coefficient vector, and real algebraic numbers are (defining polynomial,
+isolating interval) pairs whose interval holds exactly one root, a simple
+one, of the defining polynomial.
 
 Root counting and isolation use Sturm sequences with bisection (`_isolate`
 takes the sign-variation count of any Sturm sequence as a callable; the row
@@ -14,12 +15,13 @@ primitive integer coefficient vectors (positive content divided out after
 each signed pseudo-remainder step) so that sign evaluation at a rational
 point n/d reduces to integer arithmetic.
 
-Every sign decision goes through that one integer path: a Poly caches its
-own primitive integer coefficient vector, and `Poly.sign_at` evaluates only
-the integer numerator of p(n/d).  Values come from a second integer route:
-`Poly.__call__` runs Horner on the coefficient numerators over their common
-denominator (not content-divided) and builds one Fraction at the end.  The
-two routes share no code, because the root intervals certified by
+A `Poly` has one form, content * ints, and its arithmetic runs on the ints:
+a product convolves the two vectors with no gcd (Gauss's lemma), a sum
+brings both over one scale, and euclidean division, the Sturm chains and
+the gcd share one integer pseudo-division kernel, `_pseudo_divmod`.  Every
+sign decision reads the ints: `Poly.sign_at` evaluates only the integer
+numerator of p(n/d).  `Poly.__call__` runs its own Horner loop over them
+and builds one Fraction with the content; the root intervals certified by
 `sign_at` are re-checked through values.  Every refinement of an algebraic
 number runs one integer bisection kernel, `_bisect`, on integer endpoints
 over a common denominator D*2^s, and builds no Fraction per step.
@@ -143,108 +145,119 @@ def decimal_str(x: Fraction, digits: int = 30) -> str:
 
 
 class Poly:
-    """Dense univariate polynomial with Fraction coefficients.
+    """Dense univariate polynomial over Q, held as content * ints.
 
-    coeffs[i] is the coefficient of x^i; the tuple carries no trailing zeros,
-    and the zero polynomial is the empty tuple (degree -1).  Two integer
-    forms are filled in lazily and kept: the primitive coefficient vector of
-    the sign route and the numerators over the common denominator of the
-    value route.
+    `ints[i]` is the integer coefficient of x^i: the entries have gcd 1, the
+    last one is nonzero and the signs are the polynomial's own, so `content`
+    is a positive Fraction.  The zero polynomial is (1, ()).  The split is
+    unique, so equal polynomials have equal fields; `coeffs` builds the
+    Fraction coefficients when it is read.
     """
 
-    __slots__ = ("coeffs", "_ints", "_over_den")
+    __slots__ = ("content", "ints")
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "_ints", None)
-        object.__setattr__(self, "_over_den", None)
+        cs = [c if isinstance(c, (int, Fraction)) else rational(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        self._set(*_canonical([c.numerator * (den // c.denominator) for c in cs], Fraction(1, den)))
+
+    def _set(self, content: Fraction, ints: tuple) -> "Poly":
+        object.__setattr__(self, "content", content)
+        object.__setattr__(self, "ints", ints)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     @classmethod
+    def from_ints(cls, ints: Iterable[int], content: RationalLike = 1) -> "Poly":
+        """content * (ints[0] + ints[1] x + ...) for any integers and a nonzero content."""
+        return object.__new__(cls)._set(*_canonical(list(ints), content))
+
+    @classmethod
     def constant(cls, c) -> "Poly":
-        return cls([Fraction(c)])
+        return cls([c])
 
     @classmethod
     def x_power(cls, n: int, c=1) -> "Poly":
         return cls([0] * n + [c])
 
     @property
+    def coeffs(self) -> tuple:
+        """The Fraction coefficients, constant term first, built on each read."""
+        return tuple(self.content * c for c in self.ints)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.ints:
             raise ExactError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.content * self.ints[-1]
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self.ints == other.ints and self.content == other.content
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.content, self.ints))
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return _poly(self.content, tuple(-c for c in self.ints))
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
+        """Over one scale: (other.content / kb) * (ka*A + kb*B), ka/kb = self.content / other.content."""
+        r = self.content / other.content
+        ka, kb = r.numerator, r.denominator
+        a, b = self.ints, other.ints
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
+            a, b, ka, kb = b, a, kb, ka
+        out = [ka * c for c in a]
         for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+            out[i] += kb * c
+        return Poly.from_ints(out, other.content / r.denominator)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
+        """Convolution of the two integer vectors, with no gcd: by Gauss's lemma
+        a product of primitive vectors is primitive."""
+        a, b = self.ints, other.ints
         if not a or not b:
             return Poly()
+        content = self.content * other.content
         if len(a) < len(b):
             a, b = b, a
-        if not any(b[:-1]):  # b is c*x^n: shift (and scale) a
-            c = b[-1]
-            return Poly([0] * (len(b) - 1) + (list(a) if c == 1 else [c * ca for ca in a]))
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        if not any(b[:-1]):  # b is x^n or -x^n: shift a
+            return _poly(content, (0,) * (len(b) - 1) + (a if b[-1] == 1 else tuple(-c for c in a)))
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
-        return Poly(out)
+        return _poly(content, tuple(out))
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        return Poly([c * a for a in self.coeffs])
+        c = rational(c)
+        if not c or not self.ints:
+            return Poly()
+        return _poly(self.content * abs(c), self.ints if c > 0 else tuple(-a for a in self.ints))
 
     def __divmod__(self, other: "Poly"):
-        """Exact euclidean division over Q; divisor must be nonzero."""
+        """Exact euclidean division over Q by `_pseudo_divmod`: lc^t * A = q*B + r on
+        the two int vectors gives the remainder content/lc^t * r and the quotient
+        content/(lc^t * other.content) * q."""
         if other.is_zero:
             raise ExactError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly(), self
-        quot = [Fraction(0)] * (dq + 1)
-        lead = other.leading
-        for i in range(dq, -1, -1):
-            c = rem[i + other.degree] / lead
-            quot[i] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] -= c * b
-        return Poly(quot), Poly(rem)
+        q, r, t = _pseudo_divmod(self.ints, other.ints)
+        c = self.content / other.ints[-1] ** t
+        return Poly.from_ints(q, c / other.content), Poly.from_ints(r, c)
 
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
@@ -252,41 +265,30 @@ class Poly:
     def __call__(self, x) -> Fraction:
         """Exact value at a rational point x = n/d, by integer Horner.
 
-        With D the common denominator of the coefficients and N_i = D*c_i,
-        p(n/d) = sum(N_i * n^i * d^(deg-i)) / (D * d^deg).  The numerator is
-        an integer Horner sum, and the one Fraction built at the end costs
-        one gcd.  The N_i are not content-divided and the loop is not the
-        sign route's, so values re-check `sign_at` independently.
+        p(n/d) = content * sum(ints_i * n^i * d^(deg-i)) / d^deg.  The sum is
+        an integer Horner loop, and the one Fraction built at the end with the
+        content costs one gcd.  The loop is not the sign route's
+        (`_sign_at_point`), so values re-check `sign_at` independently.
         """
         if type(x) is not Fraction:
-            x = Fraction(x)
-        if self._over_den is None:
-            den = math.lcm(*(c.denominator for c in self.coeffs))
-            nums = tuple(c.numerator * (den // c.denominator) for c in self.coeffs)
-            object.__setattr__(self, "_over_den", (den, nums))
-        den, nums = self._over_den
-        if not nums:
+            x = rational(x)
+        ints = self.ints
+        if not ints:
             return Fraction(0)
         n, d = x.numerator, x.denominator
-        acc, dpow = nums[-1], 1
-        for c in reversed(nums[:-1]):
+        acc, dpow = ints[-1], 1
+        for c in ints[-2::-1]:
             dpow *= d
             acc = acc * n + c * dpow
-        return Fraction(acc, den * dpow)
+        return Fraction(acc * self.content.numerator, dpow * self.content.denominator)
 
     def primitive_int_coeffs(self) -> tuple:
         """Integer coefficient vector with content 1, same sign pattern."""
-        if self._ints is None:
-            den = 1
-            for c in self.coeffs:
-                den = den * c.denominator // math.gcd(den, c.denominator)
-            ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
-            object.__setattr__(self, "_ints", _int_primitive(ints))
-        return self._ints
+        return self.ints
 
     def sign_at(self, x: RationalLike) -> int:
         """Exact sign of p(x) at a rational point, in integer arithmetic."""
-        return _sign_at_point(self.primitive_int_coeffs(), x.numerator, x.denominator)
+        return _sign_at_point(self.ints, x.numerator, x.denominator)
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
@@ -295,13 +297,32 @@ class Poly:
         return poly_to_text(self)
 
 
+def _poly(content: Fraction, ints: tuple) -> Poly:
+    """A Poly from fields that are already canonical."""
+    return object.__new__(Poly)._set(content, ints)
+
+
+def _canonical(ints: list, content: RationalLike) -> tuple:
+    """(content, ints) of content * ints: trailing zeros dropped, and the gcd of
+    the ints and the sign of the content moved into the content."""
+    while ints and not ints[-1]:
+        ints.pop()
+    g = math.gcd(*ints)
+    if not g:
+        return Fraction(1), ()
+    if content < 0:
+        g = -g
+    return Fraction(content) * g, tuple(ints) if g == 1 else tuple(c // g for c in ints)
+
+
 def poly_to_text(p: Poly, var: str = "x") -> str:
     """Render like 'x^3 - 7x^2 + 14x - 7'."""
     if p.is_zero:
         return "0"
     parts = []
+    coeffs = p.coeffs
     for i in range(p.degree, -1, -1):
-        c = p.coeffs[i]
+        c = coeffs[i]
         if c == 0:
             continue
         mag = abs(c)
@@ -320,7 +341,7 @@ def poly_to_text(p: Poly, var: str = "x") -> str:
 
 def poly_from_strings(items: Sequence[str]) -> Poly:
     """Parse the JSON wire form: rational strings, constant term first."""
-    return Poly([rational(s) for s in items])
+    return Poly(items)
 
 
 def poly_to_strings(p: Poly) -> list:
@@ -328,46 +349,36 @@ def poly_to_strings(p: Poly) -> list:
 
 
 # ---------------------------------------------------------------------------
-# polynomial gcd over Q via a primitive integer remainder sequence
+# integer pseudo-division and the polynomial gcd over Q
 # ---------------------------------------------------------------------------
 
 
-def _int_content(cs: Sequence[int]) -> int:
-    g = 0
-    for c in cs:
-        g = math.gcd(g, c)
-    return g or 1
+def _pseudo_divmod(f: Sequence[int], g: Sequence[int]) -> tuple:
+    """Integer pseudo-division: (q, r, t) with lc(g)^t * f = q*g + r, deg r < deg g.
 
-
-def _int_primitive(cs: Sequence[int]) -> tuple:
-    g = _int_content(cs)
-    return tuple(c // g for c in cs)
-
-
-def _int_pseudo_rem(f: Sequence[int], g: Sequence[int]):
-    """Integer pseudo-remainder: returns (lc(g)^t * f mod g, t).
-
-    The multiplier count t is reported because intermediate cancellations can
-    make it smaller than deg f - deg g + 1, and the Sturm construction needs
-    the exact sign of the factor that was applied.
+    A step multiplies by lc(g) only when lc(g) does not divide the leading
+    term, so t counts the multiplications and can be below
+    deg f - deg g + 1; the Sturm construction needs the exact sign of the
+    factor that was applied.  r carries no trailing zeros.
     """
-    rem = list(f)
-    lg = g[-1]
-    dg = len(g) - 1
+    rem, quot = list(f), [0] * max(len(f) - len(g) + 1, 0)
+    lg, dg = g[-1], len(g) - 1
     times = 0
-    while True:
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dg:
-            break
-        shift = len(rem) - 1 - dg
+    while len(rem) > dg:
         lead = rem[-1]
-        rem = [c * lg for c in rem]
-        times += 1
-        for j, b in enumerate(g):
-            rem[shift + j] -= lead * b
+        if lead:
+            c, m = divmod(lead, lg)
+            if m:
+                rem, quot, c = [x * lg for x in rem], [x * lg for x in quot], lead
+                times += 1
+            shift = len(rem) - 1 - dg
+            quot[shift] = c
+            for j in range(dg):
+                rem[shift + j] -= c * g[j]
         rem.pop()
-    return tuple(rem), times
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem, times
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -377,19 +388,12 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     coefficient growth of the remainder sequence polynomial rather than
     exponential.
     """
-    if a.is_zero:
-        return b if b.is_zero else b.scale(1 / b.leading)
-    if b.is_zero:
-        return a.scale(1 / a.leading)
-    f = a.primitive_int_coeffs()
-    g = b.primitive_int_coeffs()
+    f, g = a.ints, b.ints
     if len(f) < len(g):
         f, g = g, f
     while g:
-        r, _ = _int_pseudo_rem(f, g)
-        f, g = g, (_int_primitive(r) if r else ())
-    p = Poly(f)
-    return p.scale(1 / p.leading)
+        f, g = g, _canonical(_pseudo_divmod(f, g)[1], 1)[1]
+    return Poly.from_ints(f, Fraction(1, f[-1])) if f else Poly()
 
 
 # ---------------------------------------------------------------------------
@@ -501,23 +505,19 @@ def sturm_chain(p: Poly) -> tuple:
     positive integer content; both operations preserve the sign-variation
     property the chain is used for.
     """
-    f = p.primitive_int_coeffs()
+    f = p.ints
     if len(f) <= 1:
         return (f,) if f else ()
-    fp = tuple(i * c for i, c in enumerate(f))[1:]
-    chain = [f, _int_primitive(fp)]
+    chain = [f, _canonical([i * c for i, c in enumerate(f)][1:], 1)[1]]
     while len(chain[-1]) > 1:
         prev, cur = chain[-2], chain[-1]
-        r, times = _int_pseudo_rem(prev, cur)
+        _, r, times = _pseudo_divmod(prev, cur)
         if not r:
             break
         # r = lc(cur)^times * prev mod cur; divide the sign of that factor
         # back out so the chain entry is a positive multiple of -rem(prev, cur)
-        factor_sign = 1 if (cur[-1] > 0 or times % 2 == 0) else -1
-        nxt = tuple(-c * factor_sign for c in r)
-        chain.append(_int_primitive(nxt))
-    if len(chain[-1]) == 1 and chain[-1][0] == 0:
-        chain.pop()
+        flip = cur[-1] > 0 or times % 2 == 0
+        chain.append(_canonical([-c if flip else c for c in r], 1)[1])
     return tuple(chain)
 
 
@@ -693,7 +693,7 @@ class AlgebraicNumber:
         if self.is_rational:
             return self
         a, b, den = _bisect(
-            self.defining.primitive_int_coeffs(), *_common_box(self.enclosure), stop, steps
+            self.defining.ints, *_common_box(self.enclosure), stop, steps
         )
         return AlgebraicNumber(
             self.defining, Interval(Fraction(a, den), Fraction(b, den)), _checked=True
@@ -739,13 +739,13 @@ def sign_at_algebraic(p: Poly, theta: AlgebraicNumber) -> int:
         return 0
     if theta.is_rational:
         return p.sign_at(theta.rational_value)
-    cs = p.primitive_int_coeffs()
+    cs = p.ints
     box = theta._kept or _common_box(theta.enclosure)
     lo, hi = _box_range(cs, *box)
     if lo <= 0 <= hi:
         defining = theta.defining
         if p.degree == 1:
-            r = -p.coeffs[0] / p.coeffs[1]
+            r = Fraction(-cs[0], cs[1])
             return (1 if cs[1] > 0 else -1) * defining.sign_at(r) * defining.sign_at(theta.enclosure.lo)
         steps = 1
         while lo <= 0 <= hi:
@@ -753,7 +753,7 @@ def sign_at_algebraic(p: Poly, theta: AlgebraicNumber) -> int:
                 g = poly_gcd(p, defining)
                 if g.sign_at(theta.enclosure.lo) * g.sign_at(theta.enclosure.hi) < 0:
                     return 0
-            box = _bisect(defining.primitive_int_coeffs(), *box, steps=steps)
+            box = _bisect(defining.ints, *box, steps=steps)
             lo, hi = _box_range(cs, *box)
             steps *= 2
         object.__setattr__(theta, "_kept", box)
@@ -777,7 +777,7 @@ def _decimal_at(f: Poly, theta: AlgebraicNumber, digits: int) -> str:
     check_digits(digits)
     if sign_at_algebraic(f, theta) == 0:
         return "0"
-    cs = f.primitive_int_coeffs()
+    cs = f.ints
     scale = 10**digits
 
     def fine(a, b, den):
@@ -785,9 +785,9 @@ def _decimal_at(f: Poly, theta: AlgebraicNumber, digits: int) -> str:
         return lo * hi > 0 and (hi - lo) * scale <= min(abs(lo), abs(hi))
 
     box = theta._kept or _common_box(theta.enclosure)
-    box = _bisect(theta.defining.primitive_int_coeffs(), *box, fine)
+    box = _bisect(theta.defining.ints, *box, fine)
     object.__setattr__(theta, "_kept", box)
-    unit = f.leading / cs[-1] / box[2] ** f.degree  # f over the box: unit * _box_range
+    unit = f.content / box[2] ** f.degree  # f over the box: unit * _box_range
     s_lo, s_hi = (decimal_str(unit * v, digits) for v in _box_range(cs, *box))
     if s_lo == s_hi:
         return s_lo
@@ -822,9 +822,9 @@ def rational_between(x: AlgebraicNumber, y: AlgebraicNumber) -> Optional[Fractio
             (_, xb, xd), (ya, _, yd) = bx, by
             return Fraction(xb * yd + ya * xd, 2 * xd * yd) if _below(bx, by) else None
         if (bx[1] - bx[0]) * by[2] >= (by[1] - by[0]) * bx[2]:
-            bx = _bisect(x.defining.primitive_int_coeffs(), *bx, steps=1)
+            bx = _bisect(x.defining.ints, *bx, steps=1)
         else:
-            by = _bisect(y.defining.primitive_int_coeffs(), *by, steps=1)
+            by = _bisect(y.defining.ints, *by, steps=1)
     raise ExactError("enclosures refuse to separate; the two numbers may share a root")
 
 
@@ -853,7 +853,7 @@ class NumberRing:
         return RingElement(self, poly % self.defining)
 
     def from_rational(self, r) -> "RingElement":
-        return RingElement(self, Poly.constant(Fraction(r)))
+        return RingElement(self, Poly.constant(r))
 
     def generator(self) -> "RingElement":
         """The residue class of t (the designated root, when there is one)."""
@@ -928,4 +928,4 @@ class RingElement:
         return _decimal_at(self.poly, self._theta(), digits)
 
     def to_json(self):
-        return {"coeffs": [format_rational(c) for c in self.poly.coeffs]}
+        return {"coeffs": poly_to_strings(self.poly)}

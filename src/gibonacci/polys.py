@@ -64,25 +64,24 @@ class GibParams:
 
 
 def _row(params: GibParams, k: int, sign: int = 1) -> list:
-    """Entries e(k, 0), ..., e(k, k//2) of array row k, entry j times sign**j.
+    """Entries e(k, 0), ..., e(k, k//2) of array row k times L, entry j times sign**j.
 
     One exact integer pass over the closed form
     e(k, j) = C(k-j-1, j-1)*alpha + C(k-j-1, j)*beta (k >= 1; row 0 is the
     seed alpha, and row -1 is empty): consecutive binomials differ by exact
     integer ratios, and the seeds are scaled by L = den(alpha)*den(beta).
     """
-    if k <= 0:
-        return [params.alpha] if k == 0 else []
     a, b = params.alpha, params.beta
-    scale = a.denominator * b.denominator
     sa, sb = a.numerator * b.denominator, b.numerator * a.denominator
+    if k <= 0:
+        return [sa] if k == 0 else []
     ca, cb = 0, 1  # C(k-j-1, j-1) and C(k-j-1, j) at j = 0
-    row = [Fraction(sb, scale)]
+    row = [sb]
     for j in range(1, k // 2 + 1):
         ca = cb * (k - 2 * j + 1) // (k - j)
         cb = ca * (k - 2 * j) // j
         sa, sb = sign * sa, sign * sb
-        row.append(Fraction(ca * sa + cb * sb, scale))
+        row.append(ca * sa + cb * sb)
     return row
 
 
@@ -96,7 +95,8 @@ def array_rows(params: GibParams, count: int):
             f"array row {k} needs {entries:,} entries, "
             f"over the entry budget of {ARRAY_ENTRY_BUDGET:,}"
         )
-    return (_row(params, j) for j in range(count))
+    scale = _row_scale(params, 0, 0)
+    return ([Fraction(e, scale) for e in _row(params, j)] for j in range(count))
 
 
 _X = Poly([0, 1])
@@ -132,7 +132,7 @@ def _row_walk(params: GibParams, x):
 # grows with k, so the memo is kept small to hold memory flat.
 @lru_cache(maxsize=256)
 def _sa_poly_cached(params: GibParams, k: int) -> Poly:
-    return Poly(reversed(_row(params, k, -1)))
+    return Poly.from_ints(_row(params, k, -1)[::-1], Fraction(1, _row_scale(params, 0, 0)))
 
 
 def sign_alternating_poly(params: GibParams, k: int) -> Poly:

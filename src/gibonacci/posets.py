@@ -284,7 +284,7 @@ def q_integer(m: int) -> Poly:
 
 
 def is_palindromic(p: Poly) -> bool:
-    return list(p.coeffs) == list(reversed(p.coeffs))
+    return p.ints == p.ints[::-1]
 
 
 def is_connected(poset: SGPoset) -> bool:

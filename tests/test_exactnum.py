@@ -1,5 +1,6 @@
 """Exact scalar/polynomial arithmetic, Sturm counting, and algebraic signs."""
 
+import math
 import sys
 import time
 from fractions import Fraction
@@ -153,6 +154,115 @@ class TestPolyArithmetic:
     def test_json_round_trip(self):
         p = P(Fraction(-3, 2), 0, 7)
         assert poly_from_strings(poly_to_strings(p)) == p
+
+    def test_float_coefficients_rejected(self):
+        # a float would silently become its binary fraction, 0.1 = 3602879701896397/2^55
+        for bad in ([0.1, 1], [1, 2.5]):
+            with pytest.raises(ExactError, match="floating-point"):
+                Poly(bad)
+        with pytest.raises(ExactError):
+            Poly.constant(0.5)
+        with pytest.raises(ExactError):
+            P(1, 1).scale(0.5)
+        with pytest.raises(ExactError):
+            P(1, 1)(0.5)
+        assert Poly(["1/3", " -2 "]) == P(Fraction(1, 3), -2)
+
+    def test_canonical_form_by_every_route(self):
+        # the sturm_chain memo and RingElement equality key on ==  and hash
+        routes = [Poly([2, 4]), P(1, 2).scale(2), P(4, 8).scale(Fraction(1, 2)),
+                  P(-1, -2).scale(-2), -P(-2, -4), P(1, 0, 2) - P(-1, -4, 2), P(Fraction(2, 3), Fraction(4, 3)) * P(3)]
+        for p in routes:
+            assert p == routes[0] and hash(p) == hash(routes[0])
+            assert (p.content, p.ints) == (2, (1, 2))
+        assert (Poly().content, Poly().ints) == (1, ())
+        assert P(3, -3) - P(3, -3) == Poly() and hash(P(1) - P(1)) == hash(Poly())
+        assert P(Fraction(-1, 6), Fraction(-1, 4)).ints == (-2, -3)
+
+    def test_matches_fraction_oracle(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        rationals = st.fractions(min_value=-20, max_value=20, max_denominator=60)
+        lists = st.lists(st.one_of(rationals, st.integers(-9, 9)), max_size=7)
+
+        @hyp.settings(max_examples=250, deadline=None, derandomize=True)
+        @hyp.given(lists, lists, rationals, rationals)
+        def check(a, b, c, x):
+            pa, pb = Poly(a), Poly(b)
+            a, b = _trimmed(a), _trimmed(b)
+            results = [
+                (pa, a),
+                (pa + pb, _oracle_add(a, b)),
+                (pa - pb, _oracle_add(a, [-v for v in b])),
+                (pa * pb, _oracle_mul(a, b)),
+                (pa.scale(c), _trimmed([c * v for v in a])),
+            ]
+            if b:
+                q, r = divmod(pa, pb)
+                oq, orem = _oracle_divmod(a, b)
+                results += [(q, oq), (r, orem), (pa % pb, orem)]
+                assert r.degree < pb.degree and q * pb + r == pa
+            for got, want in results:
+                assert got.coeffs == want
+                _assert_canonical(got)
+                # the same polynomial built from its Fraction list
+                built = Poly(want)
+                assert got == built and hash(got) == hash(built)
+            value = _oracle_eval(a, x)
+            assert type(pa(x)) is Fraction and pa(x) == value
+            assert pa.sign_at(x) == (value > 0) - (value < 0)
+
+        check()
+
+
+def _trimmed(cs) -> tuple:
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _oracle_add(a, b) -> tuple:
+    """Oracle: coefficient-wise sum of two Fraction lists."""
+    n = max(len(a), len(b))
+    return _trimmed([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+
+
+def _oracle_mul(a, b) -> tuple:
+    """Oracle: schoolbook convolution in Fractions."""
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return _trimmed(out)
+
+
+def _oracle_divmod(a, b) -> tuple:
+    """Oracle: Fraction long division by the nonzero list b."""
+    rem = list(a)
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + len(b) - 1] / b[-1]
+        quot[i] = c
+        for j, cb in enumerate(b):
+            rem[i + j] -= c * cb
+    return _trimmed(quot), _trimmed(rem)
+
+
+def _oracle_eval(a, x) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _assert_canonical(p: Poly):
+    """Positive Fraction content times a primitive integer vector, no trailing zero."""
+    assert type(p.content) is Fraction and all(type(c) is int for c in p.ints)
+    if p.ints:
+        assert p.content > 0 and math.gcd(*p.ints) == 1 and p.ints[-1] != 0
+    else:
+        assert p.content == 1
 
 
 class TestGcd:

@@ -496,6 +496,37 @@ def _bisection_root_in(root, target, steps=300):
     return None
 
 
+def _fraction_bisection_root_in(cs, enclosure, target, steps=400):
+    """Oracle: whether the one root of the Fraction list cs inside
+    `enclosure` (ends not roots, or a point) lies in `target`, by Fraction
+    Horner signs and bisection of the enclosure."""
+
+    def value(x):
+        acc = Fraction(0)
+        for c in reversed(cs):
+            acc = acc * x + c
+        return acc
+
+    lo, hi = enclosure.lo, enclosure.hi
+    if any(lo < end < hi and value(end) == 0 for end in (target.lo, target.hi)):
+        return True  # the root is that target end
+    positive_lo = value(lo) > 0
+    for _ in range(steps):
+        if target.lo <= lo and hi <= target.hi:
+            return True
+        if lo == hi or hi <= target.lo or lo >= target.hi:
+            return False
+        mid = (lo + hi) / 2
+        v = value(mid)
+        if v == 0:
+            lo = hi = mid
+        elif (v > 0) == positive_lo:
+            lo = mid
+        else:
+            hi = mid
+    raise AssertionError(f"bisection of {enclosure} did not settle against {target}")
+
+
 ROOT_IN_SEEDS = [(1, 1), (2, 1), (5, 2), (1, 2), (Fraction(7, 3), Fraction(1, 2))]
 CLOSED_FORMS = {(1, 1): fibonacci_closed_roots, (2, 1): lucas_closed_roots}
 
@@ -606,6 +637,44 @@ class TestRootIn:
             assert verdict == want, (root, target)
         assert sum(got) > 2000 and len(got) - sum(got) > 10000
         assert rational_ends > 100 and point_roots > 10
+
+    def test_random_polynomials_match_fraction_bisection(self):
+        # square-free non-row polynomials: distinct rational linear factors
+        # times the irreducible x^2 - m*s^2 (m square-free); the oracle keeps
+        # its own Fraction coefficients and bisects by Fraction Horner
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+        verdicts = []
+
+        @hypothesis.settings(max_examples=120, deadline=None, derandomize=True)
+        @hypothesis.given(
+            st.lists(rationals, unique=True, max_size=4),
+            st.sampled_from([2, 3, 5, 6, 7]),
+            st.fractions(min_value=Fraction(1, 4), max_value=2, max_denominator=6),
+            st.lists(rationals, min_size=2, max_size=5),
+        )
+        def check(linear, m, s, ends):
+            cs = [-m * s * s, Fraction(0), Fraction(1)]
+            for r in linear:  # times (x - r), in Fractions
+                cs = [a - r * b for a, b in zip([Fraction(0)] + cs, cs + [Fraction(0)])]
+            p = Poly(cs)
+            bound = 1 + max(map(abs, linear), default=0) + m * s * s
+            roots = [AlgebraicNumber(p, iv) for iv in isolate_real_roots(p, Interval(-bound, bound))]
+            assert len(roots) == len(linear) + 2
+            points = sorted(set(ends) | set(linear))
+            for root in roots:
+                e, w = root.enclosure, root.enclosure.width
+                targets = [Interval(u, v) for u, v in zip(points, points[1:])]
+                mid = e.lo + w / 2
+                targets += [Interval(e.lo + w / 3, e.hi + w / 3), Interval(e.hi, e.hi + w), Interval(mid, mid)]
+                for target in targets:
+                    want = _fraction_bisection_root_in(cs, e, target)
+                    assert root_in(root, target) == want, (cs, e, target)
+                    verdicts.append(want)
+
+        check()
+        assert verdicts.count(True) > 100 and verdicts.count(False) > 500
 
 
 class TestSympyIsolation:
