@@ -17,14 +17,14 @@ point n/d reduces to integer arithmetic.
 
 A `Poly` has one form, content * ints, and its arithmetic runs on the ints:
 a product convolves the two vectors with no gcd (Gauss's lemma), a sum
-brings both over one scale, and euclidean division, the Sturm chains and
-the gcd share one integer pseudo-division kernel, `_pseudo_divmod`.  Every
-sign decision reads the ints: `Poly.sign_at` evaluates only the integer
-numerator of p(n/d).  `Poly.__call__` runs its own Horner loop over them
-and builds one Fraction with the content; the root intervals certified by
-`sign_at` are re-checked through values.  Every refinement of an algebraic
-number runs one integer bisection kernel, `_bisect`, on integer endpoints
-over a common denominator D*2^s, and builds no Fraction per step.
+brings both over one scale, and euclidean division, the Sturm chains and the
+gcd share one integer pseudo-division kernel, `_pseudo_divmod`.  Every sign
+decision reads the ints: `Poly.sign_at` evaluates only the integer numerator
+of p(n/d).  `Poly.__call__` runs its own Horner loop over them and builds
+one Fraction with the content; the root intervals certified by `sign_at` are
+re-checked through values.  Every refinement of an algebraic number runs one
+integer bisection kernel, `_bisect`, over a denominator D*2^s: no Fraction,
+and one sign per step, as the number holds the sign just below its root.
 
 Each algebraic number keeps one integer box, which its signs, decimals and
 order all refine.  The sign of a polynomial at it is decided interval first
@@ -253,14 +253,13 @@ class Poly:
         """Exact euclidean division over Q by `_pseudo_divmod`: lc^t * A = q*B + r on
         the two int vectors gives the remainder content/lc^t * r and the quotient
         content/(lc^t * other.content) * q."""
-        if other.is_zero:
-            raise ExactError("division by the zero polynomial")
         q, r, t = _pseudo_divmod(self.ints, other.ints)
         c = self.content / other.ints[-1] ** t
         return Poly.from_ints(q, c / other.content), Poly.from_ints(r, c)
 
     def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
+        _, r, t = _pseudo_divmod(self.ints, other.ints)
+        return Poly.from_ints(r, self.content / other.ints[-1] ** t)
 
     def __call__(self, x) -> Fraction:
         """Exact value at a rational point x = n/d, by integer Horner.
@@ -361,6 +360,8 @@ def _pseudo_divmod(f: Sequence[int], g: Sequence[int]) -> tuple:
     deg f - deg g + 1; the Sturm construction needs the exact sign of the
     factor that was applied.  r carries no trailing zeros.
     """
+    if not g:
+        raise ExactError("division by the zero polynomial")
     rem, quot = list(f), [0] * max(len(f) - len(g) + 1, 0)
     lg, dg = g[-1], len(g) - 1
     times = 0
@@ -446,15 +447,14 @@ def _common_box(iv: Interval) -> tuple:
     return lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den
 
 
-def _bisect(int_coeffs: Sequence[int], a: int, b: int, den: int, stop=None, steps=None) -> tuple:
+def _bisect(int_coeffs: Sequence[int], below: int, a: int, b: int, den: int, stop=None, steps=None) -> tuple:
     """Bisect the root of int_coeffs isolated in (a/den, b/den]; returns (a, b, den).
 
-    A step takes the integer sign at the midpoint (a+b)/(2den) and keeps the
-    half whose endpoint signs differ; the sign at a is fixed, so one sign
-    per step suffices.  When a midpoint is the root itself the result is
-    the point box (m, m, den).
+    `below` is the sign of int_coeffs at every lower end a box keeps, as the
+    root is simple and alone in it.  A step takes the integer sign at the
+    midpoint (a+b)/(2den), one sign per step, and keeps the lower half unless
+    it is `below`.  A midpoint that is the root gives the point box (m, m, den).
     """
-    sign_a = _sign_at_point(int_coeffs, a, den)
     taken = 0
     while taken != steps and not (stop is not None and stop(a, b, den)):
         taken += 1
@@ -463,7 +463,7 @@ def _bisect(int_coeffs: Sequence[int], a: int, b: int, den: int, stop=None, step
         sign_m = _sign_at_point(int_coeffs, m, den)
         if sign_m == 0:
             return m, m, den
-        if sign_m == sign_a:
+        if sign_m == below:
             a = m
         else:
             b = m
@@ -636,24 +636,25 @@ def _isolate(
 class AlgebraicNumber:
     """A real algebraic number: square-free defining polynomial + enclosure.
 
-    The enclosure either contains exactly one (simple) root of `defining`
-    with endpoints that are not roots, or is a degenerate point [r, r] when
-    the number is rational.  The checked constructor refuses anything else,
-    including a defining polynomial that is not square-free (the last entry
-    of its Sturm chain is not a constant).  All operations return new
-    values, and `enclosure` never changes.
-
-    The tightest enclosure computed for signs, decimals and order is kept,
-    as integer endpoints (a, b, den) over one common denominator; it lies
-    inside `enclosure`, isolates the same root, and only shrinks.
+    The enclosure either holds exactly one (simple) root of `defining`, at
+    neither end, or is a point [r, r] when the number is rational.  `_below`
+    is the sign of `defining` just below the root, at the lower end of every
+    box that isolates it (a point never reads it); a maker that knows it
+    passes it.  Otherwise the constructor computes it, then refuses any
+    other enclosure or a defining polynomial that is not square-free (a
+    Sturm chain not ending in a constant).  `enclosure` never changes; the
+    tightest enclosure computed for signs, decimals and order is kept, as
+    integer endpoints (a, b, den) over one common denominator, inside
+    `enclosure`, isolating the same root, and only shrinking.
     """
 
-    __slots__ = ("defining", "enclosure", "_kept")
+    __slots__ = ("defining", "enclosure", "_below", "_kept")
 
-    def __init__(self, defining: Poly, enclosure: Interval, _checked=False):
-        if not _checked:
+    def __init__(self, defining: Poly, enclosure: Interval, _below: Optional[int] = None):
+        if _below is None:
+            _below = defining.sign_at(enclosure.lo)
             if enclosure.lo == enclosure.hi:
-                if defining.sign_at(enclosure.lo) != 0:
+                if _below != 0:
                     raise ExactError("point enclosure is not a root of the defining polynomial")
             elif sturm_count(defining, enclosure) != 1:
                 raise ExactError("enclosure does not isolate exactly one root")
@@ -661,6 +662,7 @@ class AlgebraicNumber:
                 raise ExactError("defining polynomial is not square-free")
         object.__setattr__(self, "defining", defining)
         object.__setattr__(self, "enclosure", enclosure)
+        object.__setattr__(self, "_below", _below)
         object.__setattr__(self, "_kept", None)
 
     def __setattr__(self, name, value):
@@ -668,8 +670,8 @@ class AlgebraicNumber:
 
     @classmethod
     def from_rational(cls, r) -> "AlgebraicNumber":
-        r = Fraction(r)
-        return cls(Poly([-r, 1]), Interval(r, r), _checked=True)
+        r = rational(r)
+        return cls(Poly([-r, 1]), Interval(r, r), 0)
 
     @property
     def is_rational(self) -> bool:
@@ -692,11 +694,10 @@ class AlgebraicNumber:
         """
         if self.is_rational:
             return self
-        a, b, den = _bisect(
-            self.defining.ints, *_common_box(self.enclosure), stop, steps
-        )
+        box = _common_box(self.enclosure)
+        a, b, den = _bisect(self.defining.ints, self._below, *box, stop, steps)
         return AlgebraicNumber(
-            self.defining, Interval(Fraction(a, den), Fraction(b, den)), _checked=True
+            self.defining, Interval(Fraction(a, den), Fraction(b, den)), self._below
         )
 
     def refined(self) -> "AlgebraicNumber":
@@ -746,14 +747,14 @@ def sign_at_algebraic(p: Poly, theta: AlgebraicNumber) -> int:
         defining = theta.defining
         if p.degree == 1:
             r = Fraction(-cs[0], cs[1])
-            return (1 if cs[1] > 0 else -1) * defining.sign_at(r) * defining.sign_at(theta.enclosure.lo)
+            return (1 if cs[1] > 0 else -1) * defining.sign_at(r) * theta._below
         steps = 1
         while lo <= 0 <= hi:
             if steps == 4:
                 g = poly_gcd(p, defining)
                 if g.sign_at(theta.enclosure.lo) * g.sign_at(theta.enclosure.hi) < 0:
                     return 0
-            box = _bisect(defining.ints, *box, steps=steps)
+            box = _bisect(defining.ints, theta._below, *box, steps=steps)
             lo, hi = _box_range(cs, *box)
             steps *= 2
         object.__setattr__(theta, "_kept", box)
@@ -785,7 +786,7 @@ def _decimal_at(f: Poly, theta: AlgebraicNumber, digits: int) -> str:
         return lo * hi > 0 and (hi - lo) * scale <= min(abs(lo), abs(hi))
 
     box = theta._kept or _common_box(theta.enclosure)
-    box = _bisect(theta.defining.ints, *box, fine)
+    box = _bisect(theta.defining.ints, theta._below, *box, fine)
     object.__setattr__(theta, "_kept", box)
     unit = f.content / box[2] ** f.degree  # f over the box: unit * _box_range
     s_lo, s_hi = (decimal_str(unit * v, digits) for v in _box_range(cs, *box))
@@ -799,7 +800,7 @@ def _decimal_at(f: Poly, theta: AlgebraicNumber, digits: int) -> str:
 SEPARATION_ROUNDS = 512
 
 
-def _below(p: tuple, q: tuple) -> bool:
+def _precedes(p: tuple, q: tuple) -> bool:
     """Whether the ends of the boxes p = (a, b, den) and q put p's root below
     q's: a root lies strictly inside a box that is not a point."""
     (pa, pb, pd), (qa, qb, qd) = p, q
@@ -816,15 +817,15 @@ def rational_between(x: AlgebraicNumber, y: AlgebraicNumber) -> Optional[Fractio
     """
     bx, by = (t._kept or _common_box(t.enclosure) for t in (x, y))
     for _ in range(SEPARATION_ROUNDS):
-        if _below(bx, by) or _below(by, bx):
+        if _precedes(bx, by) or _precedes(by, bx):
             object.__setattr__(x, "_kept", bx)
             object.__setattr__(y, "_kept", by)
             (_, xb, xd), (ya, _, yd) = bx, by
-            return Fraction(xb * yd + ya * xd, 2 * xd * yd) if _below(bx, by) else None
+            return Fraction(xb * yd + ya * xd, 2 * xd * yd) if _precedes(bx, by) else None
         if (bx[1] - bx[0]) * by[2] >= (by[1] - by[0]) * bx[2]:
-            bx = _bisect(x.defining.ints, *bx, steps=1)
+            bx = _bisect(x.defining.ints, x._below, *bx, steps=1)
         else:
-            by = _bisect(y.defining.ints, *by, steps=1)
+            by = _bisect(y.defining.ints, y._below, *by, steps=1)
     raise ExactError("enclosures refuse to separate; the two numbers may share a root")
 
 

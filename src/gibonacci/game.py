@@ -52,6 +52,7 @@ from .exactnum import (
     decimal_str,
     format_rational,
     poly_to_text,
+    rational,
 )
 from .polys import GibParams, _row_scale, _row_walk
 from .roots import bound_B, largest_root
@@ -136,7 +137,8 @@ class GameConfig:
     q: Scalar
 
     def __post_init__(self):
-        object.__setattr__(self, "p", Fraction(self.p))
+        object.__setattr__(self, "p", rational(self.p))
+        object.__setattr__(self, "q", self.q if isinstance(self.q, RingElement) else rational(self.q))
         if self.p <= 0:
             raise ExactError("multiplier p must be positive")
         if scalar_sign(self.q) <= 0:
@@ -144,12 +146,12 @@ class GameConfig:
 
     @classmethod
     def rational(cls, params: GibParams, p, q) -> "GameConfig":
-        return cls(params, Fraction(p), Fraction(q))
+        return cls(params, p, q)
 
     @classmethod
     def at_largest_root(cls, params: GibParams, k: int, p=1) -> "GameConfig":
         """Config with p*q pinned exactly to the largest root of row k."""
-        p = Fraction(p)
+        p = rational(p)
         theta = largest_root(params, k)
         if theta.is_rational:
             return cls(params, p, theta.rational_value / p)
@@ -304,7 +306,7 @@ def _seeded_transition(a: Value, b: Value, node: str, config: GameConfig):
 def _check_pair(a, b) -> tuple:
     """(a, b) as Fractions if they may start a game; the repl checks its
     start pair with this before the user picks the first node."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = rational(a), rational(b)
     if a < 0 or b < 0:
         raise ExactError("start pair must be dominant (both coordinates >= 0)")
     if a == 0 and b == 0:
@@ -426,7 +428,7 @@ def play(a, b, first_node: str, config: GameConfig, strategy="alternate", budget
     if budget <= 0:
         raise ExactError("budget must be positive")
     opening = seeded_fire(a, b, first_node, config)
-    return _run(GameTrace(config, (Fraction(a), Fraction(b))), first_node, opening, strategy, budget)
+    return _run(GameTrace(config, (rational(a), rational(b))), first_node, opening, strategy, budget)
 
 
 def play_symbolic(first_node: str, config: GameConfig, strategy="alternate", budget: int = 64) -> GameTrace:
@@ -563,7 +565,7 @@ def terminal_numbers(config: GameConfig, a, b):
         raise ExactError("terminal formulas need pq equal to a largest root")
     k, _, w_km1, _, scale = _scan(config)
     g_km1 = w_km1 * Fraction(1, scale)  # row k is 0, so row k+1 is -g_km1
-    a, b = Fraction(a), Fraction(b)
+    a, b = rational(a), rational(b)
     p, q = config.p, config.q
     if k % 2 == 0:
         final_u = -(q * (g_km1 * b))

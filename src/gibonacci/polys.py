@@ -48,8 +48,8 @@ class GibParams:
     beta: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
+        object.__setattr__(self, "alpha", rational(self.alpha))
+        object.__setattr__(self, "beta", rational(self.beta))
         if self.alpha <= 0 or self.beta <= 0:
             raise ExactError("seeds must be strictly positive")
 
@@ -60,7 +60,7 @@ class GibParams:
 
     @classmethod
     def of(cls, alpha, beta) -> "GibParams":
-        return cls(rational(alpha), rational(beta))
+        return cls(alpha, beta)
 
 
 def _row(params: GibParams, k: int, sign: int = 1) -> list:
@@ -164,7 +164,7 @@ def companion_poly(ratio: Fraction, k: int) -> Poly:
     Reversing coefficients with alternating signs maps member k-1 of this
     sequence onto the sign-alternating polynomial of row k (seed ratio r).
     """
-    ratio = Fraction(ratio)
+    ratio = rational(ratio)
     if ratio <= 0:
         raise ExactError("seed ratio must be positive")
     if k < 0:
@@ -179,7 +179,6 @@ def reciprocal_transform_holds(ratio: Fraction, k: int) -> bool:
     """Check that x^floor(k/2) * V_{k-1}(-1/x) equals the row-k polynomial."""
     if k < 2:
         raise ExactError("transform identity needs k >= 2")
-    ratio = Fraction(ratio)
     w = companion_poly(ratio, k - 1)
     d = k // 2
     if w.degree != d:
@@ -198,7 +197,7 @@ def eigen_pair(x) -> tuple:
     lam*kap = 1 and lam + kap = x - 2 exactly, whether x^2 - 4x is a
     rational square, a non-square or zero.
     """
-    x = Fraction(x)
+    x = rational(x)
     ring = NumberRing(Poly([4 * x - x * x, 0, 1]))
     half = Fraction(1, 2)
     return ring.element(Poly([(x - 2) * half, half])), ring.element(Poly([(x - 2) * half, -half]))
@@ -214,7 +213,7 @@ def binet_eval(params: GibParams, k: int, x) -> Fraction:
     """
     if k < 0:
         raise ExactError("row index must be nonnegative")
-    x = Fraction(x)
+    x = rational(x)
     alpha, beta = params.alpha, params.beta
     m = k // 2
     lam, kap = eigen_pair(x)

@@ -48,6 +48,7 @@ from .exactnum import (
     _isolate,
     _separation_bits,
     _sign_changes,
+    rational,
     rational_between,
 )
 from .polys import GibParams, _row_walk, sign_alternating_poly
@@ -98,10 +99,10 @@ def _row_variations(params: GibParams, k: int, x: Fraction) -> Optional[int]:
 def roots_of(params: GibParams, k: int) -> RootSet:
     """Isolate the floor(k/2) distinct positive roots of the row-k polynomial.
 
-    The bisection runs on the rows of k's parity as the Sturm sequence; the
-    intervals are then certified on P_k alone: P_k has degree k//2 and
-    changes sign over each of the k//2 disjoint intervals, so each holds
-    exactly one root, a simple one, and P_k has no other roots.
+    The bisection runs on the rows of k's parity as the Sturm sequence; P_k
+    alone then certifies the intervals: it has degree k//2 and changes sign
+    over each of the k//2 disjoint intervals (the lower-end sign is the one
+    each root keeps), so each holds one simple root, and P_k has no other.
     """
     if k < 2:
         raise ExactError("root sets are defined for k >= 2")
@@ -116,12 +117,12 @@ def roots_of(params: GibParams, k: int) -> RootSet:
         raise ExactError(
             f"isolated {len(intervals)} roots in (0, {bound}) but expected {expected}"
         )
+    roots = [AlgebraicNumber(p, iv, p.sign_at(iv.lo)) for iv in intervals]
     if p.degree != expected or not (
-        all(p.sign_at(iv.lo) * p.sign_at(iv.hi) < 0 for iv in intervals)
+        all(r._below * p.sign_at(r.enclosure.hi) < 0 for r in roots)
         and all(a.hi <= b.lo for a, b in zip(intervals, intervals[1:]))
     ):
         raise ExactError(f"row {k} intervals are not certified by degree and sign changes")
-    roots = [AlgebraicNumber(p, iv, _checked=True) for iv in intervals]
     # enclosures strictly inside (0, bound): only the rim intervals can touch
     bn, bd = bound.numerator, bound.denominator
     roots[0] = roots[0].bisected(lambda a, b, den: a > 0)
@@ -159,7 +160,7 @@ def check_interlacing(a: RootSet, b: RootSet) -> str:
 
 def sqrt_enclosure(x, bits: int = DEFAULT_ENCLOSURE_BITS) -> Interval:
     """Rational interval of width <= 2^-bits containing sqrt(x), x >= 0."""
-    x = Fraction(x)
+    x = rational(x)
     if x < 0:
         raise ExactError("square root of a negative rational")
     n, d = x.numerator, x.denominator
@@ -209,7 +210,7 @@ def pi_enclosure(bits: int = DEFAULT_ENCLOSURE_BITS) -> Interval:
     return _round_out(lo.as_integer_ratio(), hi.as_integer_ratio(), bits + 4)
 
 
-@lru_cache(maxsize=100_000)
+@lru_cache(maxsize=100_000, typed=True)  # typed: a float never hits an equal Fraction's entry
 def cos_pi_enclosure(t: Fraction, bits: int = DEFAULT_ENCLOSURE_BITS) -> Interval:
     """Dyadic enclosure of cos(t*pi) for rational t in [0, 1/2], width <= 2^-bits.
 
@@ -220,7 +221,7 @@ def cos_pi_enclosure(t: Fraction, bits: int = DEFAULT_ENCLOSURE_BITS) -> Interva
     outward to the grid 2^-(bits+4) adds 2^-(bits+3), so the width stays
     below 2.5 * 2^-w + 2^-(bits+3) < 2^-bits.
     """
-    t = Fraction(t)
+    t = rational(t)
     if not 0 <= t <= Fraction(1, 2):
         raise ExactError("argument must lie in [0, 1/2] turns of pi")
     work = bits + 16

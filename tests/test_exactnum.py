@@ -24,6 +24,7 @@ from gibonacci.exactnum import (
     poly_to_strings,
     poly_to_text,
     rational,
+    rational_between,
     sign_at_algebraic,
     sturm_count,
 )
@@ -60,6 +61,37 @@ class TestRationalParsing:
         x = rational("22/4")
         assert (x.numerator, x.denominator) == (11, 2)
         assert format_rational(Fraction(0)) == "0/1"
+
+
+def _rational_entries() -> dict:
+    """Every public entry that takes a rational argument outside `Poly`, as a
+    call on that argument returning something comparable."""
+    from gibonacci import game, polys, roots
+
+    unit = polys.GibParams.of(1, 1)
+    return {
+        "GibParams": lambda x: polys.GibParams(x, 1),
+        "GameConfig p": lambda x: game.GameConfig(unit, x, 1),
+        "GameConfig q": lambda x: game.GameConfig(unit, 1, x),
+        "GameConfig.rational": lambda x: game.GameConfig.rational(unit, 1, x),
+        "GameConfig.at_largest_root": lambda x: game.GameConfig.at_largest_root(unit, 6, x).p,
+        "AlgebraicNumber.from_rational": lambda x: AlgebraicNumber.from_rational(x).enclosure,
+        "play": lambda x: game.play(x, 1, "g1", game.GameConfig.rational(unit, 1, 1), budget=4).final,
+        "companion_poly": lambda x: polys.companion_poly(x, 4),
+        "eigen_pair": lambda x: tuple(e.poly for e in polys.eigen_pair(x)),
+        "binet_eval": lambda x: polys.binet_eval(unit, 5, x),
+        "sqrt_enclosure": roots.sqrt_enclosure,
+        "cos_pi_enclosure": roots.cos_pi_enclosure,
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_rational_entries()))
+def test_floats_refused_at_every_entry(entry):
+    call = _rational_entries()[entry]
+    for bad in (0.5, "0.5"):
+        with pytest.raises(ExactError, match="rejected"):
+            call(bad)
+    assert call("1/2") == call(Fraction(1, 2))
 
 
 class TestDecimalStr:
@@ -764,10 +796,57 @@ def _sturm_loop_sign(p: Poly, theta: AlgebraicNumber) -> int:
 
 def _fresh(theta: AlgebraicNumber) -> AlgebraicNumber:
     """The same number without a kept enclosure (roots_of caches its roots)."""
-    return AlgebraicNumber(theta.defining, theta.enclosure, _checked=True)
+    return AlgebraicNumber(theta.defining, theta.enclosure, theta._below)
 
 
 ORACLE_SEEDS = [(1, 1), (2, 1), (5, 2), (1, 2), (Fraction(7, 3), Fraction(1, 2))]
+
+
+class TestOneSignPerStep:
+    """The sign below a root is the number's own, so a bisection step pays
+    one point sign, at its midpoint."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        from gibonacci import exactnum
+
+        counts = {"signs": 0, "bisects": 0}
+        sign, bisect = exactnum._sign_at_point, exactnum._bisect
+
+        def counted_sign(*args):
+            counts["signs"] += 1
+            return sign(*args)
+
+        def counted_bisect(*args, **kwargs):
+            counts["bisects"] += 1
+            return bisect(*args, **kwargs)
+
+        monkeypatch.setattr(exactnum, "_sign_at_point", counted_sign)
+        monkeypatch.setattr(exactnum, "_bisect", counted_bisect)
+        return counts
+
+    def test_bisected_pays_one_sign_per_step(self, counts):
+        from gibonacci.polys import GibParams
+        from gibonacci.roots import roots_of
+
+        for params, k in [(GibParams.of(1, 1), 16), (GibParams.of(Fraction(7, 3), Fraction(1, 2)), 21)]:
+            for root in roots_of(params, k).roots:
+                for n in (1, 7, 40):
+                    counts["signs"] = 0
+                    assert not _fresh(root).bisected(steps=n).is_rational
+                    assert counts["signs"] == n
+
+    def test_rational_between_pays_one_sign_per_step(self, counts):
+        from gibonacci.polys import GibParams
+        from gibonacci.roots import roots_of
+
+        params = GibParams.of(5, 2)
+        a, b = roots_of(params, 21).roots, roots_of(params, 20).roots
+        pairs = [(_fresh(x), _fresh(y)) for x, y in zip(b, a)]  # b_0 < a_0 < b_1 < ...
+        counts["signs"] = counts["bisects"] = 0
+        assert all(rational_between(x, y) is not None for x, y in pairs)
+        # rational_between calls _bisect with steps=1, and no root here is rational
+        assert counts["bisects"] > 0 and counts["signs"] == counts["bisects"]
 
 
 class TestIntervalFirstSign:

@@ -35,6 +35,7 @@ from gibonacci.roots import (
     lucas_closed_roots,
     match_closed_forms,
     pi_enclosure,
+    RootSet,
     root_in,
     roots_of,
     sqrt_enclosure,
@@ -747,7 +748,7 @@ def _merge_verdict(a, b) -> str:
 
 def _fresh(root):
     """The same number without a kept box (roots_of caches its roots)."""
-    return AlgebraicNumber(root.defining, root.enclosure, _checked=True)
+    return AlgebraicNumber(root.defining, root.enclosure, root._below)
 
 
 def _is_dyadic(x: Fraction) -> bool:
@@ -789,6 +790,25 @@ class TestIntegerDyadicCore:
             for y in b:
                 ex, ey = kept[id(x)], kept[id(y)]
                 assert ex.hi <= ey.lo or ey.hi <= ex.lo
+
+    def test_each_root_carries_the_sign_below_it(self):
+        seeds = [UNIT, LUCAS, GibParams.of(Fraction(3, 2), 1), GibParams.of(Fraction(7, 3), Fraction(1, 2)), GibParams.of(3, 1)]
+
+        def kept_ends_carry_the_sign(r):
+            a, b, den = r._kept
+            ends = _sign_at_point(r.defining.ints, a, den), _sign_at_point(r.defining.ints, b, den)
+            return a == b or ends == (r._below, -r._below)
+
+        for params in seeds:
+            sets = {k: RootSet(k, params, tuple(map(_fresh, roots_of(params, k).roots))) for k in range(2, 41)}
+            for k in range(2, 40):
+                assert check_interlacing(sets[k + 1], sets[k]) in ("both-sides", "right")
+            for root in (r for rs in sets.values() for r in rs.roots if not r.is_rational):
+                p, e = root.defining, root.enclosure
+                assert root._below == p.sign_at(e.lo) == -p.sign_at(e.hi) != 0
+                assert root._kept is None or kept_ends_carry_the_sign(root)
+                root.decimal(30)
+                assert kept_ends_carry_the_sign(root)
 
     def test_rim_enclosures_strictly_inside_window(self):
         for params in (UNIT, LUCAS, WIDE):
