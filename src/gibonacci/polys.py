@@ -22,7 +22,8 @@ ARRAY_ENTRY_BUDGET entries, a row polynomial past row POLY_ROW_BUDGET.
 The Binet-type closed form evaluates a row at x through the eigenvalues of
 the step matrix, computed in the quotient ring Q[t]/(t^2 - (x^2 - 4x)); the
 result is exact whether the discriminant is a rational square, irrational
-or negative.
+or negative.  Its powers grow to about k times the bit size of x, so it
+refuses past BINET_BIT_BUDGET before raising any.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ from .exactnum import ExactError, NumberRing, Poly, rational
 ARRAY_ENTRY_BUDGET = 300_000
 # Largest row index `sign_alternating_poly` builds.
 POLY_ROW_BUDGET = 10_000
+# Largest k times the bit size of x that `binet_eval` takes: about 2 s at the
+# budget on a 2-vCPU VM, where k = 20,000 at x = 1/3 (60,000) takes 0.01 s.
+BINET_BIT_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -210,10 +214,18 @@ def binet_eval(params: GibParams, k: int, x) -> Fraction:
     denominator kap - lam is -t, so the value is minus the numerator's t
     coefficient; the constant part must cancel, and that is checked.  This
     holds at the repeated eigenvalue too (x = 0 or 4, where t^2 = 0).
+    ExactError, before any power, where k times the bit size of x passes
+    BINET_BIT_BUDGET.
     """
     if k < 0:
         raise ExactError("row index must be nonnegative")
     x = rational(x)
+    bits = x.numerator.bit_length() + x.denominator.bit_length()
+    if k * bits > BINET_BIT_BUDGET:
+        raise ExactError(
+            f"binet row {k} at x of {bits} bits needs {k * bits:,} row-bits, "
+            f"over the bit budget of {BINET_BIT_BUDGET:,}"
+        )
     alpha, beta = params.alpha, params.beta
     m = k // 2
     lam, kap = eigen_pair(x)

@@ -125,17 +125,34 @@ def _width(n: int) -> int:
     return (n - 1).bit_length() + 1
 
 
+def _weights(poset: SGPoset) -> list:
+    """2^(f pos) for pos = k-1, ..., 0: adding one raises d_1, ..., d_k by one."""
+    f = _width(poset.n)
+    return [1 << (f * pos) for pos in range(poset.k - 1, -1, -1)]
+
+
 def _covers(poset: SGPoset):
     """Yield the cover pairs (i, j), i < j: in the reverse ordering t covers
     t + e_pos, so code j is code i with one digit raised."""
-    f = _width(poset.n)
     get = {c: i for i, c in enumerate(poset.codes)}.get
-    weights = [1 << (f * pos) for pos in range(poset.k - 1, -1, -1)]
+    weights = _weights(poset)
     for i, c in enumerate(poset.codes):
         for w in weights:
             j = get(c + w)
             if j is not None:
                 yield i, j
+
+
+def _extremes(poset: SGPoset, members: set) -> tuple:
+    """(minimal, maximal) codes: those with no code one digit raised, and
+    those with no code one digit lowered.  A raised digit n-1 reads n and a
+    lowered digit 0 borrows into a guard bit (or below zero), and no member
+    has either, so both tests are exact."""
+    minimal = maximal = poset.codes
+    for w in _weights(poset):
+        minimal = [c for c in minimal if c + w not in members]
+        maximal = [c for c in maximal if c - w not in members]
+    return minimal, maximal
 
 
 def _checked_size(n: int, k: int, alpha: int) -> int:
@@ -287,11 +304,55 @@ def is_palindromic(p: Poly) -> bool:
     return p.ints == p.ints[::-1]
 
 
+def _greedy_end(c: int, members: set, steps: list) -> int:
+    """Follow covers from c, taking the first step that stays a member,
+    until none does."""
+    while True:
+        for w in steps:
+            if c + w in members:
+                c += w
+                break
+        else:
+            return c
+
+
 def is_connected(poset: SGPoset) -> bool:
-    """Connectivity of the underlying Hasse graph, by union-find with path
-    halving over the cover pairs, read from the codes without storing them.
-    Every pair (i, j) has i < j; putting the root of j under the root of i
-    keeps the roots at small indices and the paths short."""
+    """Connectivity of the underlying Hasse graph.
+
+    Every element descends along covers to a minimal element, so the graph
+    is connected when one minimal or one maximal element exists, or when
+    greedy cover paths from each extreme element to one on the other side
+    join all the extremes: the paths are Hasse paths, so that certificate is
+    sound.  Only when it leaves the extremes apart (or codes repeat, as the
+    k = 0 antichain's do) does the exact union-find sweep decide."""
+    members = set(poset.codes)
+    if len(members) == poset.size:
+        minimal, maximal = _extremes(poset, members)
+        if len(minimal) == 1 or len(maximal) == 1:
+            return True
+        down = _weights(poset)
+        parent = {c: c for c in minimal + maximal}  # an isolated element is both
+        components = len(parent)
+        for ends, steps in ((minimal, [-w for w in down]), (maximal, down)):
+            for c in ends:
+                a, b = c, _greedy_end(c, members, steps)
+                while parent[a] != a:
+                    a = parent[a]
+                while parent[b] != b:
+                    b = parent[b]
+                if a != b:
+                    parent[b] = a
+                    components -= 1
+        if components <= 1:
+            return True
+    return _swept(poset)
+
+
+def _swept(poset: SGPoset) -> bool:
+    """Connectivity by union-find with path halving over every cover pair,
+    read from the codes without storing them.  Every pair (i, j) has i < j;
+    putting the root of j under the root of i keeps the roots at small
+    indices and the paths short."""
     parent = list(range(poset.size))
     components = poset.size
     for i, j in _covers(poset):
@@ -340,11 +401,10 @@ def check_lattice(poset: SGPoset) -> LatticeReport:
             f"lattice check of {poset.size:,} elements needs {pairs:,} pairs, "
             f"over the pair budget of {LATTICE_PAIR_BUDGET:,}"
         )
-    maximal = poset.size - len({j for _, j in poset.hasse_edges})
-    minimal = poset.size - len({i for i, _ in poset.hasse_edges})
     codes, f = poset.codes, _width(poset.n)
     guards = sum(1 << (f * pos + f - 1) for pos in range(poset.k))
     members = set(codes)
+    minimal, maximal = map(len, _extremes(poset, members))
     for i, x in enumerate(codes):
         tail = codes[i + 1 :]
         joins = _joins(x, tail, guards, f)

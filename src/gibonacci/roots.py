@@ -103,12 +103,14 @@ def roots_of(params: GibParams, k: int) -> RootSet:
     alone then certifies the intervals: it has degree k//2 and changes sign
     over each of the k//2 disjoint intervals (the lower-end sign is the one
     each root keeps), so each holds one simple root, and P_k has no other.
+    Adjacent intervals share an end, so P_k is signed once per distinct end.
     """
     if k < 2:
         raise ExactError("root sets are defined for k >= 2")
     p = sign_alternating_poly(params, k)
     bound = bound_B(params).value
-    if p.sign_at(Fraction(0)) == 0 or p.sign_at(bound) == 0:
+    sign = {x: p.sign_at(x) for x in (Fraction(0), bound)}
+    if 0 in sign.values():
         raise ExactError(f"row {k} vanishes at an end of the window (0, {bound})")
     sep_bits = _separation_bits(p.primitive_int_coeffs())
     intervals = _isolate(partial(_row_variations, params, k), Fraction(0), bound, sep_bits)
@@ -117,9 +119,11 @@ def roots_of(params: GibParams, k: int) -> RootSet:
         raise ExactError(
             f"isolated {len(intervals)} roots in (0, {bound}) but expected {expected}"
         )
-    roots = [AlgebraicNumber(p, iv, p.sign_at(iv.lo)) for iv in intervals]
+    ends = {x for iv in intervals for x in (iv.lo, iv.hi)}
+    sign.update((x, p.sign_at(x)) for x in ends - sign.keys())
+    roots = [AlgebraicNumber(p, iv, sign[iv.lo]) for iv in intervals]
     if p.degree != expected or not (
-        all(r._below * p.sign_at(r.enclosure.hi) < 0 for r in roots)
+        all(sign[iv.lo] * sign[iv.hi] < 0 for iv in intervals)
         and all(a.hi <= b.lo for a, b in zip(intervals, intervals[1:]))
     ):
         raise ExactError(f"row {k} intervals are not certified by degree and sign changes")

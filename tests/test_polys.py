@@ -1,12 +1,15 @@
 """Gibonacci arrays, sign-alternating polynomials, and closed evaluations."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
+from gibonacci.cli import main
 from gibonacci.exactnum import ExactError, Poly
 from gibonacci.polys import (
+    BINET_BIT_BUDGET,
     GibParams,
     _sa_poly_cached,
     array_rows,
@@ -279,6 +282,22 @@ class TestEigenPair:
 
 
 class TestBinetEvaluation:
+    def test_bit_budget_refused_before_powers(self):
+        # 1/3 has 1 + 2 bits: k = BINET_BIT_BUDGET // 3 is at the budget
+        k = BINET_BIT_BUDGET // 3
+        with pytest.raises(ExactError, match=f"binet row {k + 1} at x of 3 bits needs 1,000,002 row-bits, over the bit budget of 1,000,000"):
+            binet_eval(UNIT, k + 1, Fraction(1, 3))
+        assert binet_eval(UNIT, 20, Fraction(1, 3)) == sign_alternating_poly(UNIT, 20)(Fraction(1, 3))
+
+    def test_cli_bit_budget_is_one_line_exit_1(self, capsys):
+        # the powers alone ran for more than 10 s here before the budget
+        start = time.perf_counter()
+        code = main(["binet", "--alpha", "1", "--beta", "1", "--k", "1000000", "--x", "123456789/1000"])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 1 and elapsed < 3, elapsed
+        assert err == "error: binet row 1000000 at x of 37 bits needs 37,000,000 row-bits, over the bit budget of 1,000,000\n"
+
     def test_row_two_is_x_minus_two(self):
         for x in [Fraction(5), Fraction(-1), Fraction(7, 3)]:
             assert binet_eval(LUCAS, 2, x) == x - 2

@@ -1,15 +1,18 @@
 """String validation, poset structure, counts, and the identity suite."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 
 from gibonacci.exactnum import ExactError, Poly
 from gibonacci.polys import GibParams, binet_eval, eigen_pair
+from gibonacci import posets
 from gibonacci.posets import (
     TRIANGLE_ENTRY_BUDGET,
     LatticeReport,
+    _extremes,
     _joins,
     _triangle_rows,
     _width,
@@ -305,6 +308,42 @@ class TestDigitCodesAgainstTuples:
             assert not is_connected(broken)
             assert not dfs_connected(broken.size, broken.hasse_edges)
         assert only(lambda r: r == 4).hasse_edges == []
+
+    def test_random_subsets_match_dfs(self):
+        # random code subsets leave isolated elements and several components,
+        # where the extremes certificate must hand over to the exact sweep
+        rng = random.Random(20200523)
+        seen = {"connected": 0, "apart": 0, "isolated": 0}
+        for n, k, alpha in ORACLE_GRID:
+            poset = build_poset(n, k, alpha)
+            for share in (0.2, 0.5, 0.8, 0.95):
+                keep = [i for i in range(poset.size) if rng.random() < share]
+                sub = dataclasses.replace(
+                    poset, codes=[poset.codes[i] for i in keep], ranks=[poset.ranks[i] for i in keep]
+                )
+                edges = tuple_edges(sub.elements)
+                want = dfs_connected(sub.size, edges)
+                assert is_connected(sub) == want, (n, k, alpha, keep)
+                seen["connected" if want else "apart"] += 1
+                seen["isolated"] += sub.size > len({e for edge in edges for e in edge})
+        assert min(seen.values()) > 100, seen
+
+    @pytest.mark.parametrize("n, k, alpha", [(7, 4, 6), (9, 4, 8), (27, 2, 14), (21, 4, 16)])
+    def test_extremes_decide_without_sweep(self, n, k, alpha, monkeypatch):
+        poset = build_poset(n, k, alpha)
+        minimal, maximal = _extremes(poset, set(poset.codes))
+        assert len(minimal) > 1 and len(maximal) > 1
+
+        def sweep(_):
+            raise AssertionError("the union-find sweep ran")
+
+        monkeypatch.setattr(posets, "_swept", sweep)
+        assert is_connected(poset)
+
+    def test_repeated_codes_keep_the_sweep(self):
+        # k = 0 gives alpha equal codes: an antichain, connected only for alpha = 1
+        assert is_connected(build_poset(2, 0, 1))
+        assert not is_connected(build_poset(4, 0, 3))
 
     def test_elements_decoded_on_read(self):
         poset = build_poset(4, 3, 3)
