@@ -274,6 +274,8 @@ def cmd_triangle(args) -> int:
     if args.n <= args.alpha:
         raise ExactError(f"n must exceed alpha (got n={args.n}, alpha={args.alpha})")
     fmt = _format_choice(args)
+    if args.as_poly and fmt == "csv":
+        raise ExactError("triangle --as-poly prints text or json, not csv")
     if args.as_poly:
         poly = triangle_polynomial(args.alpha, args.n, args.k)
         if fmt == "json":

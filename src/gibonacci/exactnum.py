@@ -447,6 +447,11 @@ def _common_box(iv: Interval) -> tuple:
     return lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den
 
 
+def _box(theta: "AlgebraicNumber") -> tuple:
+    """theta's kept integer box (a, b, den), or its enclosure's."""
+    return theta._kept or _common_box(theta.enclosure)
+
+
 def _bisect(int_coeffs: Sequence[int], below: int, a: int, b: int, den: int, stop=None, steps=None) -> tuple:
     """Bisect the root of int_coeffs isolated in (a/den, b/den]; returns (a, b, den).
 
@@ -741,7 +746,7 @@ def sign_at_algebraic(p: Poly, theta: AlgebraicNumber) -> int:
     if theta.is_rational:
         return p.sign_at(theta.rational_value)
     cs = p.ints
-    box = theta._kept or _common_box(theta.enclosure)
+    box = _box(theta)
     lo, hi = _box_range(cs, *box)
     if lo <= 0 <= hi:
         defining = theta.defining
@@ -785,8 +790,7 @@ def _decimal_at(f: Poly, theta: AlgebraicNumber, digits: int) -> str:
         lo, hi = _box_range(cs, a, b, den)
         return lo * hi > 0 and (hi - lo) * scale <= min(abs(lo), abs(hi))
 
-    box = theta._kept or _common_box(theta.enclosure)
-    box = _bisect(theta.defining.ints, theta._below, *box, fine)
+    box = _bisect(theta.defining.ints, theta._below, *_box(theta), fine)
     object.__setattr__(theta, "_kept", box)
     unit = f.content / box[2] ** f.degree  # f over the box: unit * _box_range
     s_lo, s_hi = (decimal_str(unit * v, digits) for v in _box_range(cs, *box))
@@ -815,7 +819,7 @@ def rational_between(x: AlgebraicNumber, y: AlgebraicNumber) -> Optional[Fractio
     kept.  The rational is the midpoint of the gap, or the boxes' shared end.
     Equal numbers never separate: ExactError after SEPARATION_ROUNDS steps.
     """
-    bx, by = (t._kept or _common_box(t.enclosure) for t in (x, y))
+    bx, by = _box(x), _box(y)
     for _ in range(SEPARATION_ROUNDS):
         if _precedes(bx, by) or _precedes(by, bx):
             object.__setattr__(x, "_kept", bx)

@@ -19,11 +19,17 @@ genuinely depends on the start pair, which callers treat as an error).
 Play runs on the pair (u, w) with w = v/p, where g1 maps it to (-u, u + w)
 and g2 to (u + pq*w, -w): a firing knows only the product pq, the one number
 the game's fate depends on.  The pair is held as (U, W, S) with one positive
-scale S, so u = U/S and w = W/S.  In a rational game pq is split as
-(numerator, denominator), so U, W and S are integers and `_step` fires
-without a gcd; ring elements and linear forms split it as (pq, 1) and keep
-S = 1.  Legality and strategies read the signs of U and W (p > 0), and a
-`Firing` builds u and v = p*W/S only when they are read.
+scale S, so u = U/S and w = W/S, and `_step` fires without a gcd.  In a
+rational game pq is split as (numerator, denominator) and U, W and S are
+integers.  In a ring game U and W are integer coefficient vectors of degree
+below deg m, for m the primitive integer form of the ring's defining
+polynomial, and pq is split as (`_RingMultiplier`, d): pq*W reduced mod m by
+integer pseudo-division with a fixed factor, over one integer d per game (at
+a largest root, d = |lc(m)|).  Linear forms split pq as (pq, 1) and keep
+S = 1.  Legality and strategies read the signs of U and W (p > 0), one per
+move: the fired value is negated, so only the other one is signed, for a
+ring vector by interval Horner over the root's kept box with the exact sign
+as the fallback.  A `Firing` builds u and v = p*W/S only when they are read.
 
 Row values at pq come from the row walk `polys._row_walk` that the root
 counts of `roots` read: scaled integers at a rational pq, ring elements at a
@@ -41,18 +47,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import islice, pairwise
 from math import lcm
 from typing import Optional, Sequence, Union
 
 from .exactnum import (
+    AlgebraicNumber,
     ExactError,
     NumberRing,
+    Poly,
     RingElement,
+    _box,
+    _box_range,
     decimal_str,
     format_rational,
     poly_to_text,
     rational,
+    sign_at_algebraic,
 )
 from .polys import GibParams, _row_scale, _row_walk
 from .roots import bound_B, largest_root
@@ -186,33 +198,42 @@ class GameState:
 class Firing:
     """A fired node and the pair after it, held as (U, W, S) and p.
 
-    u = U/S and v = p*W/S are built on first read: one Fraction per move
-    would cost gcds on numbers that grow with the move count.  U and W are
-    integers in a rational game; otherwise S = 1.  A firing negates one
-    value (g1 keeps -u, g2 keeps -v), so when the previous firing has been
-    read, that value is taken from it and only the other one is built.
+    u = U/S and v = p*W/S are built on first read: one Fraction or ring
+    element per move would cost gcds on numbers that grow with the move
+    count.  U and W are integers in a rational game and integer coefficient
+    vectors (`_Coeffs`) in a ring game, whose ring the firing keeps.  The
+    opening firing keeps its values as given (U = u, W = w, S = 1).  A
+    firing negates one value (g1 keeps -u, g2 keeps -v), so that value is
+    taken from the previous firing when it has been read or is the opening,
+    and only the other one is built.
     """
 
     __slots__ = ("node", "_scaled", "_values", "_prev")
 
-    def __init__(self, node: str, u: Value, w: Value, s: int, p: Fraction, prev: "Firing | None" = None):
+    def __init__(
+        self, node: str, u: Value, w: Value, s: int, p: Fraction, prev: "Firing | None" = None, ring=None
+    ):
         self.node = node
-        self._scaled = (u, w, s, p)
+        self._scaled = (u, w, s, p, ring)
         self._values = None
         self._prev = prev
 
     def _read(self) -> tuple:
         if self._values is None:
-            u, w, s, p = self._scaled
-            scaled = type(u) is int
-            before = None if self._prev is None else self._prev._values
+            u, w, s, p, ring = self._scaled
+            prev = self._prev
+            before = None if prev is None else prev._values if prev._prev is not None else prev._read()
             if before is not None and self.node == NODE1:
                 u = -before[0]
-            elif scaled:
+            elif ring is not None:
+                u = RingElement(ring, Poly.from_ints(u, Fraction(1, s)))
+            elif type(u) is int:
                 u = Fraction(u, s)
             if before is not None and self.node == NODE2:
                 v = -before[1]
-            elif scaled:
+            elif ring is not None:
+                v = RingElement(ring, Poly.from_ints(w, p / s))
+            elif type(w) is int:
                 v = Fraction(p.numerator * w, p.denominator * s)
             else:
                 v = _scale(p, w)
@@ -262,9 +283,10 @@ def _step(node: str, u: Value, w: Value, s: int, x: tuple) -> tuple:
     new (u, w, s).
 
     g1 maps (u, w, s) to (-u, u + w, s).  g2 maps it to (u*d + n*w, -w*d,
-    s*d) for the multiplier x = pq split as (n, d).  A denominator 1 is
-    never multiplied in, so ring and linear-form values keep s = 1 and
-    plain arithmetic.
+    s*d) for the multiplier x = pq split as (n, d): integers in a rational
+    game, a `_RingMultiplier` and its integer d in a ring game.  A
+    denominator 1 is never multiplied in, so linear-form values keep s = 1
+    and plain arithmetic.
     """
     if node == NODE1:
         return -u, u + w, s
@@ -272,6 +294,84 @@ def _step(node: str, u: Value, w: Value, s: int, x: tuple) -> tuple:
     if d == 1:
         return u + _scale(n, w), -w, s
     return u * d + n * w, -w * d, s * d
+
+
+class _Coeffs(tuple):
+    """A ring value's integer coefficient vector, constant term first, of
+    length deg m, with the operators `_step` uses: -c, c + c and c * k for
+    an integer k."""
+
+    __slots__ = ()
+
+    def __neg__(self) -> "_Coeffs":
+        return _Coeffs([-c for c in self])
+
+    def __add__(self, other: "_Coeffs") -> "_Coeffs":
+        return _Coeffs([a + b for a, b in zip(self, other)])
+
+    def __mul__(self, k: int) -> "_Coeffs":
+        return _Coeffs([k * c for c in self])
+
+
+class _RingMultiplier:
+    """pq in Q[t]/(m) as an integer map on coefficient vectors, with d.
+
+    pq is c*X for its content c and primitive vector X.  With m signed so
+    that its leading coefficient l is positive, and e = deg X, `self * W`
+    is c.numerator times the pseudo-remainder l^e * (X*W) mod m, taken with
+    a factor l at every one of the e steps.  So (self * W) / d is pq*W in
+    the ring for the one integer d = c.denominator * l^e, and the scale
+    stays positive.  At a largest root pq = t, so d = l.
+    """
+
+    __slots__ = ("ints", "m", "num", "d")
+
+    def __init__(self, pq: RingElement):
+        m = pq.ring.defining.ints
+        self.m = m if m[-1] > 0 else tuple(-c for c in m)
+        self.ints, c = pq.poly.ints, pq.poly.content
+        self.num = c.numerator
+        self.d = c.denominator * self.m[-1] ** (len(self.ints) - 1)
+
+    def __mul__(self, w: _Coeffs) -> _Coeffs:
+        x, m = self.ints, self.m
+        n, lead_m = len(m) - 1, m[-1]
+        out = [0] * (n + len(x) - 1)
+        for i, xi in enumerate(x):
+            if xi:
+                for j, wj in enumerate(w, i):
+                    out[j] += xi * wj
+        while len(out) > n:
+            top = out.pop()
+            if lead_m != 1:
+                out = [lead_m * c for c in out]
+            shift = len(out) - n
+            for j in range(n):
+                out[shift + j] -= top * m[j]
+        return _Coeffs(out if self.num == 1 else [self.num * c for c in out])
+
+
+def _ring_coeffs(n: int, values: Sequence) -> tuple:
+    """([vectors], S): rationals and ring elements as integer coefficient
+    vectors of length n over one positive scale S."""
+    parts = [(y.poly.content, y.poly.ints) if isinstance(y, RingElement) else (y, (1,)) for y in values]
+    s = lcm(*(c.denominator for c, _ in parts))
+    vectors = []
+    for c, ints in parts:
+        k = c.numerator * (s // c.denominator)
+        vectors.append(_Coeffs([k * i for i in ints] + [0] * (n - len(ints))))
+    return vectors, s
+
+
+def _ring_sign(theta: AlgebraicNumber, cs: _Coeffs) -> int:
+    """Sign of a coefficient vector at theta: integer interval Horner over
+    theta's kept box, and the exact `sign_at_algebraic` when that holds 0."""
+    lo, hi = _box_range(cs, *_box(theta))
+    if lo > 0:
+        return 1
+    if hi < 0:
+        return -1
+    return sign_at_algebraic(Poly.from_ints(cs), theta)
 
 
 def fire(state: GameState, node: str, config: GameConfig) -> GameState:
@@ -389,21 +489,33 @@ def _certify_divergence(config: GameConfig, budget: int) -> bool:
 
 
 def _run(trace: GameTrace, first_node: str, opening: GameState, strategy, budget: int) -> GameTrace:
-    """Play on from the seeded opening on (u, w) with w = v/p: over one
-    integer scale with pq split as (numerator, denominator) in a rational
-    game, over scale 1 with the multiplier (pq, 1) otherwise."""
+    """Play on from the seeded opening on (u, w) with w = v/p, over one
+    positive scale S: integers with pq split as (numerator, denominator) in
+    a rational game, integer coefficient vectors with pq as a
+    `_RingMultiplier` in a ring game, and linear forms over S = 1 with the
+    multiplier (pq, 1).
+
+    The opening signs both values.  After that a move signs one: the fired
+    value was positive and is negated, so after g1 u < 0 and after g2 v < 0.
+    """
     p, pq = trace.config.p, trace.config.pq
     u, w = opening.u, _scale(1 / p, opening.v)
-    s, x = 1, (pq, 1)
+    firings = trace.firings
+    firings.append(Firing(first_node, u, w, 1, p))
+    s, x, sign, ring = 1, (pq, 1), value_sign, None
     if all(isinstance(y, Fraction) for y in (pq, u, w)):
         s = lcm(u.denominator, w.denominator)
         u, w = u.numerator * (s // u.denominator), w.numerator * (s // w.denominator)
         x = (pq.numerator, pq.denominator)
-    firings = trace.firings
-    firings.append(Firing(first_node, u, w, s, p))
+    elif isinstance(pq, RingElement) and not isinstance(u, LinearForm):
+        ring = pq.ring
+        (u, w), s = _ring_coeffs(ring.defining.degree, (u, w))
+        n = _RingMultiplier(pq)
+        x, sign = (n, n.d), partial(_ring_sign, ring.theta)
+    su, sw = sign(u), sign(w)
     last = first_node
     while True:
-        legal = _legal_nodes(u, w)
+        legal = [node for node, sn in ((NODE1, su), (NODE2, sw)) if sn > 0]
         if not legal:
             trace.outcome = "terminated"
             return trace
@@ -414,7 +526,8 @@ def _run(trace: GameTrace, first_node: str, opening: GameState, strategy, budget
             return trace
         last = _pick(legal, strategy, last, moves)
         u, w, s = _step(last, u, w, s, x)
-        firings.append(Firing(last, u, w, s, p, firings[-1]))
+        firings.append(Firing(last, u, w, s, p, firings[-1], ring))
+        su, sw = (-1, sign(w)) if last == NODE1 else (sign(u), -1)
 
 
 def play(a, b, first_node: str, config: GameConfig, strategy="alternate", budget: int = 64) -> GameTrace:
@@ -422,8 +535,9 @@ def play(a, b, first_node: str, config: GameConfig, strategy="alternate", budget
 
     Outcome is "terminated" when no legal move remains, "diverges-certified"
     when the budget runs out but pq >= B certifies divergence analytically,
-    and "exceeded-budget" otherwise.  A rational game runs on integers over
-    one scale; each firing's values are built when read.
+    and "exceeded-budget" otherwise.  A rational game runs on integers and a
+    ring game on integer coefficient vectors, over one scale; each firing's
+    values are built when read.
     """
     if budget <= 0:
         raise ExactError("budget must be positive")

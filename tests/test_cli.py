@@ -291,6 +291,18 @@ class TestTriangle:
         row = json.loads(out)
         assert len(row) == 1201 and row == row[::-1] and row[0] == 1
 
+    def test_polynomial_refuses_csv(self, capsys, monkeypatch):
+        # the row polynomial has no csv form: refused before the row is built
+        def no_work(*args):
+            raise AssertionError("the row was built")
+
+        monkeypatch.setattr("gibonacci.cli.triangle_polynomial", no_work)
+        code, out, err = run_cli(
+            capsys, "triangle", "--alpha", "1", "--n", "2", "--k", "3", "--as-poly", "--format", "csv"
+        )
+        assert code == 1 and out == ""
+        assert err == "error: triangle --as-poly prints text or json, not csv\n"
+
     def test_entry_budget_is_one_line_error(self, capsys):
         code, out, err = run_cli(
             capsys, "triangle", "--alpha", "2", "--n", "3", "--k", "100000000000", "--as-poly"

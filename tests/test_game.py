@@ -1,5 +1,6 @@
 """Firing rules, seeded openings, classification, and exact terminal pairs."""
 
+import random
 import time
 from fractions import Fraction
 from functools import lru_cache
@@ -438,6 +439,131 @@ class TestScaledPlay:
             state = fire(state, f.node, cfg)
             assert (state.u, state.v) == (f.u, f.v)
             assert type(state.u) is Fraction and type(state.v) is Fraction
+
+
+def ring_element_play(a, b, first, config, strategy="alternate", budget=64) -> tuple:
+    """`play` stepped on `RingElement`s: ([(node, u, v), ...], outcome).
+
+    The pair (u, w) with w = v/p runs over scale 1 with the multiplier pq,
+    and both values are signed at every position.  Each firing's values
+    are those `play` reports: g1 keeps -u and builds v = p*w, g2 keeps -v.
+    """
+    p, pq = config.p, config.pq
+    opening = seeded_fire(a, b, first, config)
+    u, w = opening.u, (1 / p) * opening.v
+    firings = [(first, opening.u, opening.v)]
+    last = first
+    while True:
+        legal = [node for node, x in ((NODE1, u), (NODE2, w)) if value_sign(x) > 0]
+        if not legal:
+            return firings, "terminated"
+        if len(firings) >= budget:
+            certified = game._certify_divergence(config, budget)
+            return firings, "diverges-certified" if certified else "exceeded-budget"
+        last = game._pick(legal, strategy, last, len(firings))
+        _, before_u, before_v = firings[-1]
+        if last == NODE1:
+            u, w = -u, u + w
+            firings.append((last, -before_u, p * w))
+        else:
+            u, w = u + pq * w, -w
+            firings.append((last, u, -before_v))
+
+
+class TestRingPlay:
+    """`play` at a ring multiplier runs on integer coefficient vectors over
+    one scale; every firing it reports must equal the `RingElement` loop's,
+    value and type."""
+
+    STRATEGIES = ("alternate", "greedy-g1", "greedy-g2")
+
+    def assert_same(self, a, b, first, cfg, strategy, budget):
+        trace = play(a, b, first, cfg, strategy=strategy, budget=budget)
+        firings, outcome = ring_element_play(a, b, first, cfg, strategy, budget)
+        assert (trace.outcome, trace.moves) == (outcome, len(firings))
+        assert [(f.node, f.u, f.v) for f in trace.firings] == firings
+        # read last to first, each firing builds both values itself
+        backward = play(a, b, first, cfg, strategy=strategy, budget=budget)
+        assert [(f.node, f.u, f.v) for f in reversed(backward.firings)] == firings[::-1]
+        return trace
+
+    def test_matches_ring_element_play_on_random_configs(self):
+        rng = random.Random(24)
+        leads, starts = set(), set()
+        for _ in range(10):
+            beta = Fraction(rng.randint(1, 8), rng.randint(1, 4))
+            params = GibParams.of(beta * Fraction(rng.randint(4, 12), 4), beta)  # ratio in [1, 3]
+            cfg = GameConfig.at_largest_root(params, rng.randint(6, 40), Fraction(rng.randint(1, 12), rng.randint(1, 4)))
+            assert isinstance(cfg.pq, RingElement)
+            leads.add(abs(cfg.pq.ring.defining.ints[-1]))
+            a, b = rng.randint(0, 9), rng.randint(0, 9)
+            a, b = (a or 1, 0) if rng.random() < 0.3 else (a, b or 1)
+            for first in (NODE1, NODE2):
+                if (a, b)[first == NODE2] == 0:
+                    continue
+                starts.add((a == 0 or b == 0, first))
+                for strategy in self.STRATEGIES:
+                    trace = self.assert_same(a, b, first, cfg, strategy, budget=48)
+                    assert trace.outcome == "terminated"
+            nodes = [node for node, _, _ in ring_element_play(a, b, NODE1 if a else NODE2, cfg, "greedy-g2")[0]]
+            self.assert_same(a, b, NODE1 if a else NODE2, cfg, nodes[1:], budget=48)
+        assert max(leads) > 1  # m not monic: the g2 step multiplies the scale
+        assert {(True, NODE1), (False, NODE1), (False, NODE2)} <= starts
+
+    def test_multiplier_of_degree_two(self):
+        # q = (t^2 + 1)/(c p): the multiplier reduces t^2 and beyond mod m;
+        # pq is about 12.1 for c = 3 and 5.58 for c = 13/2, with B = 196/33
+        params = GibParams.of(Fraction(7, 3), Fraction(1, 2))
+        theta = largest_root(params, 9)
+        t = NumberRing(theta.defining, theta).generator()
+        p = Fraction(5, 3)
+        outcomes = set()
+        for c in (F(3), Fraction(13, 2)):
+            cfg = GameConfig(params, p, (t * t + 1) * (1 / (c * p)))
+            assert cfg.pq.poly.degree == 2 and abs(theta.defining.ints[-1]) > 1
+            for first, (a, b) in ((NODE1, (2, 0)), (NODE2, (1, 3))):
+                for strategy in self.STRATEGIES:
+                    outcomes.add(self.assert_same(a, b, first, cfg, strategy, budget=12).outcome)
+        assert outcomes == {"diverges-certified", "terminated"}
+
+    def test_defining_polynomial_with_negative_leading_coefficient(self):
+        # m and -m define one ring: the multiplier signs m so the scale stays positive
+        params = GibParams.of(Fraction(7, 3), Fraction(1, 2))
+        theta = largest_root(params, 9)
+        p = Fraction(5, 3)
+        cfg = GameConfig(params, p, NumberRing(-theta.defining, theta).generator() * (1 / p))
+        assert cfg.pq.ring.defining.ints[-1] < -1
+        for first, (a, b) in ((NODE1, (2, 0)), (NODE2, (1, 3))):
+            for strategy in self.STRATEGIES:
+                trace = self.assert_same(a, b, first, cfg, strategy, budget=16)
+                assert (trace.outcome, trace.moves) == ("terminated", 9 if 0 in (a, b) else 10)
+
+
+class TestOneSignPerMove:
+    """A move signs one value: the fired value is negated, so after g1 u < 0
+    and after g2 v < 0.  The opening signs both."""
+
+    def test_ring_play_pays_one_interval_sign_per_move(self, monkeypatch):
+        from gibonacci import exactnum
+
+        counts = {"signs": 0}
+        box_range = exactnum._box_range
+
+        def counted(*args):
+            counts["signs"] += 1
+            return box_range(*args)
+
+        monkeypatch.setattr(exactnum, "_box_range", counted)
+        monkeypatch.setattr(game, "_box_range", counted)
+        for params, k, p in ((UNIT, 24, F(1)), (GibParams.of(Fraction(7, 3), Fraction(1, 2)), 31, Fraction(5, 3))):
+            cfg = GameConfig.at_largest_root(params, k, p)
+            play(1, 1, NODE1, cfg)  # the first game bisects the root's kept box where a value is near 0
+            for first, (a, b) in ((NODE1, (1, 1)), (NODE2, (2, 3)), (NODE1, (2, 0)), (NODE2, (0, 5))):
+                for strategy in ("alternate", "greedy-g1", "greedy-g2"):
+                    counts["signs"] = 0
+                    trace = play(a, b, first, cfg, strategy=strategy, budget=k + 4)
+                    assert trace.outcome == "terminated"
+                    assert counts["signs"] <= trace.moves + 2
 
 
 class TestPlayNearBound:
