@@ -16,15 +16,16 @@ each signed pseudo-remainder step) so that sign evaluation at a rational
 point n/d reduces to integer arithmetic.
 
 A `Poly` has one form, content * ints, and its arithmetic runs on the ints:
-a product convolves the two vectors with no gcd (Gauss's lemma), a sum
-brings both over one scale, and euclidean division, the Sturm chains and the
-gcd share one integer pseudo-division kernel, `_pseudo_divmod`.  Every sign
-decision reads the ints: `Poly.sign_at` evaluates only the integer numerator
-of p(n/d).  `Poly.__call__` runs its own Horner loop over them and builds
-one Fraction with the content; the root intervals certified by `sign_at` are
-re-checked through values.  Every refinement of an algebraic number runs one
-integer bisection kernel, `_bisect`, over a denominator D*2^s: no Fraction,
-and one sign per step, as the number holds the sign just below its root.
+a product convolves the two vectors (`_convolve`) with no gcd (Gauss's
+lemma), a sum brings both over one scale, and euclidean division, the Sturm
+chains, the gcd and the game's ring multiplier share one integer
+pseudo-division kernel, `_pseudo_divmod`.  Every sign decision reads the
+ints: `Poly.sign_at` evaluates only the integer numerator of p(n/d).
+`Poly.__call__` runs its own Horner loop over them and builds one Fraction
+with the content; the root intervals certified by `sign_at` are re-checked
+through values.  Every refinement of an algebraic number runs one integer
+bisection kernel, `_bisect`, over a denominator D*2^s: no Fraction, and one
+sign per step, as the number holds the sign just below its root.
 
 Each algebraic number keeps one integer box, which its signs, decimals and
 order all refine.  The sign of a polynomial at it is decided interval first
@@ -236,12 +237,7 @@ class Poly:
             a, b = b, a
         if not any(b[:-1]):  # b is x^n or -x^n: shift a
             return _poly(content, (0,) * (len(b) - 1) + (a if b[-1] == 1 else tuple(-c for c in a)))
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return _poly(content, tuple(out))
+        return _poly(content, tuple(_convolve(a, b)))
 
     def scale(self, c) -> "Poly":
         c = rational(c)
@@ -281,10 +277,6 @@ class Poly:
             acc = acc * n + c * dpow
         return Fraction(acc * self.content.numerator, dpow * self.content.denominator)
 
-    def primitive_int_coeffs(self) -> tuple:
-        """Integer coefficient vector with content 1, same sign pattern."""
-        return self.ints
-
     def sign_at(self, x: RationalLike) -> int:
         """Exact sign of p(x) at a rational point, in integer arithmetic."""
         return _sign_at_point(self.ints, x.numerator, x.denominator)
@@ -299,6 +291,16 @@ class Poly:
 def _poly(content: Fraction, ints: tuple) -> Poly:
     """A Poly from fields that are already canonical."""
     return object.__new__(Poly)._set(content, ints)
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list:
+    """The product of two nonempty integer coefficient vectors."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b, i):
+                out[j] += ca * cb
+    return out
 
 
 def _canonical(ints: list, content: RationalLike) -> tuple:
@@ -899,8 +901,11 @@ class RingElement:
         return RingElement(self.ring, -self.poly)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        return self.ring.element(self.poly * other.poly)
+        if isinstance(other, (int, Fraction)):  # a rational multiple of a residue is reduced
+            return RingElement(self.ring, self.poly.scale(other))
+        if not isinstance(other, RingElement):
+            return NotImplemented
+        return self.ring.element(self.poly * self._coerce(other).poly)
 
     __rmul__ = __mul__
 

@@ -3,40 +3,39 @@
 Node values live in one of three worlds, all exact:
 
   * plain rationals, when the product of the two multipliers is rational;
-  * the quotient ring Q[t]/(P_k) of `exactnum` (`RingElement`), with the
-    largest root of row k as its designated root, when the multiplier
-    product equals that (typically irrational) root;
+  * the quotient ring Q[t]/(m) of `exactnum` (`RingElement`) with a
+    designated real root of m, when the product is a ring element (t itself
+    at the largest root of row k, with m = P_k);
   * linear forms c_a*a + c_b*b over formal nonnegative start values, used to
     verify whole families of games at once.
 
 Sign decisions are never numeric guesses: rationals compare directly, ring
-elements go through the exact sign of a polynomial at an algebraic point
-(an integer interval box over the root's kept enclosure, bisected while it
-holds 0, with a gcd zero test after three steps), and linear forms are
-signed when both coefficients agree (a mixed form means the outcome
-genuinely depends on the start pair, which callers treat as an error).
+values go through the exact sign of a polynomial at an algebraic point
+(interval Horner over the root's kept integer box, bisected while it holds
+0, with a gcd zero test after three steps), and linear forms are signed
+when both coefficients agree (a mixed form means the outcome genuinely
+depends on the start pair, which callers treat as an error).
+
+The row scan, `GameConfig.g_hat`, the divergence certificate and play share
+one arithmetic: `_split` gives pq as an integer step (n, d), its numerator
+and denominator at a rational pq.  At a ring pq, n is a `_RingMultiplier`
+on integer coefficient vectors of degree below deg m (m as a primitive
+integer vector): `exactnum._convolve` and the package's one pseudo-division
+kernel `exactnum._pseudo_divmod`, over one integer d per game (|lc(m)| at a
+largest root).  A `RingElement` is built only where a value is read
+(`_value`).
 
 Play runs on the pair (u, w) with w = v/p, where g1 maps it to (-u, u + w)
-and g2 to (u + pq*w, -w): a firing knows only the product pq, the one number
-the game's fate depends on.  The pair is held as (U, W, S) with one positive
-scale S, so u = U/S and w = W/S, and `_step` fires without a gcd.  In a
-rational game pq is split as (numerator, denominator) and U, W and S are
-integers.  In a ring game U and W are integer coefficient vectors of degree
-below deg m, for m the primitive integer form of the ring's defining
-polynomial, and pq is split as (`_RingMultiplier`, d): pq*W reduced mod m by
-integer pseudo-division with a fixed factor, over one integer d per game (at
-a largest root, d = |lc(m)|).  Linear forms split pq as (pq, 1) and keep
-S = 1.  Legality and strategies read the signs of U and W (p > 0), one per
-move: the fired value is negated, so only the other one is signed, for a
-ring vector by interval Horner over the root's kept box with the exact sign
-as the fallback.  A `Firing` builds u and v = p*W/S only when they are read.
+and g2 to (u + pq*w, -w): a firing knows only pq, the one number the game's
+fate depends on.  The pair is held as (U, W, S) over one positive scale S,
+integers or coefficient vectors, so `_step` fires without a gcd; linear
+forms step at (pq, 1) with S = 1.  A move signs one value, as the fired one
+is negated.  A `Firing` builds u and v = p*W/S only when they are read.
 
-Row values at pq come from the row walk `polys._row_walk` that the root
-counts of `roots` read: scaled integers at a rational pq, ring elements at a
-largest root.  `_scan` keeps the first non-positive row, its sign and rows
-k-1 and k over one positive scale in the frozen config's instance dict, so
-classify, predicted_moves and terminal_numbers share one scan; the margins
-are homogeneous in the two rows, and only terminal_numbers divides by the
+`_scan` keeps the first non-positive row at pq, its sign and rows k-1 and k
+over one positive scale in the frozen config's instance dict, so classify,
+predicted_moves and terminal_numbers share one scan; the margins are
+homogeneous in the two rows, and only terminal_numbers divides by the
 scale.  Near the bound B the crossing row grows like 1/sqrt(B - pq), so the
 scan stops with a one-line ExactError past GAME_ROW_BUDGET rows.
 Move-count predictions hold for seeds with alpha >= beta only; below that
@@ -60,6 +59,8 @@ from .exactnum import (
     RingElement,
     _box,
     _box_range,
+    _convolve,
+    _pseudo_divmod,
     decimal_str,
     format_rational,
     poly_to_text,
@@ -101,8 +102,10 @@ class LinearForm:
     def __neg__(self) -> "LinearForm":
         return LinearForm(-self.ca, -self.cb)
 
-    def scaled(self, c: Scalar) -> "LinearForm":
+    def __mul__(self, c: Scalar) -> "LinearForm":
         return LinearForm(c * self.ca, c * self.cb)
+
+    __rmul__ = __mul__
 
 
 Value = Union[Fraction, RingElement, LinearForm]
@@ -127,12 +130,6 @@ def value_sign(v: Value) -> int:
             return -1
         raise IndeterminateSign("sign depends on the start pair (mixed coefficients)")
     return scalar_sign(v)
-
-
-def _scale(c: Scalar, v: Value) -> Value:
-    if isinstance(v, LinearForm):
-        return v.scaled(c)
-    return c * v
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +175,14 @@ class GameConfig:
         """[g_hat_{-1}, g_hat_0, ..., g_hat_upto]: row values at x = p*q.
 
         Index l lives at position l + 1.  g_hat_{-1} is alpha - beta, the
-        rest `_row_walk` divided by its scales.
+        rest `_row_walk` at the split pq, each read over its scale: Fractions
+        at a rational pq and ring elements, the seeds included, at a ring pq.
         """
         if upto < -1:
             raise ExactError(f"g_hat needs upto >= -1 (got {upto})")
-        params, x = self.params, self.pq
-        rows = enumerate(islice(_row_walk(params, x), upto + 1))
-        return [params.alpha - params.beta] + [v * Fraction(1, _row_scale(params, x, j)) for j, v in rows]
+        params, ((n, d), _, one, ring) = self.params, _split(self.pq)
+        rows = enumerate(islice(_row_walk(params, n, d, one), upto + 1))
+        return [params.alpha - params.beta] + [_value(v, Fraction(1, _row_scale(params, d, j)), ring) for j, v in rows]
 
 
 @dataclass(frozen=True)
@@ -223,20 +221,8 @@ class Firing:
             u, w, s, p, ring = self._scaled
             prev = self._prev
             before = None if prev is None else prev._values if prev._prev is not None else prev._read()
-            if before is not None and self.node == NODE1:
-                u = -before[0]
-            elif ring is not None:
-                u = RingElement(ring, Poly.from_ints(u, Fraction(1, s)))
-            elif type(u) is int:
-                u = Fraction(u, s)
-            if before is not None and self.node == NODE2:
-                v = -before[1]
-            elif ring is not None:
-                v = RingElement(ring, Poly.from_ints(w, p / s))
-            elif type(w) is int:
-                v = Fraction(p.numerator * w, p.denominator * s)
-            else:
-                v = _scale(p, w)
+            u = -before[0] if before is not None and self.node == NODE1 else _value(u, Fraction(1, s), ring)
+            v = -before[1] if before is not None and self.node == NODE2 else _value(w, p / s, ring)
             self._values = (u, v)
         return self._values
 
@@ -284,22 +270,20 @@ def _step(node: str, u: Value, w: Value, s: int, x: tuple) -> tuple:
 
     g1 maps (u, w, s) to (-u, u + w, s).  g2 maps it to (u*d + n*w, -w*d,
     s*d) for the multiplier x = pq split as (n, d): integers in a rational
-    game, a `_RingMultiplier` and its integer d in a ring game.  A
-    denominator 1 is never multiplied in, so linear-form values keep s = 1
-    and plain arithmetic.
+    game, a `_RingMultiplier` and its integer d in a ring game, and (pq, 1)
+    for linear forms and `fire`, whose values keep s = 1.
     """
     if node == NODE1:
         return -u, u + w, s
     n, d = x
-    if d == 1:
-        return u + _scale(n, w), -w, s
     return u * d + n * w, -w * d, s * d
 
 
 class _Coeffs(tuple):
     """A ring value's integer coefficient vector, constant term first, of
-    length deg m, with the operators `_step` uses: -c, c + c and c * k for
-    an integer k."""
+    length deg m, with the operators `_step` and the row step use: -c,
+    c + c, c - c and c * k for an integer k (never k * c, which repeats a
+    tuple)."""
 
     __slots__ = ()
 
@@ -308,6 +292,9 @@ class _Coeffs(tuple):
 
     def __add__(self, other: "_Coeffs") -> "_Coeffs":
         return _Coeffs([a + b for a, b in zip(self, other)])
+
+    def __sub__(self, other: "_Coeffs") -> "_Coeffs":
+        return _Coeffs([a - b for a, b in zip(self, other)])
 
     def __mul__(self, k: int) -> "_Coeffs":
         return _Coeffs([k * c for c in self])
@@ -318,10 +305,12 @@ class _RingMultiplier:
 
     pq is c*X for its content c and primitive vector X.  With m signed so
     that its leading coefficient l is positive, and e = deg X, `self * W`
-    is c.numerator times the pseudo-remainder l^e * (X*W) mod m, taken with
-    a factor l at every one of the e steps.  So (self * W) / d is pq*W in
-    the ring for the one integer d = c.denominator * l^e, and the scale
-    stays positive.  At a largest root pq = t, so d = l.
+    is c.numerator times the pseudo-remainder l^e * (X*W) mod m: the
+    product `exactnum._convolve`s, `exactnum._pseudo_divmod` reduces it
+    with t <= e factors l, and the remainder takes the other l^(e-t).  So
+    (self * W) / d is pq*W in the ring for the one integer
+    d = c.denominator * l^e, and the scale stays positive.  At a largest
+    root pq = t, so d = l.
     """
 
     __slots__ = ("ints", "m", "num", "d")
@@ -334,32 +323,39 @@ class _RingMultiplier:
         self.d = c.denominator * self.m[-1] ** (len(self.ints) - 1)
 
     def __mul__(self, w: _Coeffs) -> _Coeffs:
-        x, m = self.ints, self.m
-        n, lead_m = len(m) - 1, m[-1]
-        out = [0] * (n + len(x) - 1)
-        for i, xi in enumerate(x):
-            if xi:
-                for j, wj in enumerate(w, i):
-                    out[j] += xi * wj
-        while len(out) > n:
-            top = out.pop()
-            if lead_m != 1:
-                out = [lead_m * c for c in out]
-            shift = len(out) - n
-            for j in range(n):
-                out[shift + j] -= top * m[j]
-        return _Coeffs(out if self.num == 1 else [self.num * c for c in out])
+        m = self.m
+        _, r, t = _pseudo_divmod(_convolve(self.ints, w), m)
+        k = self.num * m[-1] ** (len(self.ints) - 1 - t)
+        return _Coeffs([k * c for c in r] + [0] * (len(m) - 1 - len(r)))
 
 
-def _ring_coeffs(n: int, values: Sequence) -> tuple:
-    """([vectors], S): rationals and ring elements as integer coefficient
-    vectors of length n over one positive scale S."""
-    parts = [(y.poly.content, y.poly.ints) if isinstance(y, RingElement) else (y, (1,)) for y in values]
+def _split(pq: Scalar) -> tuple:
+    """((n, d), sign, one, ring): at a rational pq, its numerator and
+    denominator, `scalar_sign`, 1 and no ring; at a ring pq, its
+    `_RingMultiplier` and d, `_ring_sign` at the ring's root, the unit
+    vector and the ring."""
+    if not isinstance(pq, RingElement):
+        return (pq.numerator, pq.denominator), scalar_sign, 1, None
+    ring, n = pq.ring, _RingMultiplier(pq)
+    one = _Coeffs([1] + [0] * (ring.defining.degree - 1))
+    return (n, n.d), partial(_ring_sign, ring.theta), one, ring
+
+
+def _value(v, c, ring) -> Value:
+    """c times an integer, a value or (in a ring) a coefficient vector."""
+    return c * v if ring is None else RingElement(ring, Poly.from_ints(v, c))
+
+
+def _over_one_scale(values: Sequence, one) -> tuple:
+    """([vectors], S): rationals and ring elements as multiples of `one`
+    (integers, or integer coefficient vectors of its length) over one
+    positive scale S."""
+    parts = [(y.poly.content, y.poly.ints) if isinstance(y, RingElement) else (y, None) for y in values]
     s = lcm(*(c.denominator for c, _ in parts))
     vectors = []
     for c, ints in parts:
         k = c.numerator * (s // c.denominator)
-        vectors.append(_Coeffs([k * i for i in ints] + [0] * (n - len(ints))))
+        vectors.append(one * k if ints is None else _Coeffs([k * i for i in ints] + [0] * (len(one) - len(ints))))
     return vectors, s
 
 
@@ -387,19 +383,19 @@ def fire(state: GameState, node: str, config: GameConfig) -> GameState:
     if s <= 0:
         raise ExactError(f"illegal firing: node {node} value has sign {s}")
     p = config.p
-    u, w, _ = _step(node, state.u, _scale(1 / p, state.v), 1, (config.pq, 1))
-    return GameState(u, _scale(p, w), state.moves_made + 1, True)
+    u, w, _ = _step(node, state.u, (1 / p) * state.v, 1, (config.pq, 1))
+    return GameState(u, p * w, state.moves_made + 1, True)
 
 
 def _seeded_transition(a: Value, b: Value, node: str, config: GameConfig):
     alpha, beta = config.params.alpha, config.params.beta
     p, q = config.p, config.q
     if node == NODE1:
-        new_u = -(_scale(alpha, a) + _scale(q * (alpha - beta), b))
-        new_v = _scale(p * beta, a) + _scale(alpha, b)
+        new_u = -(alpha * a + q * (alpha - beta) * b)
+        new_v = p * beta * a + alpha * b
     else:
-        new_u = _scale(alpha, a) + _scale(q * beta, b)
-        new_v = -(_scale(p * (alpha - beta), a) + _scale(alpha, b))
+        new_u = alpha * a + q * beta * b
+        new_v = -(p * (alpha - beta) * a + alpha * b)
     return new_u, new_v
 
 
@@ -481,37 +477,30 @@ def _pick(legal: Sequence[str], strategy, last: str, move_index: int) -> str:
 
 def _certify_divergence(config: GameConfig, budget: int) -> bool:
     """True when pq >= B and every row value at pq up to the budget is positive."""
+    (n, d), sign, one, _ = _split(config.pq)
     bound = bound_B(config.params).value
-    gap = config.pq - bound
-    if scalar_sign(gap) < 0:
+    if sign(n * one * bound.denominator - one * (d * bound.numerator)) < 0:  # d*den(B)*(pq - B)
         return False
-    return all(scalar_sign(v) > 0 for v in islice(_row_walk(config.params, config.pq), budget + 1))
+    return all(sign(v) > 0 for v in islice(_row_walk(config.params, n, d, one), budget + 1))
 
 
 def _run(trace: GameTrace, first_node: str, opening: GameState, strategy, budget: int) -> GameTrace:
     """Play on from the seeded opening on (u, w) with w = v/p, over one
-    positive scale S: integers with pq split as (numerator, denominator) in
-    a rational game, integer coefficient vectors with pq as a
-    `_RingMultiplier` in a ring game, and linear forms over S = 1 with the
-    multiplier (pq, 1).
+    positive scale S at the split pq (`_split`), or over S = 1 at (pq, 1)
+    for linear forms.
 
     The opening signs both values.  After that a move signs one: the fired
     value was positive and is negated, so after g1 u < 0 and after g2 v < 0.
     """
     p, pq = trace.config.p, trace.config.pq
-    u, w = opening.u, _scale(1 / p, opening.v)
+    u, w = opening.u, (1 / p) * opening.v
     firings = trace.firings
     firings.append(Firing(first_node, u, w, 1, p))
-    s, x, sign, ring = 1, (pq, 1), value_sign, None
-    if all(isinstance(y, Fraction) for y in (pq, u, w)):
-        s = lcm(u.denominator, w.denominator)
-        u, w = u.numerator * (s // u.denominator), w.numerator * (s // w.denominator)
-        x = (pq.numerator, pq.denominator)
-    elif isinstance(pq, RingElement) and not isinstance(u, LinearForm):
-        ring = pq.ring
-        (u, w), s = _ring_coeffs(ring.defining.degree, (u, w))
-        n = _RingMultiplier(pq)
-        x, sign = (n, n.d), partial(_ring_sign, ring.theta)
+    if isinstance(u, LinearForm):
+        s, x, sign, ring = 1, (pq, 1), value_sign, None
+    else:
+        x, sign, one, ring = _split(pq)
+        (u, w), s = _over_one_scale((u, w), one)
     su, sw = sign(u), sign(w)
     last = first_node
     while True:
@@ -571,9 +560,10 @@ def _scan(config: GameConfig) -> tuple:
     """(k, sign, w_{k-1}, w_k, scale) for the first k >= 2 whose row value at
     pq is not positive: rows k-1 and k are w_{k-1}/scale and w_k/scale.
 
-    The rows come from `polys._row_walk` (a largest root is reached at k),
-    with row k-1 brought over row k's scale; the scan stops with ExactError
-    past GAME_ROW_BUDGET rows.
+    The rows come from `polys._row_walk` at the split pq (a largest root is
+    reached at k), with row k-1 brought over row k's scale; the two rows are
+    integers at a rational pq and ring elements at a ring pq.  The scan
+    stops with ExactError past GAME_ROW_BUDGET rows.
 
     The rows are scanned once per config: the result is kept in the frozen
     config's instance dict, so classify, predicted_moves and
@@ -581,13 +571,14 @@ def _scan(config: GameConfig) -> tuple:
     """
     found = config.__dict__.get("_row_scan")
     if found is None:
-        params, x = config.params, config.pq
-        rows = pairwise(islice(_row_walk(params, x), 1, GAME_ROW_BUDGET + 1))
+        params, ((n, d), sign, one, ring) = config.params, _split(config.pq)
+        rows = pairwise(islice(_row_walk(params, n, d, one), 1, GAME_ROW_BUDGET + 1))
         for k, (prev, cur) in enumerate(rows, 2):
-            s = scalar_sign(cur)
+            s = sign(cur)
             if s <= 0:
-                scale = _row_scale(params, x, k)
-                found = (k, s, prev * (scale // _row_scale(params, x, k - 1)), cur, scale)
+                scale = _row_scale(params, d, k)
+                prev = prev * (scale // _row_scale(params, d, k - 1))
+                found = (k, s, _value(prev, 1, ring), _value(cur, 1, ring), scale)
                 config.__dict__["_row_scan"] = found
                 return found
         raise ExactError(

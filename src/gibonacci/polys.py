@@ -9,15 +9,17 @@ recurrence
 
     P_k = x^((k-1) mod 2) * P_{k-1} - P_{k-2},   P_0 = alpha, P_1 = beta.
 
-`_next_row` is that one row step, and `_row_walk` runs it at a point, in
-integers scaled by `_row_scale` or in the quotient ring at a largest root:
-root counts, the game's row scan and `GameConfig.g_hat` all read it.  Row k
-itself is built once, by `_row`, in one exact integer pass over the closed
-binomial form of its entries, so it needs no lower row: `array_rows` reads
-it unsigned and the row polynomial signed, and `verify` checks the entry
-rule and the three-term recurrence as exact identities between such rows.
-Both refuse with a one-line ExactError before any work: the array past
-ARRAY_ENTRY_BUDGET entries, a row polynomial past row POLY_ROW_BUDGET.
+`_next_row` is that one row step, and `_row_walk` runs it at a point x = n/d
+scaled by `_row_scale`: on integers at a rational x, and on integer
+coefficient vectors at a ring x, where n is the game's integer map for pq
+(`game._split`).  Root counts, the game's row scan, play's divergence
+certificate and `GameConfig.g_hat` all read it.  Row k itself is built once,
+by `_row`, in one exact integer pass over the closed binomial form of its
+entries, so it needs no lower row: `array_rows` reads it unsigned and the
+row polynomial signed, and `verify` checks the entry rule and the three-term
+recurrence as exact identities between such rows.  Both refuse with a
+one-line ExactError before any work: the array past ARRAY_ENTRY_BUDGET
+entries, a row polynomial past row POLY_ROW_BUDGET.
 
 The Binet-type closed form evaluates a row at x through the eigenvalues of
 the step matrix, computed in the quotient ring Q[t]/(t^2 - (x^2 - 4x)); the
@@ -99,7 +101,7 @@ def array_rows(params: GibParams, count: int):
             f"array row {k} needs {entries:,} entries, "
             f"over the entry budget of {ARRAY_ENTRY_BUDGET:,}"
         )
-    scale = _row_scale(params, 0, 0)
+    scale = _row_scale(params, 1, 0)
     return ([Fraction(e, scale) for e in _row(params, j)] for j in range(count))
 
 
@@ -111,32 +113,32 @@ def _next_row(x, l: int, prev, prev2):
     return (x * prev if l % 2 == 0 else prev) - prev2
 
 
-def _row_scale(params: GibParams, x, j: int) -> int:
-    """L * d^(j//2) with L = den(alpha) * den(beta) and d = den(x), 1 at a ring x."""
-    d = x.denominator if isinstance(x, Fraction) else 1
+def _row_scale(params: GibParams, d: int, j: int) -> int:
+    """L * d^(j//2) with L = den(alpha) * den(beta), for x = n/d."""
     return params.alpha.denominator * params.beta.denominator * d ** (j // 2)
 
 
-def _row_walk(params: GibParams, x):
-    """V_0, V_1, ... with V_j = _row_scale(params, x, j) * row_j(x), made on demand.
+def _row_walk(params: GibParams, n, d: int, one=1):
+    """V_0, V_1, ... with V_j = _row_scale(params, d, j) * row_j(n/d), made on demand.
 
-    At x = n/d, V_j = _next_row(n, j, V_{j-1}, d * V_{j-2}) are integers of
-    the rows' signs; at a ring element x (a largest root) they are ring elements.
+    V_j = _next_row(n, j, V_{j-1}, V_{j-2} * d), from V_0 and V_1 as
+    multiples of `one`: integers of the rows' signs at integers n and d, and
+    integer coefficient vectors when n maps vectors to vectors and `one` is
+    the unit vector (`game._split`).
     """
-    n, d = (x.numerator, x.denominator) if isinstance(x, Fraction) else (x, 1)
     a, b = params.alpha, params.beta
-    prev2, prev = a.numerator * b.denominator, b.numerator * a.denominator
+    prev2, prev = one * (a.numerator * b.denominator), one * (b.numerator * a.denominator)
     yield prev2
     for j in count(2):
         yield prev
-        prev2, prev = prev, _next_row(n, j, prev, prev2 if d == 1 else d * prev2)
+        prev2, prev = prev, _next_row(n, j, prev, prev2 if d == 1 else prev2 * d)
 
 
 # Callers such as root isolation ask for new rows all the time, and row size
 # grows with k, so the memo is kept small to hold memory flat.
 @lru_cache(maxsize=256)
 def _sa_poly_cached(params: GibParams, k: int) -> Poly:
-    return Poly.from_ints(_row(params, k, -1)[::-1], Fraction(1, _row_scale(params, 0, 0)))
+    return Poly.from_ints(_row(params, k, -1)[::-1], Fraction(1, _row_scale(params, 1, 0)))
 
 
 def sign_alternating_poly(params: GibParams, k: int) -> Poly:

@@ -91,7 +91,7 @@ def _row_variations(params: GibParams, k: int, x: Fraction) -> Optional[int]:
     integers of the rows' signs.  So a count costs k integer row steps
     instead of k/2 Horner evaluations.  None where x is a root of P_k.
     """
-    values = list(islice(_row_walk(params, x), k + 1))
+    values = list(islice(_row_walk(params, x.numerator, x.denominator), k + 1))
     return _sign_changes(values[k % 2 :: 2]) if values[k] else None
 
 
@@ -112,7 +112,7 @@ def roots_of(params: GibParams, k: int) -> RootSet:
     sign = {x: p.sign_at(x) for x in (Fraction(0), bound)}
     if 0 in sign.values():
         raise ExactError(f"row {k} vanishes at an end of the window (0, {bound})")
-    sep_bits = _separation_bits(p.primitive_int_coeffs())
+    sep_bits = _separation_bits(p.ints)
     intervals = _isolate(partial(_row_variations, params, k), Fraction(0), bound, sep_bits)
     expected = k // 2
     if len(intervals) != expected:

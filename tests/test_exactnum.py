@@ -418,7 +418,7 @@ class TestIsolation:
             gap = Fraction(1, 2**e)
             close = P(Fraction(-1, 3), 1) * P(-Fraction(1, 3) - gap, 1)
             for p in (close, close * P(Fraction(-1, 3), 1), close * P(-5, 0, 1)):
-                assert Fraction(1, 2 ** _separation_bits(p.primitive_int_coeffs())) < gap
+                assert Fraction(1, 2 ** _separation_bits(p.ints)) < gap
 
     def test_wrong_count_raises_instead_of_bisecting_forever(self):
         # a count that always reports two roots at 1/3 can never isolate
@@ -426,7 +426,7 @@ class TestIsolation:
         def two_near_third(x):
             return 2 if x < Fraction(1, 3) else 0
 
-        sep_bits = _separation_bits(P(1, -4, 3).primitive_int_coeffs())
+        sep_bits = _separation_bits(P(1, -4, 3).ints)
         start = time.perf_counter()
         with pytest.raises(ExactError, match=f"narrower than 2\\^-{sep_bits} counts 2 roots"):
             _isolate(two_near_third, Fraction(0), Fraction(1), sep_bits)
@@ -625,6 +625,18 @@ class TestQuadraticElement:
         with pytest.raises(ExactError):
             self.ring(2).generator() + self.ring(3).generator()
 
+    def test_rational_factor_scales_the_content(self):
+        # a rational multiple of a reduced residue is reduced, so it needs no
+        # product and no reduction; any other operand is left to its own type
+        ring = NumberRing(P(-7, 0, 0, 2))  # 2t^3 - 7
+        x = ring.element(P(Fraction(1, 3), -2, 5))
+        for c in (Fraction(-3, 2), 0, 1, 7):
+            want = ring.element(x.poly * Poly.constant(c))
+            assert x * c == c * x == want
+            assert (x * Fraction(c)).poly == want.poly
+        assert x.__mul__(object()) is NotImplemented
+        assert x.__mul__(1.5) is NotImplemented
+
 
 def _fraction_bisection(theta: AlgebraicNumber, steps: int) -> Interval:
     """Oracle: plain Fraction bisection with Horner values at both ends."""
@@ -647,10 +659,10 @@ def _fraction_bisection(theta: AlgebraicNumber, steps: int) -> Interval:
 class TestIntegerCore:
     def test_integer_coefficients_cached(self):
         p = P(Fraction(1, 2), Fraction(-3, 4), 6)
-        ints = p.primitive_int_coeffs()
+        ints = p.ints
         assert ints == (2, -3, 24)
-        assert p.primitive_int_coeffs() is ints
-        assert Poly().primitive_int_coeffs() == ()
+        assert p.ints is ints
+        assert Poly().ints == ()
 
     def test_sign_at_fixtures(self):
         p = P(-2, 0, 1)  # x^2 - 2

@@ -85,6 +85,13 @@ class TestFire:
         with pytest.raises(ExactError):
             fire(GameState(F(1), F(1), 0, False), NODE1, cfg)
 
+    def test_one_product_for_every_value(self):
+        # c * v on either side, for rational and ring c and a linear form v
+        root = GameConfig.at_largest_root(LUCAS, 4).q
+        v = form(1, -2)
+        assert Fraction(1, 2) * v == v * Fraction(1, 2) == form(Fraction(1, 2), -1)
+        assert root * v == v * root == LinearForm(root, -2 * root)
+
 
 class TestSeededFire:
     def test_unit_seeds_reduce_to_plain_rules(self):
@@ -343,6 +350,19 @@ def fraction_scan(params: GibParams, pq) -> tuple:
         prev2, prev = prev, cur
 
 
+def ring_element_scan(config: GameConfig, upto: int = game.GAME_ROW_BUDGET) -> tuple:
+    """The row walk at a ring pq stepped on `RingElement`s: (k, [row 0, ...,
+    row k]) for the first k >= 2 whose row value is not positive, or for
+    k = upto when rows 2..upto are all positive."""
+    pq = config.pq
+    rows = [pq.ring.from_rational(config.params.alpha), pq.ring.from_rational(config.params.beta)]
+    for k in range(2, upto + 1):
+        rows.append(_next_row(pq, k, rows[-1], rows[-2]))
+        if rows[-1].sign() <= 0:
+            break
+    return k, rows
+
+
 def fraction_play(a, b, first, config, strategy="alternate", budget=64) -> tuple:
     """`play` as a Fraction loop: ([(node, u, v), ...], outcome), each
     firing normalized as it is made."""
@@ -441,6 +461,39 @@ class TestScaledPlay:
             assert type(state.u) is Fraction and type(state.v) is Fraction
 
 
+def random_ring_games() -> list:
+    """Ten seeded largest-root games [(config, a, b), ...]: seed ratio in
+    [1, 3], k 6-40, random p, |lc(m)| up to 4, and zero-coordinate starts."""
+    rng = random.Random(24)
+    games = []
+    for _ in range(10):
+        beta = Fraction(rng.randint(1, 8), rng.randint(1, 4))
+        params = GibParams.of(beta * Fraction(rng.randint(4, 12), 4), beta)  # ratio in [1, 3]
+        cfg = GameConfig.at_largest_root(params, rng.randint(6, 40), Fraction(rng.randint(1, 12), rng.randint(1, 4)))
+        a, b = rng.randint(0, 9), rng.randint(0, 9)
+        games.append((cfg, *((a or 1, 0) if rng.random() < 0.3 else (a, b or 1))))
+    return games
+
+
+def degree_two_configs() -> list:
+    """q = (t^2 + 1)/(c p) at row 9 of (7/3, 1/2), p = 5/3: the multiplier
+    reduces t^2 and beyond mod m; pq is about 12.1 for c = 3 and 5.58 for
+    c = 13/2, with B = 196/33."""
+    params = GibParams.of(Fraction(7, 3), Fraction(1, 2))
+    theta = largest_root(params, 9)
+    t = NumberRing(theta.defining, theta).generator()
+    p = Fraction(5, 3)
+    return [GameConfig(params, p, (t * t + 1) * (1 / (c * p))) for c in (F(3), Fraction(13, 2))]
+
+
+def negative_lead_config() -> GameConfig:
+    """The largest root of row 9 of (7/3, 1/2) in the ring of -m, p = 5/3."""
+    params = GibParams.of(Fraction(7, 3), Fraction(1, 2))
+    theta = largest_root(params, 9)
+    p = Fraction(5, 3)
+    return GameConfig(params, p, NumberRing(-theta.defining, theta).generator() * (1 / p))
+
+
 def ring_element_play(a, b, first, config, strategy="alternate", budget=64) -> tuple:
     """`play` stepped on `RingElement`s: ([(node, u, v), ...], outcome).
 
@@ -488,16 +541,10 @@ class TestRingPlay:
         return trace
 
     def test_matches_ring_element_play_on_random_configs(self):
-        rng = random.Random(24)
         leads, starts = set(), set()
-        for _ in range(10):
-            beta = Fraction(rng.randint(1, 8), rng.randint(1, 4))
-            params = GibParams.of(beta * Fraction(rng.randint(4, 12), 4), beta)  # ratio in [1, 3]
-            cfg = GameConfig.at_largest_root(params, rng.randint(6, 40), Fraction(rng.randint(1, 12), rng.randint(1, 4)))
+        for cfg, a, b in random_ring_games():
             assert isinstance(cfg.pq, RingElement)
             leads.add(abs(cfg.pq.ring.defining.ints[-1]))
-            a, b = rng.randint(0, 9), rng.randint(0, 9)
-            a, b = (a or 1, 0) if rng.random() < 0.3 else (a, b or 1)
             for first in (NODE1, NODE2):
                 if (a, b)[first == NODE2] == 0:
                     continue
@@ -511,16 +558,9 @@ class TestRingPlay:
         assert {(True, NODE1), (False, NODE1), (False, NODE2)} <= starts
 
     def test_multiplier_of_degree_two(self):
-        # q = (t^2 + 1)/(c p): the multiplier reduces t^2 and beyond mod m;
-        # pq is about 12.1 for c = 3 and 5.58 for c = 13/2, with B = 196/33
-        params = GibParams.of(Fraction(7, 3), Fraction(1, 2))
-        theta = largest_root(params, 9)
-        t = NumberRing(theta.defining, theta).generator()
-        p = Fraction(5, 3)
         outcomes = set()
-        for c in (F(3), Fraction(13, 2)):
-            cfg = GameConfig(params, p, (t * t + 1) * (1 / (c * p)))
-            assert cfg.pq.poly.degree == 2 and abs(theta.defining.ints[-1]) > 1
+        for cfg in degree_two_configs():
+            assert cfg.pq.poly.degree == 2 and abs(cfg.pq.ring.defining.ints[-1]) > 1
             for first, (a, b) in ((NODE1, (2, 0)), (NODE2, (1, 3))):
                 for strategy in self.STRATEGIES:
                     outcomes.add(self.assert_same(a, b, first, cfg, strategy, budget=12).outcome)
@@ -528,15 +568,56 @@ class TestRingPlay:
 
     def test_defining_polynomial_with_negative_leading_coefficient(self):
         # m and -m define one ring: the multiplier signs m so the scale stays positive
-        params = GibParams.of(Fraction(7, 3), Fraction(1, 2))
-        theta = largest_root(params, 9)
-        p = Fraction(5, 3)
-        cfg = GameConfig(params, p, NumberRing(-theta.defining, theta).generator() * (1 / p))
+        cfg = negative_lead_config()
         assert cfg.pq.ring.defining.ints[-1] < -1
         for first, (a, b) in ((NODE1, (2, 0)), (NODE2, (1, 3))):
             for strategy in self.STRATEGIES:
                 trace = self.assert_same(a, b, first, cfg, strategy, budget=16)
                 assert (trace.outcome, trace.moves) == ("terminated", 9 if 0 in (a, b) else 10)
+
+
+class TestRingScan:
+    """`_scan`, `g_hat` and the divergence certificate step integer
+    coefficient vectors at a ring pq; the rows they report must equal the
+    `RingElement` walk's."""
+
+    def assert_scan(self, cfg):
+        k, rows = ring_element_scan(cfg)
+        got_k, sign, w_prev, w_cur, scale = _scan(cfg)
+        assert (got_k, sign) == (k, rows[k].sign())
+        assert (w_prev * Fraction(1, scale), w_cur * Fraction(1, scale)) == (rows[k - 1], rows[k])
+        rows.append(_next_row(cfg.pq, k + 1, rows[k], rows[k - 1]))
+        assert cfg.g_hat(k + 1) == [cfg.params.alpha - cfg.params.beta, *rows]
+        return k, sign
+
+    def test_matches_ring_element_scan_at_largest_roots(self):
+        for cfg, _, _ in random_ring_games():
+            assert self.assert_scan(cfg)[1] == 0
+        assert self.assert_scan(negative_lead_config()) == (9, 0)
+
+    def test_matches_ring_element_scan_off_the_roots(self):
+        above, below = degree_two_configs()
+        k, rows = ring_element_scan(above, 12)
+        assert all(row.sign() > 0 for row in rows) and game._certify_divergence(above, 12)
+        assert above.g_hat(12) == [above.params.alpha - above.params.beta, *rows]
+        assert self.assert_scan(below)[1] == -1
+        # 2 - sqrt2 is a root of unit row 7 but no largest root
+        from gibonacci.roots import roots_of
+
+        smallest = roots_of(UNIT, 7).roots[0]
+        ring = NumberRing(smallest.defining, smallest)
+        assert self.assert_scan(GameConfig(UNIT, Fraction(1), ring.generator()))[1] == -1
+
+    def test_scan_and_opening_reduce_nothing(self, monkeypatch):
+        # p*q and the opening's ring products are content scales, and the rows
+        # integer vectors: nothing is reduced mod P_k
+        cfg = GameConfig.at_largest_root(LUCAS, 9, Fraction(3, 2))
+        calls, real = [], Poly.__mod__
+        monkeypatch.setattr(Poly, "__mod__", lambda f, g: calls.append(g) or real(f, g))
+        assert _scan(cfg)[:2] == (9, 0)
+        for node in NODES:
+            seeded_fire(2, 3, node, cfg)
+        assert calls == []
 
 
 class TestOneSignPerMove:

@@ -385,7 +385,7 @@ def _row_sequence(params, k):
     """Oracle: (P_k, P_{k-2}, ..., P_{k mod 2}) as primitive integer
     coefficient tuples, the Sturm sequence that roots_of counts by the row
     recurrence instead of evaluating each row."""
-    return tuple(sign_alternating_poly(params, j).primitive_int_coeffs() for j in range(k, -1, -2))
+    return tuple(sign_alternating_poly(params, j).ints for j in range(k, -1, -2))
 
 
 def _row_sequence_roots(params, k):
