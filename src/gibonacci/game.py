@@ -34,7 +34,8 @@ is negated.  A `Firing` builds u and v = p*W/S only when they are read.
 
 `_scan` keeps the first non-positive row at pq, its sign and rows k-1 and k
 over one positive scale in the frozen config's instance dict, so classify,
-predicted_moves and terminal_numbers share one scan; the margins are
+predicted_moves and terminal_numbers share one scan; the Classification,
+and pq itself, are kept there too, so pq - B is signed once; the margins are
 homogeneous in the two rows, and only terminal_numbers divides by the
 scale.  Near the bound B the crossing row grows like 1/sqrt(B - pq), so the
 scan stops with a one-line ExactError past GAME_ROW_BUDGET rows.
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import islice, pairwise
 from math import lcm
 from typing import Optional, Sequence, Union
@@ -167,7 +168,7 @@ class GameConfig:
         ring = NumberRing(theta.defining, theta)
         return cls(params, p, ring.generator() * (1 / p))
 
-    @property
+    @cached_property
     def pq(self) -> Scalar:
         return self.p * self.q
 
@@ -613,15 +614,19 @@ def classify(config: GameConfig) -> Classification:
     The classification holds for any seeds, but with alpha < beta the move
     count of a strongly convergent game still depends on the strategy, so
     predicted_moves and terminal_numbers refuse those seeds.
+
+    The result is kept in the frozen config's instance dict, as `_scan`
+    keeps its rows.
     """
-    bound = bound_B(config.params).value
-    gap = config.pq - bound
-    if scalar_sign(gap) >= 0:
-        return Classification("all-diverge", True, None)
-    k, s = _locate(config)
-    if s == 0:
-        return Classification("all-terminate", True, k)
-    return Classification("all-terminate", False, None)
+    found = config.__dict__.get("_classification")
+    if found is None:
+        if scalar_sign(config.pq - bound_B(config.params).value) >= 0:
+            found = Classification("all-diverge", True, None)
+        else:
+            k, s = _locate(config)
+            found = Classification("all-terminate", s == 0, k if s == 0 else None)
+        config.__dict__["_classification"] = found
+    return found
 
 
 def predicted_moves(config: GameConfig, a, b, first_node: str) -> int:

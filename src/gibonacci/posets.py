@@ -25,6 +25,17 @@ one; a raised top digit reads n, which no member has and which still fits
 its field, so the cover lookup never carries into the next digit.  Tuples
 and Hasse edges are derived from the codes only when a caller reads
 SGPoset.elements or SGPoset.hasse_edges.
+
+The lattice check decides from the two digit relations, not from the
+pairs, whenever the codes are exactly the ones (n, k, alpha) builds.  Each
+relation closed under componentwise max and min makes their conjunction
+closed (Jeavons and Cooper, "Tractable constraints on ordered domains",
+Artificial Intelligence 79, 1995), so the poset is a sublattice of a product
+of chains and distributive; for k >= 2 this holds exactly when
+alpha <= 2.  Otherwise two member strings s and t whose join or meet is
+missing bound the pairwise scan: it stops by row min(index(s), index(t)),
+and its first failing pair is the witness.  LATTICE_PAIR_BUDGET guards only
+that scan, which runs in full for code sets that no (n, k, alpha) builds.
 """
 
 from __future__ import annotations
@@ -39,10 +50,11 @@ from typing import Optional
 from .exactnum import ExactError, Poly
 from .polys import GibParams, binet_eval, sign_alternating_poly
 
-# build_poset refuses more elements than this, check_lattice more element
-# pairs and _triangle_rows more computed entries (about k^2 (n-1)/2), naming
-# the size and the budget.  The verify grids stay far below all three; CI's
-# deepest triangle row, (2; 3) row 300, computes 90,600 entries.
+# build_poset refuses more elements than this, the pairwise lattice scan
+# more element pairs and _triangle_rows more computed entries (about
+# k^2 (n-1)/2), naming the size and the budget.  The verify grids stay far
+# below all three; CI's deepest triangle row, (2; 3) row 300, computes
+# 90,600 entries.
 POSET_ELEMENT_BUDGET = 2_000_000
 LATTICE_PAIR_BUDGET = 50_000_000
 TRIANGLE_ENTRY_BUDGET = 2_000_000
@@ -109,15 +121,20 @@ class SGPoset:
     @cached_property
     def elements(self) -> list:
         """The strings as tuples, decoded from the codes on first read."""
-        f = _width(self.n)
-        fields = [(f * (self.k - 1 - j), j * self.n + 1) for j in range(self.k)]
-        ones = (1 << f) - 1
-        return [tuple(((c >> shift) & ones) + low for shift, low in fields) for c in self.codes]
+        return _decoded(self, self.codes)
 
     @cached_property
     def hasse_edges(self) -> list:
         """(cover_index, covered_index) pairs, derived from the codes on first read."""
         return list(_covers(self))
+
+
+def _decoded(poset: SGPoset, codes: list) -> list:
+    """The strings of the given codes, as tuples."""
+    f = _width(poset.n)
+    fields = [(f * (poset.k - 1 - j), j * poset.n + 1) for j in range(poset.k)]
+    ones = (1 << f) - 1
+    return [tuple(((c >> shift) & ones) + low for shift, low in fields) for c in codes]
 
 
 def _width(n: int) -> int:
@@ -191,6 +208,12 @@ def build_poset(n: int, k: int, alpha: int) -> SGPoset:
     _checked_size(n, k, alpha)
     if k == 0:
         return SGPoset(n, 0, alpha, [0] * alpha, [0] * alpha)
+    return SGPoset(n, k, alpha, *_enumerate(n, k, alpha))
+
+
+def _enumerate(n: int, k: int, alpha: int) -> tuple:
+    """(codes, ranks) of the strings for 1 <= alpha < n and k >= 1, in
+    ascending code order."""
     f, top = _width(n), n - 1
     ones = (1 << f) - 1
     # level 1: the first digit, rank so far (n-1) - d_1
@@ -208,7 +231,7 @@ def build_poset(n: int, k: int, alpha: int) -> SGPoset:
     keep = [i for i in range(cut) if (codes[i] >> lead) + (codes[i] & ones) != top]
     codes[:cut] = [codes[i] for i in keep]
     ranks[:cut] = [ranks[i] for i in keep]
-    return SGPoset(n, k, alpha, codes, ranks)
+    return codes, ranks
 
 
 def count_by_formula(n: int, k: int, alpha: int) -> int:
@@ -390,22 +413,118 @@ def _joins(x: int, ys: list, guards: int, f: int) -> list:
 
 def check_lattice(poset: SGPoset) -> LatticeReport:
     """Closure of every pair under componentwise min and max, plus extreme
-    element counts.  Quadratic in the poset size, so more than
-    LATTICE_PAIR_BUDGET pairs are refused; the non-closed seeds fail fast
-    on an early pair, reported as the witness."""
+    element counts.
+
+    When the codes are exactly those that (n, k, alpha) builds, the digit
+    relations decide (`_relation_rows`).  A conjunction of relations each
+    closed under componentwise max and min is closed too (Jeavons and
+    Cooper, "Tractable constraints on ordered domains", Artificial
+    Intelligence 79, 1995), so if they are closed the poset is a sublattice
+    of a product of chains, hence distributive, and no pair is visited.  If
+    not, two member strings s and t whose join or meet is missing bound the
+    pairwise scan: it stops by row min(index(s), index(t)), and its first
+    failing pair is the reported witness, the pair the full scan would
+    report.  Any other code set, such as a subset of a built poset, gets the
+    full scan.  LATTICE_PAIR_BUDGET guards only the scan, charged as rows
+    times size for a bounded scan and as all N(N-1)/2 pairs for a full one.
+    """
     if poset.k == 0:
         return LatticeReport(poset.alpha == 1, poset.size, poset.size)
-    pairs = poset.size * (poset.size - 1) // 2
+    return _scan_lattice(poset, _relation_rows(poset) if _built(poset) else None)
+
+
+def _built(poset: SGPoset) -> bool:
+    """Whether the codes are exactly the ones that (n, k, alpha) builds."""
+    n, k, alpha = poset.n, poset.k, poset.alpha
+    if not (1 <= alpha < n and k >= 1):
+        return False
+    try:
+        size = _checked_size(n, k, alpha)
+    except ExactError:  # more than any built poset holds
+        return False
+    return size == poset.size and _enumerate(n, k, alpha)[0] == poset.codes
+
+
+def _broken_pairs(forbidden: set, n: int):
+    """(u, v) for each forbidden digit pair f that is the componentwise max
+    or min of two allowed pairs u and v, taking the lowest such u and v.
+
+    The relation is closed under max and min exactly when nothing is
+    yielded: f = max(u, v) needs u = (f_1, x) with x < f_2 and v = (y, f_2)
+    with y < f_1, since neither may be f itself, and f = min(u, v) the same
+    with x > f_2 and y > f_1.  That is O(|F| n) membership tests.
+    """
+    for f1, f2 in sorted(forbidden):
+        for xs, ys in ((range(f2), range(f1)), (range(f2 + 1, n), range(f1 + 1, n))):
+            x = next((x for x in xs if (f1, x) not in forbidden), None)
+            y = next((y for y in ys if (y, f2) not in forbidden), None)
+            if x is not None and y is not None:
+                yield (f1, x), (y, f2)
+
+
+def _relation_rows(poset: SGPoset) -> Optional[int]:
+    """Rows of the pairwise scan that decide the lattice check of a built
+    poset: 0 when the digit relations are closed, None when they cannot
+    decide.
+
+    The strings form the subset of the product of k digit chains cut out by
+    two binary relations: adjacent digits avoid (n-1, 0), and the end pair
+    (d_1, d_k) avoids d_1 <= alpha-2 with d_1 + d_k = n-1.  The adjacency
+    relation is always closed: a max equal to (n-1, 0) needs a second digit
+    below 0, a min one a first digit above n-1.  So the end relation
+    decides, conjoined with the adjacency relation when k = 2, where both
+    act on the one pair.  For k = 1 there is no relation.
+
+    When the end relation is not closed, each broken pair (u, v) is extended
+    to strings s = (u_1, 0, ..., 0, u_2) and t = (v_1, 0, ..., 0, v_2): the
+    first digits of a broken pair are at most alpha-1 < n-1, so no adjacent
+    pair is (n-1, 0).  Lookups in the sorted codes confirm that s and t are
+    members and that their join or meet is not.  The pair (s, t) then fails
+    on row min(index(s), index(t)) of the scan, so that many rows plus one
+    suffice; the least such bound is returned.
+    """
+    n, k, codes = poset.n, poset.k, poset.codes
+    forbidden = {(a, n - 1 - a) for a in range(poset.alpha - 1)}
+    if k == 2:
+        forbidden.add((n - 1, 0))
+    broken = list(_broken_pairs(forbidden, n)) if k >= 2 else []
+    if not broken:
+        return 0
+    f = _width(n)
+
+    def index(digits):
+        code = 0
+        for d in digits:
+            code = (code << f) | d
+        i = bisect_left(codes, code)
+        return i if i < len(codes) and codes[i] == code else None
+
+    bounds, middle = [], (0,) * (k - 2)
+    for u, v in broken:
+        s, t = (u[0], *middle, u[1]), (v[0], *middle, v[1])
+        i, j = index(s), index(t)
+        if None in (i, j) or None not in (index(map(max, s, t)), index(map(min, s, t))):
+            continue
+        bounds.append(min(i, j) + 1)
+    return min(bounds, default=None)
+
+
+def _scan_lattice(poset: SGPoset, rows: Optional[int] = None) -> LatticeReport:
+    """The pairwise check over the first `rows` rows (all of them when None):
+    row i tests code i against every later code, stopping at the first pair
+    whose meet or join is missing, which is reported as the witness."""
+    size = poset.size
+    pairs = size * (size - 1) // 2 if rows is None else rows * size
     if pairs > LATTICE_PAIR_BUDGET:
         raise ExactError(
-            f"lattice check of {poset.size:,} elements needs {pairs:,} pairs, "
+            f"lattice check of {size:,} elements needs up to {pairs:,} pairs, "
             f"over the pair budget of {LATTICE_PAIR_BUDGET:,}"
         )
     codes, f = poset.codes, _width(poset.n)
     guards = sum(1 << (f * pos + f - 1) for pos in range(poset.k))
     members = set(codes)
     minimal, maximal = map(len, _extremes(poset, members))
-    for i, x in enumerate(codes):
+    for i, x in enumerate(codes[:rows]):
         tail = codes[i + 1 :]
         joins = _joins(x, tail, guards, f)
         meets = [x ^ y ^ z for y, z in zip(tail, joins)]
@@ -413,10 +532,10 @@ def check_lattice(poset: SGPoset) -> LatticeReport:
             continue
         j = next(
             j
-            for j, meet, join in zip(range(i + 1, poset.size), meets, joins)
+            for j, meet, join in zip(range(i + 1, size), meets, joins)
             if meet not in members or join not in members
         )
-        return LatticeReport(False, maximal, minimal, (poset.elements[i], poset.elements[j]))
+        return LatticeReport(False, maximal, minimal, tuple(_decoded(poset, [x, codes[j]])))
     return LatticeReport(True, maximal, minimal)
 
 

@@ -38,6 +38,7 @@ from .polys import (
     value_at_four,
 )
 from .posets import (
+    _scan_lattice,
     build_poset,
     check_lattice,
     count_by_formula,
@@ -433,6 +434,22 @@ def check_identity_suite(n_max: int, k_max: int) -> CheckResult:
     return res
 
 
+def check_lattice_relations(n_max: int, k_max: int, size_max: int) -> CheckResult:
+    """The lattice verdict from the digit relations, witness and extreme
+    counts included, against the full pairwise scan for n <= n_max,
+    k = 2..k_max, alpha < n and at most size_max elements."""
+    res = CheckResult("lattice-relations")
+    for n in range(2, n_max + 1):
+        for alpha in range(1, n):
+            for k in range(2, k_max + 1):
+                if count_by_formula(n, k, alpha) > size_max:
+                    continue
+                poset = build_poset(n, k, alpha)
+                if check_lattice(poset) != _scan_lattice(poset):
+                    res.fail(f"(n={n}, k={k}, alpha={alpha}): verdict differs from the pairwise scan")
+    return res
+
+
 def check_value_at_four(m_max: int) -> CheckResult:
     """The two x=4 evaluation identities for five rational seed ratios."""
     res = CheckResult("value-at-four")
@@ -494,6 +511,7 @@ SUITES = {
     "posets": (
         (check_poset_counts, {"n_max": 5, "k_grid": 6}),
         (check_identity_suite, {"n_max": 5, "k_max": 6}),
+        (check_lattice_relations, {"n_max": 5, "k_max": 5, "size_max": 800}),
     ),
 }
 

@@ -98,3 +98,9 @@ def test_supplement_recurrence_identities():
     # unit-family decomposition and the exact companion transform, whose
     # polynomial identity implies the companion root duality
     _report("supplement", _run("check_recurrence_identities"))
+
+
+def test_supplement_lattice_relations():
+    # the lattice verdict from the digit relations, witness included, equals
+    # the full pairwise scan for n <= 5, k = 2..5, alpha < n, <= 800 elements
+    _report("supplement", _run("check_lattice_relations"))

@@ -253,9 +253,25 @@ class TestPosetCommands:
         assert err.count("\n") == 1 and err.startswith("error:") and "element budget" in err
 
     def test_pair_budget_is_one_line_error(self, capsys):
-        code, out, err = run_cli(capsys, "poset", "check", "--n", "3", "--k", "10", "--alpha", "1")
-        assert code == 1 and out == ""
-        assert err.count("\n") == 1 and err.startswith("error:") and "pair budget" in err
+        # the scan up to the witness row needs more than the budget: (369, 2, 3)
+        # is the smallest such poset, (36, 4, 3) the smallest with k = 4
+        for n, k, pairs in [(369, 2, "50,106,144"), (36, 4, "58,559,865")]:
+            code, out, err = run_cli(
+                capsys, "poset", "check", "--n", str(n), "--k", str(k), "--alpha", "3"
+            )
+            assert code == 1 and out == ""
+            assert err.count("\n") == 1 and err.startswith("error:") and "pair budget" in err
+            assert f"needs up to {pairs} pairs" in err
+
+    def test_check_past_the_pair_budget(self, capsys):
+        # 17,711 elements, 156,830,905 pairs: the digit relations decide
+        code, out, _ = run_cli(
+            capsys, "poset", "check", "--n", "3", "--k", "10", "--alpha", "1", "--format", "json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["size"], payload["distributive"]) == (17711, True)
+        assert (payload["maximal_count"], payload["minimal_count"]) == (1, 1)
 
 
 class TestTriangle:

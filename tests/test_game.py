@@ -203,6 +203,19 @@ class TestClassify:
         cfg = GameConfig(UNIT, Fraction(1), ring.generator())
         assert classify(cfg) == Classification("all-terminate", False, None)
 
+    def test_classified_once_per_config(self, monkeypatch):
+        # classify keeps its result and pq on the config: predicted_moves and
+        # terminal_numbers reuse them, so B is read and pq - B signed once
+        cfg = GameConfig.at_largest_root(LUCAS, 9, Fraction(3, 2))
+        calls = []
+        monkeypatch.setattr(game, "bound_B", lambda params: calls.append(params) or bound_B(params))
+        cls = classify(cfg)
+        assert cls == Classification("all-terminate", True, 9)
+        assert predicted_moves(cfg, 2, 3, NODE1) == 10
+        terminal_numbers(cfg, 2, 3)
+        assert classify(cfg) is cls and cfg.pq is cfg.pq
+        assert calls == [LUCAS]
+
     def test_symbolic_play_needs_pair_dependence_resolved(self):
         # strictly between largest roots the move count depends on b/a, so a
         # fully symbolic game cannot be decided

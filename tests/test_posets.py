@@ -419,10 +419,22 @@ class TestBudgets:
             build_poset(2, 10**9, 1)
 
     def test_pair_budget(self):
-        poset = build_poset(3, 10, 1)  # 17,711 elements
+        # the built (3, 10, 1) is decided by its digit relations; without its
+        # top code it is no built poset, and only the full pairwise scan is left
+        poset = build_poset(3, 10, 1)
+        topless = dataclasses.replace(poset, codes=poset.codes[1:], ranks=poset.ranks[1:])
+        assert topless.size == 17_710
         with pytest.raises(ExactError, match="pair budget") as err:
-            check_lattice(poset)
-        assert "156,830,905 pairs" in str(err.value)
+            check_lattice(topless)
+        assert "\n" not in str(err.value) and "156,813,195 pairs" in str(err.value)
+
+    def test_pair_budget_charges_the_witness_rows(self):
+        # (369, 2, 3): the witness (0, 367) has index 367, so 368 rows of
+        # 136,158 codes, just past the budget; one n less stays under it
+        with pytest.raises(ExactError, match="pair budget") as err:
+            check_lattice(build_poset(369, 2, 3))
+        assert "50,106,144 pairs" in str(err.value)
+        assert posets._relation_rows(build_poset(368, 2, 3)) * 135_421 <= posets.LATTICE_PAIR_BUDGET
 
     def test_triangle_entry_budget(self):
         # rows 1..k take (n-1)k(k+1)/2 + k entries: (1; 3) row 1,413 takes
@@ -509,6 +521,68 @@ class TestRankGeneratingFunctions:
                     assert rgf.degree == k * (n - 1)
                     if alpha <= 2 and k >= 1:
                         assert rgf.coeffs[0] == 1  # unique minimum
+
+
+class TestLatticeRelations:
+    """The digit-relation verdict of `check_lattice` against the pairwise
+    scan, forced through `posets._scan_lattice` with no row bound."""
+
+    def test_oracle_grid(self):
+        for n, k, alpha in ORACLE_GRID:
+            poset = build_poset(n, k, alpha)
+            if k >= 2 and poset.size <= ORACLE_LATTICE_MAX:
+                assert posets._built(poset)
+                assert check_lattice(poset) == posets._scan_lattice(poset), (n, k, alpha)
+
+    def test_small_posets(self):
+        seen = {"closed": 0, "open": 0}
+        for n in range(2, 12):
+            for k in range(2, 7):
+                for alpha in range(1, n):
+                    if count_by_formula(n, k, alpha) > 1500:
+                        continue
+                    poset = build_poset(n, k, alpha)
+                    rows = posets._relation_rows(poset)
+                    report = check_lattice(poset)
+                    assert report == posets._scan_lattice(poset), (n, k, alpha)
+                    assert report.distributive == (alpha <= 2) == (rows == 0)
+                    seen["closed" if report.distributive else "open"] += 1
+        assert seen == {"closed": 55, "open": 79}
+
+    def test_closed_without_a_pair(self, monkeypatch):
+        def no_pairs(*args):
+            raise AssertionError("a pair was visited")
+
+        monkeypatch.setattr(posets, "_joins", no_pairs)
+        report = check_lattice(build_poset(30, 4, 2))  # 806,402 elements
+        assert report == LatticeReport(True, 1, 1)
+
+    def test_witness_bounds_the_scan(self, monkeypatch):
+        # (12, 4, 3): the end pair (1, 10) is the join of (1, 0) and (0, 10),
+        # extended to (1, 0, 0, 0) and (0, 0, 0, 10), which has index 10; the
+        # full scan stops there too, but its budget is charged on every pair
+        poset = build_poset(12, 4, 3)
+        assert poset.elements[10] == (1, 13, 25, 47)  # digits (0, 0, 0, 10)
+        assert posets._relation_rows(poset) == 11
+        report = check_lattice(poset)
+        monkeypatch.setattr(posets, "LATTICE_PAIR_BUDGET", poset.size**2)
+        assert report == posets._scan_lattice(poset)
+        assert poset.elements.index(report.witness[0]) <= 10
+
+    def test_closure_test(self):
+        # (n-1, 0) alone is closed; an end pair (a, n-1-a) with 0 < a < n-1 is
+        # the join of (a, 0) and (0, n-1-a) and the meet of (a, n-a) and (a+1, n-1-a)
+        assert list(posets._broken_pairs({(4, 0)}, 5)) == []
+        assert list(posets._broken_pairs({(0, 4)}, 5)) == []
+        assert list(posets._broken_pairs({(0, 4), (1, 3)}, 5)) == [((1, 0), (0, 3)), ((1, 4), (2, 3))]
+
+    def test_code_sets_that_no_seed_builds(self):
+        poset = build_poset(4, 3, 1)
+        topless = dataclasses.replace(poset, codes=poset.codes[1:], ranks=poset.ranks[1:])
+        relabelled = dataclasses.replace(poset, alpha=3)
+        assert posets._built(poset)
+        assert not posets._built(topless) and not posets._built(relabelled)
+        assert check_lattice(relabelled) == posets._scan_lattice(poset) == check_lattice(poset)
 
 
 class TestLattice:
