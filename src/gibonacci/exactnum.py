@@ -7,13 +7,13 @@ coefficient vector, and real algebraic numbers are (defining polynomial,
 isolating interval) pairs whose interval holds exactly one root, a simple
 one, of the defining polynomial.
 
-Root counting and isolation use Sturm sequences with bisection (`_isolate`
-takes the sign-variation count of any Sturm sequence as a callable; the row
-polynomials count their own rows by the row recurrence, see `roots`).  For
-an arbitrary polynomial the sequence is its Sturm chain, normalized to
-primitive integer coefficient vectors (positive content divided out after
-each signed pseudo-remainder step) so that sign evaluation at a rational
-point n/d reduces to integer arithmetic.
+Root isolation is bisection on a count of the roots above a point
+(`_isolate` takes it as a callable): the sign variations of a Sturm
+sequence, or for a row polynomial its certified cut points and one sign
+(see `roots`).  For an arbitrary polynomial the sequence is its Sturm
+chain, normalized to primitive integer coefficient vectors (positive
+content divided out after each signed pseudo-remainder step) so that sign
+evaluation at a rational point n/d reduces to integer arithmetic.
 
 A `Poly` has one form, content * ints, and its arithmetic runs on the ints:
 a product convolves the two vectors (`_convolve`) with no gcd (Gauss's
@@ -25,7 +25,9 @@ ints: `Poly.sign_at` evaluates only the integer numerator of p(n/d).
 with the content; the root intervals certified by `sign_at` are re-checked
 through values.  Every refinement of an algebraic number runs one integer
 bisection kernel, `_bisect`, over a denominator D*2^s: no Fraction, and one
-sign per step, as the number holds the sign just below its root.
+sign per step, as the number holds the sign just below its root.  The
+Horner loops of signs, values and interval ranges step the powers of such a
+denominator as D^j << s*j (`_scaled_terms`).
 
 Each algebraic number keeps one integer box, which its signs, decimals and
 order all refine.  The sign of a polynomial at it is decided interval first
@@ -60,6 +62,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import accumulate, count, repeat
+from operator import mul
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int]
@@ -261,21 +265,21 @@ class Poly:
         """Exact value at a rational point x = n/d, by integer Horner.
 
         p(n/d) = content * sum(ints_i * n^i * d^(deg-i)) / d^deg.  The sum is
-        an integer Horner loop, and the one Fraction built at the end with the
-        content costs one gcd.  The loop is not the sign route's
-        (`_sign_at_point`), so values re-check `sign_at` independently.
+        an integer Horner loop over d = D*2^s (`_scaled_terms`), and the one
+        Fraction built at the end with the content costs one gcd.  The loop
+        is its own, not the sign route's (`_sign_at_point`), so values
+        re-check `sign_at`.
         """
         if type(x) is not Fraction:
             x = rational(x)
         ints = self.ints
         if not ints:
             return Fraction(0)
-        n, d = x.numerator, x.denominator
-        acc, dpow = ints[-1], 1
-        for c in ints[-2::-1]:
-            dpow *= d
-            acc = acc * n + c * dpow
-        return Fraction(acc * self.content.numerator, dpow * self.content.denominator)
+        n, (odd, s), deg = x.numerator, _odd_part(x.denominator), len(ints) - 1
+        acc = 0
+        for c, shift in _scaled_terms(ints, odd, s):
+            acc = acc * n + (c << shift)
+        return Fraction(acc * self.content.numerator, (odd**deg << s * deg) * self.content.denominator)
 
     def sign_at(self, x: RationalLike) -> int:
         """Exact sign of p(x) at a rational point, in integer arithmetic."""
@@ -428,17 +432,43 @@ class Interval:
         return cls(rational(lo), rational(hi))
 
 
+def _odd_part(d: int) -> tuple:
+    """(D, s) with d = D * 2^s and D odd, for d > 0."""
+    s = (d & -d).bit_length() - 1
+    return d >> s, s
+
+
+def _scaled_terms(int_coeffs: Sequence[int], odd: int, s: int):
+    """The pairs (c_j * D^j, s*j), j = 0, 1, ..., for the coefficients c_j
+    of an integer polynomial from the top down, at a denominator D * 2^s.
+
+    Horner at n/(D*2^s) adds c_j * (D*2^s)^j = (c_j * D^j) << s*j.  Every
+    point that bisection and the dyadic cut points reach has a small D (1 on
+    a dyadic grid, 33 under the bound 196/33), so the factors D^j stay small,
+    2^(s*j) is a shift, and no full power of the denominator is multiplied.
+    """
+    if odd == 1:
+        return zip(reversed(int_coeffs), count(0, s))
+    return zip(map(mul, reversed(int_coeffs), _odd_powers(odd, len(int_coeffs))), count(0, s))
+
+
+@lru_cache(maxsize=64)
+def _odd_powers(odd: int, length: int) -> tuple:
+    """D^0, ..., D^(length-1): one bisection or box refinement reads them at
+    every step, as its denominators D*2^s keep one odd part D."""
+    return tuple(accumulate(repeat(odd, length - 1), mul, initial=1))
+
+
 def _sign_at_point(int_coeffs: Sequence[int], n: int, d: int) -> int:
     """Sign of an integer-coefficient polynomial at the point n/d, d > 0.
 
-    Only the integer numerator sum(c_i * n^i * d^(deg-i)) is evaluated; the
-    denominator d^deg is positive and cannot change the sign.
+    Only the integer numerator sum(c_i * n^i * d^(deg-i)) is evaluated, over
+    `_scaled_terms`; the denominator d^deg is positive and cannot change the
+    sign.
     """
     acc = 0
-    dpow = 1
-    for c in reversed(int_coeffs):
-        acc = acc * n + c * dpow
-        dpow *= d
+    for c, shift in _scaled_terms(int_coeffs, *_odd_part(d)):
+        acc = acc * n + (c << shift)
     return (acc > 0) - (acc < 0)
 
 
@@ -481,12 +511,13 @@ def _box_range(int_coeffs: Sequence[int], a: int, b: int, den: int) -> tuple:
     """(lo, hi) enclosing den^deg times an integer polynomial over [a/den, b/den].
 
     Integer interval Horner on the numerator sum(c_i * x^i * den^(deg-i)) for
-    x in [a, b].  The polynomial keeps one strict sign over the box when lo > 0
-    or hi < 0.  A point box (a == b) is evaluated exactly (lo == hi).
+    x in [a, b], over `_scaled_terms`.  The polynomial keeps one strict sign
+    over the box when lo > 0 or hi < 0.  A point box (a == b) is evaluated
+    exactly (lo == hi).
     """
-    lo = hi = int_coeffs[-1]
-    dpow = den
-    for c in int_coeffs[-2::-1]:
+    terms = _scaled_terms(int_coeffs, *_odd_part(den))
+    lo = hi = next(terms)[0]
+    for c, shift in terms:
         if a >= 0:
             if lo >= 0:
                 lo, hi = lo * a, hi * b
@@ -497,10 +528,9 @@ def _box_range(int_coeffs: Sequence[int], a: int, b: int, den: int) -> tuple:
         else:
             ends = (lo * a, lo * b, hi * a, hi * b)
             lo, hi = min(ends), max(ends)
-        t = c * dpow
+        t = c << shift
         lo += t
         hi += t
-        dpow *= den
     return lo, hi
 
 
@@ -601,9 +631,10 @@ def _isolate(
 ) -> list:
     """Sorted intervals (a, b], one per root of p in (lo, hi].
 
-    `variations(x)` is the sign-variation count at x of any Sturm sequence
-    of p (the generic chain, or for a row polynomial the rows of its
-    parity), or None where p(x) = 0; lo and hi are not roots.  A split
+    `variations(x)` is the number of roots of p above x up to a constant,
+    as the sign-variation count of a Sturm sequence gives it (the generic
+    chain, or for a row polynomial the count from its cut points), or None
+    where p(x) = 0; lo and hi are not roots.  A split
     point that is a root is moved left by (b-a)/2^s for s = 2, 3, ...;
     p has finitely many roots, so this stops.
 

@@ -12,8 +12,8 @@ recurrence
 `_next_row` is that one row step, and `_row_walk` runs it at a point x = n/d
 scaled by `_row_scale`: on integers at a rational x, and on integer
 coefficient vectors at a ring x, where n is the game's integer map for pq
-(`game._split`).  Root counts, the game's row scan, play's divergence
-certificate and `GameConfig.g_hat` all read it.  Row k itself is built once,
+(`game._split`).  The game's row scan, play's divergence certificate and
+`GameConfig.g_hat` all read it.  Row k itself is built once,
 by `_row`, in one exact integer pass over the closed binomial form of its
 entries, so it needs no lower row: `array_rows` reads it unsigned and the
 row polynomial signed, and `verify` checks the entry rule and the three-term

@@ -128,6 +128,24 @@ class SGPoset:
         """(cover_index, covered_index) pairs, derived from the codes on first read."""
         return list(_covers(self))
 
+    @cached_property
+    def _members(self) -> set:
+        """The codes as a set, for membership tests."""
+        return set(self.codes)
+
+    @cached_property
+    def _extremes(self) -> tuple:
+        """(minimal, maximal) codes: those with no code one digit raised, and
+        those with no code one digit lowered.  A raised digit n-1 reads n and
+        a lowered digit 0 borrows into a guard bit (or below zero), and no
+        member has either, so both tests are exact."""
+        members = self._members
+        minimal = maximal = self.codes
+        for w in _weights(self):
+            minimal = [c for c in minimal if c + w not in members]
+            maximal = [c for c in maximal if c - w not in members]
+        return minimal, maximal
+
 
 def _decoded(poset: SGPoset, codes: list) -> list:
     """The strings of the given codes, as tuples."""
@@ -158,18 +176,6 @@ def _covers(poset: SGPoset):
             j = get(c + w)
             if j is not None:
                 yield i, j
-
-
-def _extremes(poset: SGPoset, members: set) -> tuple:
-    """(minimal, maximal) codes: those with no code one digit raised, and
-    those with no code one digit lowered.  A raised digit n-1 reads n and a
-    lowered digit 0 borrows into a guard bit (or below zero), and no member
-    has either, so both tests are exact."""
-    minimal = maximal = poset.codes
-    for w in _weights(poset):
-        minimal = [c for c in minimal if c + w not in members]
-        maximal = [c for c in maximal if c - w not in members]
-    return minimal, maximal
 
 
 def _checked_size(n: int, k: int, alpha: int) -> int:
@@ -348,9 +354,9 @@ def is_connected(poset: SGPoset) -> bool:
     join all the extremes: the paths are Hasse paths, so that certificate is
     sound.  Only when it leaves the extremes apart (or codes repeat, as the
     k = 0 antichain's do) does the exact union-find sweep decide."""
-    members = set(poset.codes)
+    members = poset._members
     if len(members) == poset.size:
-        minimal, maximal = _extremes(poset, members)
+        minimal, maximal = poset._extremes
         if len(minimal) == 1 or len(maximal) == 1:
             return True
         down = _weights(poset)
@@ -522,8 +528,8 @@ def _scan_lattice(poset: SGPoset, rows: Optional[int] = None) -> LatticeReport:
         )
     codes, f = poset.codes, _width(poset.n)
     guards = sum(1 << (f * pos + f - 1) for pos in range(poset.k))
-    members = set(codes)
-    minimal, maximal = map(len, _extremes(poset, members))
+    members = poset._members
+    minimal, maximal = map(len, poset._extremes)
     for i, x in enumerate(codes[:rows]):
         tail = codes[i + 1 :]
         joins = _joins(x, tail, guards, f)

@@ -1,16 +1,25 @@
 """Certified real roots of sign-alternating Gibonacci polynomials.
 
-Root sets are isolated by Sturm bisection inside (0, B) where B is the
-exact rational bound 4 (seed ratio <= 2) or ratio^2/(ratio-1) (ratio > 2).
-The Sturm sequence is the rows of k's parity: two row steps give the
-three-term recurrence P_k = (x - 2) P_{k-2} - P_{k-4} with positive
-coefficients (Barth, Martin & Wilkinson, Numer. Math. 9, 1967), so no
-remainder chain is built.  Its sign variations at a bisection point n/d
-are those of the first k + 1 values of the one row walk `polys._row_walk`,
-integers scaled by powers of d (`_row_variations`): k integer row steps,
-with no row polynomial evaluated.
-Each root set is certified on P_k alone, by degree and sign changes
-(`roots_of`).
+Root sets lie inside (0, B) where B is the exact rational bound 4 (seed
+ratio <= 2) or ratio^2/(ratio-1) (ratio > 2).  Each root is bracketed
+before any bisection, seed-free.  With F_m the unit-seed row m, whose roots
+are 2 + 2cos(2j pi/(m+1)), every row splits as
+P_k = x^((k-1) mod 2) * beta * F_{k-1} - alpha * F_{k-2}
+(`polys.fibonacci_decomposition_holds`), and by the root geometry of Gross,
+Mansour, Tucker and Wang ("Root geometry of polynomial sequences I", J.
+Combin. Theory Ser. A 129, 2015) each root of P_k lies alone in a bracket
+from a root of F_{k-1} to the next root of F_{k-2} (from 0 for the first
+root of an even row, up to B for the last).  So the narrow gaps
+(2 + 2cos(2j pi/(k-1)), 2 + 2cos(2j pi/k)), j = 1..floor(k/2) - 1, hold no
+root, and `_cut_points` puts the coarsest dyadic rational in each.  A cut
+set is certified on P_k alone: P_k has degree floor(k/2) and its signs at 0,
+the cuts and B strictly alternate, so each of the floor(k/2) pieces holds
+exactly one simple root.  The number of roots up to a point x is then the
+number of cuts below x plus one if P_k(x) already has the sign at the end of
+x's piece: one bisect and one sign, which `roots_of` hands to the bisection
+of `exactnum._isolate` in place of a Sturm count.
+Each root set is certified again on its isolating intervals, by degree and
+sign changes (`roots_of`).
 Interlacing of consecutive root sets is the claim that their expected
 interleaving is strictly increasing; `exactnum.rational_between` orders each
 adjacent pair on the roots' kept integer boxes, with no floating point.
@@ -35,11 +44,10 @@ isolating interval, never by refinement or by equality of approximations.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
-from itertools import islice
-from typing import Optional
+from functools import lru_cache
 
 from .exactnum import (
     AlgebraicNumber,
@@ -47,11 +55,11 @@ from .exactnum import (
     Interval,
     _isolate,
     _separation_bits,
-    _sign_changes,
+    _sign_at_point,
     rational,
     rational_between,
 )
-from .polys import GibParams, _row_walk, sign_alternating_poly
+from .polys import GibParams, sign_alternating_poly
 
 DEFAULT_ENCLOSURE_BITS = 128
 
@@ -85,45 +93,91 @@ class RootSet:
         return len(self.roots)
 
 
-def _row_variations(params: GibParams, k: int, x: Fraction) -> Optional[int]:
-    """Sign variations of the Sturm sequence (P_k, P_{k-2}, ..., P_{k mod 2})
-    at the rational x: those of the first k + 1 values of `polys._row_walk`,
-    integers of the rows' signs.  So a count costs k integer row steps
-    instead of k/2 Horner evaluations.  None where x is a root of P_k.
+@lru_cache(maxsize=256)
+def _cut_points(k: int) -> tuple:
+    """The floor(k/2) - 1 cut points of row k, ascending: in each root-free
+    gap (2 + 2cos(2j pi/(k-1)), 2 + 2cos(2j pi/k)), j = 1..floor(k/2) - 1,
+    the coarsest dyadic rational strictly inside its enclosed ends.
+
+    The same for every seed pair.  The gaps are about 8 pi^2/k^3 wide at the
+    ends of (0, 4) and wider inside, and the enclosures at 3*bitlen(k) + 8
+    bits are narrower than k^-3/256, so they leave room for a cut point.
     """
-    values = list(islice(_row_walk(params, x.numerator, x.denominator), k + 1))
-    return _sign_changes(values[k % 2 :: 2]) if values[k] else None
+    bits = 3 * k.bit_length() + 8
+    cuts = []
+    for j in range((k - 2) // 2, 0, -1):
+        lo = _two_plus_two_cos(Fraction(2 * j, k - 1), bits).hi
+        hi = _two_plus_two_cos(Fraction(2 * j, k), bits).lo
+        if lo >= hi:
+            raise ExactError(f"row {k}: gap {j} is narrower than its enclosures")
+        s = 0  # the least s with an integer m, lo < m/2^s < hi
+        while (m := (lo.numerator << s) // lo.denominator + 1) * hi.denominator >= hi.numerator << s:
+            s += 1
+        cuts.append(Fraction(m, 1 << s))
+    return tuple(cuts)
 
 
 @lru_cache(maxsize=128)
 def roots_of(params: GibParams, k: int) -> RootSet:
     """Isolate the floor(k/2) distinct positive roots of the row-k polynomial.
 
-    The bisection runs on the rows of k's parity as the Sturm sequence; P_k
-    alone then certifies the intervals: it has degree k//2 and changes sign
-    over each of the k//2 disjoint intervals (the lower-end sign is the one
-    each root keeps), so each holds one simple root, and P_k has no other.
-    Adjacent intervals share an end, so P_k is signed once per distinct end.
+    P_k is signed once at 0, at the cut points (`_cut_points`) and at B.
+    The cuts are certified when P_k has degree floor(k/2) and those signs
+    strictly alternate: each piece then holds one simple root and P_k has
+    no other.  So the number of roots above x is known from the piece of x
+    and one sign of P_k at x, the count that the bisection runs on; it is
+    the count a Sturm sequence gives, so the bisection visits the points
+    and returns the intervals that the row-sequence count does.  Every sign
+    is taken once and kept.  P_k alone then certifies the intervals: it
+    changes sign over each of the floor(k/2) disjoint intervals (the
+    lower-end sign is the one each root keeps), so each holds one simple
+    root.  A cut set that fails its certificate raises ExactError.
     """
     if k < 2:
         raise ExactError("root sets are defined for k >= 2")
     p = sign_alternating_poly(params, k)
+    ints = p.ints
     bound = bound_B(params).value
-    sign = {x: p.sign_at(x) for x in (Fraction(0), bound)}
-    if 0 in sign.values():
-        raise ExactError(f"row {k} vanishes at an end of the window (0, {bound})")
-    sep_bits = _separation_bits(p.ints)
-    intervals = _isolate(partial(_row_variations, params, k), Fraction(0), bound, sep_bits)
     expected = k // 2
-    if len(intervals) != expected:
-        raise ExactError(
-            f"isolated {len(intervals)} roots in (0, {bound}) but expected {expected}"
-        )
-    ends = {x for iv in intervals for x in (iv.lo, iv.hi)}
-    sign.update((x, p.sign_at(x)) for x in ends - sign.keys())
-    roots = [AlgebraicNumber(p, iv, sign[iv.lo]) for iv in intervals]
-    if p.degree != expected or not (
-        all(sign[iv.lo] * sign[iv.hi] < 0 for iv in intervals)
+    cuts = _cut_points(k)
+    ends = (Fraction(0), *cuts, bound)
+    sign = {}  # (n, d) -> sign of P_k at n/d
+
+    def sign_at(n: int, d: int) -> int:
+        if (v := sign.get((n, d))) is None:
+            v = sign[n, d] = _sign_at_point(ints, n, d)
+        return v
+
+    def sign_of(x: Fraction) -> int:
+        return sign_at(x.numerator, x.denominator)
+
+    end_signs = [sign_of(x) for x in ends]
+    if end_signs[0] == 0 or end_signs[-1] == 0:
+        raise ExactError(f"row {k} vanishes at an end of the window (0, {bound})")
+    if not (
+        p.degree == expected
+        and len(ends) == expected + 1
+        and all(a < b for a, b in zip(ends, ends[1:]))
+        and all(u * v < 0 for u, v in zip(end_signs, end_signs[1:]))
+    ):
+        raise ExactError(f"row {k}: the cut points do not split (0, {bound}) into {expected} sign changes")
+
+    # the cuts as integers over their common denominator, for an integer bisect
+    scale = math.lcm(*(c.denominator for c in cuts))
+    scaled = [c.numerator * (scale // c.denominator) for c in cuts]
+
+    def roots_above(x: Fraction):
+        n, d = x.numerator, x.denominator
+        q, r = divmod(n * scale, d)
+        # i - 1 cuts lie below x: x lies in (ends[i-1], ends[i]]
+        i = (bisect_right if r else bisect_left)(scaled, q) + 1
+        v = sign_at(n, d)
+        return None if v == 0 else expected - i + (v != end_signs[i])
+
+    intervals = _isolate(roots_above, Fraction(0), bound, _separation_bits(ints))
+    roots = [AlgebraicNumber(p, iv, sign_of(iv.lo)) for iv in intervals]
+    if len(intervals) != expected or not (
+        all(sign_of(iv.lo) * sign_of(iv.hi) < 0 for iv in intervals)
         and all(a.hi <= b.lo for a, b in zip(intervals, intervals[1:]))
     ):
         raise ExactError(f"row {k} intervals are not certified by degree and sign changes")

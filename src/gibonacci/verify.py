@@ -49,6 +49,7 @@ from .posets import (
     verify_identity_suite,
 )
 from .roots import (
+    _cut_points,
     bound_B,
     check_interlacing,
     fibonacci_closed_roots,
@@ -188,6 +189,43 @@ def check_closed_form_roots(k_max: int, bits: int) -> CheckResult:
         for i, (root, iv) in enumerate(zip(rs.roots, nested)):
             if not root_in(root, iv):
                 res.fail(f"row-15 root {i} is not the expected nested radical")
+    return res
+
+
+def check_root_brackets(k_max: int, bits: int) -> CheckResult:
+    """Each root of row k lies in its bracket, from a root of the unit row
+    F_{k-1} to the next root of F_{k-2} (from 0 for the first root of an
+    even row, up to B for the last), for the five seed pairs and k <= k_max.
+    The brackets are the certified trig enclosures of those unit roots,
+    rounded outward, and membership is `root_in`'s two exact signs.  The
+    cut points lie between consecutive brackets, and their certificate
+    holds on values: P_k has degree floor(k/2) and its values at 0, the
+    cuts and B strictly alternate in sign."""
+    res = CheckResult("root-brackets")
+    brackets = {}  # k -> (lower ends, upper ends below B, cut points); seed-free
+    for k in range(2, k_max + 1):
+        m = k // 2
+        lows = fibonacci_closed_roots(k - 1, bits) if k >= 3 else []
+        highs = fibonacci_closed_roots(k - 2, bits) if k >= 4 else []
+        lows = [Fraction(0)] * (m - len(lows)) + [iv.lo for iv in lows]
+        highs = [iv.hi for iv in highs]
+        cuts = _cut_points(k)
+        if len(cuts) != m - 1 or not all(h < c < l for h, c, l in zip(highs, cuts, lows[1:])):
+            res.fail(f"k={k}: the cut points do not lie between the brackets")
+        brackets[k] = lows, highs, cuts
+    # the last seeds first: their root sets are the ones check_root_geometry
+    # leaves in the roots_of cache
+    for a, b in reversed(ROOT_GEOMETRY_SEEDS):
+        params = GibParams.of(a, b)
+        bound = bound_B(params).value
+        for k, (lows, highs, cuts) in brackets.items():
+            p = sign_alternating_poly(params, k)
+            values = [p(x) for x in (Fraction(0), *cuts, bound)]
+            if p.degree != k // 2 or not all(u * v < 0 for u, v in zip(values, values[1:])):
+                res.fail(f"seeds ({a},{b}) k={k}: the cut-point certificate fails")
+            for i, (root, lo, hi) in enumerate(zip(roots_of(params, k).roots, lows, [*highs, bound])):
+                if not root_in(root, Interval(lo, hi)):
+                    res.fail(f"seeds ({a},{b}) k={k}: root {i} lies outside its bracket")
     return res
 
 
@@ -503,6 +541,7 @@ SUITES = {
     "roots": (
         (check_root_geometry, {"k_max": 40}),
         (check_closed_form_roots, {"k_max": 24, "bits": 128}),
+        (check_root_brackets, {"k_max": 40, "bits": 128}),
     ),
     "game": (
         (check_six_move_reproduction, {}),

@@ -104,3 +104,10 @@ def test_supplement_lattice_relations():
     # the lattice verdict from the digit relations, witness included, equals
     # the full pairwise scan for n <= 5, k = 2..5, alpha < n, <= 800 elements
     _report("supplement", _run("check_lattice_relations"))
+
+
+def test_supplement_root_brackets():
+    # every root of rows k <= 40 of the five root-geometry seed pairs lies
+    # in its bracket between the roots of the unit rows k-1 and k-2 (up to
+    # B for the last), and the cut points between the brackets certify
+    _report("supplement", _run("check_root_brackets"))

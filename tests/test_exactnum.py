@@ -780,6 +780,83 @@ class TestValueRoute:
         check()
 
 
+def naive_numerator(ints, n, d) -> int:
+    """Oracle: sum(c_i * n^i * d^(deg-i)), each power built in full."""
+    deg = len(ints) - 1
+    return sum(c * n**i * d ** (deg - i) for i, c in enumerate(ints))
+
+
+def naive_box_range(ints, a, b, den) -> tuple:
+    """Oracle: integer interval Horner with the full powers den^j, the loop
+    `_box_range` ran before it carried den = D*2^s as D^j << s*j."""
+    lo = hi = ints[-1]
+    dpow = den
+    for c in ints[-2::-1]:
+        ends = (lo * a, lo * b, hi * a, hi * b)
+        lo, hi = min(ends) + c * dpow, max(ends) + c * dpow
+        dpow *= den
+    return lo, hi
+
+
+# kernel denominators d = D*2^s: dyadic, odd times dyadic, and the odd
+# part 33 of the bound 196/33 of seeds (7/3, 1/2)
+KERNEL_DENOMINATORS = [D << s for D in (1, 3, 33) for s in range(201)]
+KERNEL_INTS = [
+    (5,),
+    (-3,),
+    (0, 1),
+    (-2, 0, 1),
+    (-7, 14, -7, 1),
+    (3, -1, 0, 4, -9, 2),
+    tuple((-1) ** i * (i * i + 1) for i in range(12)),
+]
+
+
+class TestShiftKernel:
+    """`_sign_at_point`, `Poly.__call__` and `_box_range` step d^j as
+    D^j << s*j; each must equal the full-power route."""
+
+    def test_grid_matches_full_powers(self):
+        from gibonacci.exactnum import _box_range, _sign_at_point
+
+        for d in KERNEL_DENOMINATORS:
+            for n in (0, 1, -1, d + 1, -(3 * d) // 2 - 1, 7 * d - 3):
+                for ints in KERNEL_INTS:
+                    want = naive_numerator(ints, n, d)
+                    assert _sign_at_point(ints, n, d) == (want > 0) - (want < 0)
+                    assert _box_range(ints, n, n, d) == (want, want)  # a point box
+                    assert _box_range(ints, n, n + d + 1, d) == naive_box_range(ints, n, n + d + 1, d)
+                    a = -abs(n) - 2  # a box across 0
+                    assert _box_range(ints, a, abs(n), d) == naive_box_range(ints, a, abs(n), d)
+                    p = Poly.from_ints(ints, Fraction(-5, 7))
+                    assert p(Fraction(n, d)) == fraction_horner(p, Fraction(n, d))
+
+    def test_property_matches_full_powers(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        from gibonacci.exactnum import _box_range, _sign_at_point
+
+        @hyp.settings(max_examples=300, deadline=None, derandomize=True)
+        @hyp.given(
+            st.lists(st.integers(-(1 << 70), 1 << 70), min_size=1, max_size=14),
+            st.integers(-(1 << 300), 1 << 300),
+            st.integers(0, 1 << 60),
+            st.sampled_from([1, 3, 33]) | st.integers(1, 1 << 20),
+            st.integers(0, 200),
+        )
+        def check(ints, n, width, odd, s):
+            d = odd << s
+            want = naive_numerator(ints, n, d)
+            assert _sign_at_point(ints, n, d) == (want > 0) - (want < 0)
+            assert _box_range(ints, n, n, d) == (want, want)
+            assert _box_range(ints, n, n + width, d) == naive_box_range(ints, n, n + width, d)
+            if any(ints):
+                p = Poly.from_ints(ints)
+                assert p(Fraction(n, d)) == fraction_horner(p, Fraction(n, d))
+
+        check()
+
+
 def _sturm_loop_sign(p: Poly, theta: AlgebraicNumber) -> int:
     """Oracle: the former sign_at_algebraic, with a gcd zero test on every
     query and a Sturm count of p after every one-step refinement."""

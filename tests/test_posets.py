@@ -12,7 +12,7 @@ from gibonacci import posets
 from gibonacci.posets import (
     TRIANGLE_ENTRY_BUDGET,
     LatticeReport,
-    _extremes,
+    SGPoset,
     _joins,
     _triangle_rows,
     _width,
@@ -256,6 +256,39 @@ class TestBuildPoset:
             assert is_connected(build_poset(n, k, alpha))
 
 
+class TestSharedMembers:
+    """The code set and the extremes are computed once per built poset and
+    read by both `check_lattice` and `is_connected`."""
+
+    @pytest.mark.parametrize("n, k, alpha", [(4, 3, 2), (9, 4, 8), (12, 3, 5)])
+    def test_extremes_computed_once(self, n, k, alpha, monkeypatch):
+        prop = SGPoset.__dict__["_extremes"]
+        compute, calls = prop.func, []
+
+        def counted(poset):
+            calls.append(poset)
+            return compute(poset)
+
+        monkeypatch.setattr(prop, "func", counted)
+        poset = build_poset(n, k, alpha)
+        report = check_lattice(poset)
+        assert is_connected(poset)
+        assert len(calls) == 1
+        minimal, maximal = poset._extremes
+        assert (report.minimal_count, report.maximal_count) == (len(minimal), len(maximal))
+        assert poset._members == set(poset.codes)
+
+    def test_replaced_copies_get_fresh_caches(self):
+        poset = build_poset(4, 3, 1)
+        assert check_lattice(poset).distributive and is_connected(poset)
+        topless = dataclasses.replace(poset, codes=poset.codes[1:], ranks=poset.ranks[1:])
+        assert "_members" not in vars(topless) and "_extremes" not in vars(topless)
+        assert not check_lattice(topless).distributive
+        assert topless._members == set(poset.codes[1:]) != poset._members
+        fresh = SGPoset(topless.n, topless.k, topless.alpha, topless.codes, topless.ranks)
+        assert topless._extremes == fresh._extremes != poset._extremes
+
+
 class TestDigitCodesAgainstTuples:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_poset_matches_tuple_oracle(self, n):
@@ -331,7 +364,7 @@ class TestDigitCodesAgainstTuples:
     @pytest.mark.parametrize("n, k, alpha", [(7, 4, 6), (9, 4, 8), (27, 2, 14), (21, 4, 16)])
     def test_extremes_decide_without_sweep(self, n, k, alpha, monkeypatch):
         poset = build_poset(n, k, alpha)
-        minimal, maximal = _extremes(poset, set(poset.codes))
+        minimal, maximal = poset._extremes
         assert len(minimal) > 1 and len(maximal) > 1
 
         def sweep(_):

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 
 import pytest
 
@@ -14,6 +15,7 @@ from gibonacci.exactnum import (
     _isolate,
     _separation_bits,
     _sign_at_point,
+    _sign_changes,
     _variations,
     isolate_real_roots,
     rational_between,
@@ -22,7 +24,13 @@ from gibonacci.exactnum import (
     sturm_count,
 )
 from gibonacci import polys as polys_module
-from gibonacci.polys import GibParams, companion_poly, reciprocal_transform_holds, sign_alternating_poly
+from gibonacci.polys import (
+    GibParams,
+    _row_walk,
+    companion_poly,
+    reciprocal_transform_holds,
+    sign_alternating_poly,
+)
 from gibonacci import roots as roots_module
 from gibonacci import verify as verify_module
 from gibonacci.roots import (
@@ -388,6 +396,15 @@ def _row_sequence(params, k):
     return tuple(sign_alternating_poly(params, j).ints for j in range(k, -1, -2))
 
 
+def _row_variations(params, k, x):
+    """Oracle: sign variations of the Sturm sequence (P_k, P_{k-2}, ...,
+    P_{k mod 2}) at the rational x, read from the first k + 1 values of the
+    one row walk `polys._row_walk`, integers of the rows' signs; None where
+    x is a root of P_k.  roots_of counted with it before the bracket count."""
+    values = list(islice(_row_walk(params, x.numerator, x.denominator), k + 1))
+    return _sign_changes(values[k % 2 :: 2]) if values[k] else None
+
+
 def _row_sequence_roots(params, k):
     """Oracle: the row-k root set isolated by Horner counts on
     `_row_sequence`, with roots_of's rim bisection."""
@@ -442,7 +459,7 @@ class TestRowSequence:
                 rows = _row_sequence(params, k)
                 for x in points:
                     want = _variations(chain, x)
-                    assert roots_module._row_variations(params, k, x) == want
+                    assert _row_variations(params, k, x) == want
                     assert _variations(rows, x) == want
                     n, d = x.numerator, x.denominator
                     interior_zeros += any(_sign_at_point(c, n, d) == 0 for c in rows[1:-1])
@@ -473,9 +490,107 @@ class TestRowSequence:
             named = {"0": 0, "B": bound_B(params).value, "r": params.ratio, "r+1": params.ratio + 1}
             x = Fraction(named.get(point, point))
             chain = sturm_chain(sign_alternating_poly(params, k))
-            assert roots_module._row_variations(params, k, x) == _variations(chain, x)
+            assert _row_variations(params, k, x) == _variations(chain, x)
 
         check()
+
+
+BRACKET_SEEDS = [
+    GibParams.of(a, b)
+    for a, b in [
+        (1, 1),
+        (2, 1),
+        (Fraction(3, 2), 1),
+        (Fraction(7, 3), Fraction(1, 2)),
+        (1, 2),
+        (Fraction(1, 3), 1),
+        (Fraction(11, 4), 1),
+        (3, 1),
+    ]
+]
+
+
+class TestBracketCount:
+    def test_equals_row_sequence_count_at_every_split(self, monkeypatch):
+        # every point the bisection visits counts as the Sturm sequence of
+        # the rows does, checked as it is visited: a wrong count can send
+        # the bisection far past the point where it first differs
+        row = {}
+
+        def checked(count, lo, hi, sep_bits):
+            def seen(x):
+                got = count(x)
+                assert got == _row_variations(*row["at"], x), (*row["at"], x)
+                row["points"] += 1
+                return got
+
+            return _isolate(seen, lo, hi, sep_bits)
+
+        monkeypatch.setattr(roots_module, "_isolate", checked)
+        total = 0
+        for params in BRACKET_SEEDS:
+            for k in range(2, 131):
+                row.update(at=(params, k), points=0)
+                roots_of.__wrapped__(params, k)
+                assert row["points"] >= 2
+                total += row["points"]
+        assert total > 10_000
+
+    def test_enclosures_equal_row_sequence_route(self):
+        for params in BRACKET_SEEDS:
+            bound = bound_B(params).value
+            bn, bd = bound.numerator, bound.denominator
+            for k in range(2, 131):
+                p = sign_alternating_poly(params, k)
+                count = partial(_row_variations, params, k)
+                intervals = _isolate(count, Fraction(0), bound, _separation_bits(p.ints))
+                # roots_of's rim bisection, on roots whose isolation the
+                # Sturm count has just certified
+                want = [AlgebraicNumber(p, iv, p.sign_at(iv.lo)) for iv in intervals]
+                want[0] = want[0].bisected(lambda a, b, den: a > 0)
+                want[-1] = want[-1].bisected(lambda a, b, den: b * bd < bn * den)
+                got = roots_of(params, k).roots
+                assert [r.enclosure for r in got] == [r.enclosure for r in want], (params, k)
+
+    @pytest.mark.parametrize("k", [4, 5, 9, 40, 121])
+    def test_cut_points_lie_in_the_gaps(self, k):
+        # the gaps between the roots of the unit rows k-2 and k-1, enclosed
+        # far tighter than the cut points were chosen with
+        cuts = roots_module._cut_points(k)
+        assert len(cuts) == k // 2 - 1
+        below = fibonacci_closed_roots(k - 2, 200)
+        above = fibonacci_closed_roots(k - 1, 200)[-len(cuts) :] if cuts else []
+        for cut, lo, hi in zip(cuts, below, above):
+            assert lo.hi < cut < hi.lo
+            assert cut.denominator & (cut.denominator - 1) == 0  # dyadic
+
+    @pytest.mark.parametrize("params", [UNIT, GibParams.of(Fraction(7, 3), Fraction(1, 2))])
+    @pytest.mark.parametrize("broken", ["dropped", "swapped", "moved"])
+    def test_broken_cut_set_raises(self, params, broken, monkeypatch):
+        # the certificate runs before any bisection, so a wrong cut set
+        # stops at once with one line, and never reaches the count
+        cut_points = roots_module._cut_points
+
+        def wrong(k):
+            cuts = list(cut_points(k))
+            if broken == "dropped":
+                del cuts[len(cuts) // 2]
+            elif broken == "swapped":
+                cuts[3], cuts[4] = cuts[4], cuts[3]
+            else:  # the count is right, but one piece holds two roots
+                del cuts[3]
+                cuts.append((cuts[-1] + 4) / 2)
+            return tuple(cuts)
+
+        def no_bisection(*args):
+            raise AssertionError("the bisection ran on a broken cut set")
+
+        monkeypatch.setattr(roots_module, "_cut_points", wrong)
+        monkeypatch.setattr(roots_module, "_isolate", no_bisection)
+        for k in (20, 61, 128):
+            with pytest.raises(ExactError) as info:
+                roots_of.__wrapped__(params, k)
+            assert "\n" not in str(info.value) and "cut points" in str(info.value)
 
 
 def _bisection_root_in(root, target, steps=300):
