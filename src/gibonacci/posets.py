@@ -35,16 +35,30 @@ of chains and distributive; for k >= 2 this holds exactly when
 alpha <= 2.  Otherwise two member strings s and t whose join or meet is
 missing bound the pairwise scan: it stops by row min(index(s), index(t)),
 and its first failing pair is the witness.  LATTICE_PAIR_BUDGET guards only
-that scan, which runs in full for code sets that no (n, k, alpha) builds.
+that scan, which runs in full for any other code set.
+
+Which posets those are is a provenance mark: build_poset sets
+SGPoset.built, and a copy made by dataclasses.replace or a hand-made
+SGPoset starts unmarked, so the codes of a marked poset are exactly the
+strings of (n, k, alpha).  The same rules fix its extreme strings and its
+connectivity without touching the codes.  A minimal string has no digit
+that can be raised, which leaves few candidates per digit; a pruned search
+over them, each confirmed by the rules, finds the minimal strings, and the
+map d -> (n-1-d_k, ..., n-1-d_1), which takes members to members and
+reverses the order, gives the maximal ones.  Connectivity joins the
+extremes by greedy cover paths whose steps the digit rules test, so no code
+set is built.  An unmarked code set scans its codes for its extremes and
+tests path steps in its set, with the union-find sweep over every cover as
+the fallback.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Optional
 
 from .exactnum import ExactError, Poly
@@ -56,6 +70,11 @@ from .polys import GibParams, binet_eval, sign_alternating_poly
 # below all three; CI's deepest triangle row, (2; 3) row 300, computes
 # 90,600 entries.
 POSET_ELEMENT_BUDGET = 2_000_000
+# build_poset also refuses strings of more digits than this.  Under the
+# element budget only the n = 2 chain (k + 1 strings of k digits) gets past
+# k = 15, and its level loop does about k^3 bit work.  The verify grids and
+# CI's posets stay far below it.
+POSET_LENGTH_BUDGET = 1_000
 LATTICE_PAIR_BUDGET = 50_000_000
 TRIANGLE_ENTRY_BUDGET = 2_000_000
 
@@ -113,6 +132,9 @@ class SGPoset:
     alpha: int
     codes: list  # digit codes in f-bit fields, ascending (= lexicographic order)
     ranks: list  # per element: k(n-1) minus the digit sum
+    # set by build_poset on the strings of (n, k, alpha), k >= 1; copies made by
+    # dataclasses.replace and hand-made posets start unmarked
+    built: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -136,9 +158,13 @@ class SGPoset:
     @cached_property
     def _extremes(self) -> tuple:
         """(minimal, maximal) codes: those with no code one digit raised, and
-        those with no code one digit lowered.  A raised digit n-1 reads n and
-        a lowered digit 0 borrows into a guard bit (or below zero), and no
-        member has either, so both tests are exact."""
+        those with no code one digit lowered.  A built poset derives them
+        from the digit rules (`_rule_extremes`); any other code set is
+        scanned.  A raised digit n-1 reads n and a lowered digit 0 borrows
+        into a guard bit (or below zero), and no member has either, so both
+        scan tests are exact."""
+        if _built(self):
+            return _rule_extremes(self.n, self.k, self.alpha)
         members = self._members
         minimal = maximal = self.codes
         for w in _weights(self):
@@ -158,6 +184,14 @@ def _decoded(poset: SGPoset, codes: list) -> list:
 def _width(n: int) -> int:
     """Bits per digit field: the digits 0..n-1 and a guard bit above them."""
     return (n - 1).bit_length() + 1
+
+
+def _packed(digits, f: int) -> int:
+    """The code of a digit string, d_1 in the most significant f-bit field."""
+    code = 0
+    for d in digits:
+        code = (code << f) | d
+    return code
 
 
 def _weights(poset: SGPoset) -> list:
@@ -205,38 +239,53 @@ def build_poset(n: int, k: int, alpha: int) -> SGPoset:
     k = 0 yields the conventional alpha-element antichain of empty strings;
     k = 1 is the n-chain.  Seeds with n <= alpha are refused: the triangle
     rows lose positivity there and the poset family is not defined.  Sizes
-    above POSET_ELEMENT_BUDGET are refused before anything is enumerated.
+    above POSET_ELEMENT_BUDGET, then strings longer than POSET_LENGTH_BUDGET,
+    are refused before anything is enumerated.
     """
     if alpha < 1 or n < 1 or k < 0:
         raise ExactError("need alpha >= 1, n >= 1, k >= 0")
     if n <= alpha:
         raise ExactError(f"n must exceed alpha (got n={n}, alpha={alpha})")
     _checked_size(n, k, alpha)
+    if k > POSET_LENGTH_BUDGET:
+        raise ExactError(
+            f"poset (n={n}, k={k}, alpha={alpha}) has strings of {k:,} digits, "
+            f"over the length budget of {POSET_LENGTH_BUDGET:,}"
+        )
     if k == 0:
         return SGPoset(n, 0, alpha, [0] * alpha, [0] * alpha)
-    return SGPoset(n, k, alpha, *_enumerate(n, k, alpha))
+    poset = SGPoset(n, k, alpha, *_enumerate(n, k, alpha))
+    poset.built = True
+    return poset
 
 
 def _enumerate(n: int, k: int, alpha: int) -> tuple:
     """(codes, ranks) of the strings for 1 <= alpha < n and k >= 1, in
-    ascending code order."""
+    ascending code order.  Each level appends one digit to every prefix; the
+    last level also drops the forbidden end pairs, so a prefix with
+    d_1 <= alpha - 2 (the first `cut` prefixes) skips the last digit
+    n-1-d_1."""
     f, top = _width(n), n - 1
     ones = (1 << f) - 1
     # level 1: the first digit, rank so far (n-1) - d_1
     codes, ranks = list(range(n)), list(range(top, -1, -1))
-    for _ in range(k - 1):
+    for level in range(2, k + 1):
+        lead = f * (level - 2)  # the shift of d_1 in a prefix
+        cut = bisect_left(codes, (alpha - 1) << lead) if level == k else 0
         next_codes, next_ranks = [], []
-        for c, r in zip(codes, ranks):
+        prefixes = zip(codes, ranks)
+        for c, r in islice(prefixes, cut):
             lo = 1 if c & ones == top else 0  # no (n-1, 0) digit pair
+            skip = top - (c >> lead)
+            next_codes.extend(range((c << f) + lo, (c << f) + skip))
+            next_codes.extend(range((c << f) + skip + 1, (c << f) + n))
+            next_ranks.extend(range(r + top - lo, r + top - skip, -1))
+            next_ranks.extend(range(r + top - skip - 1, r - 1, -1))
+        for c, r in prefixes:
+            lo = 1 if c & ones == top else 0
             next_codes.extend(range((c << f) + lo, (c << f) + n))
             next_ranks.extend(range(r + top - lo, r - 1, -1))
         codes, ranks = next_codes, next_ranks
-    # end pairs: only codes with d_1 <= alpha - 2 can be forbidden
-    lead = f * (k - 1)
-    cut = bisect_left(codes, (alpha - 1) << lead) if k >= 2 else 0
-    keep = [i for i in range(cut) if (codes[i] >> lead) + (codes[i] & ones) != top]
-    codes[:cut] = [codes[i] for i in keep]
-    ranks[:cut] = [ranks[i] for i in keep]
     return codes, ranks
 
 
@@ -333,12 +382,103 @@ def is_palindromic(p: Poly) -> bool:
     return p.ints == p.ints[::-1]
 
 
-def _greedy_end(c: int, members: set, steps: list) -> int:
+def _rule_member(digits, n: int, alpha: int) -> bool:
+    """Whether a digit string is a member by the digit rules: every digit in
+    [0, n), no adjacent pair (n-1, 0) and, for k >= 2, no end pair with
+    d_1 <= alpha-2 and d_1 + d_k = n-1.  O(k)."""
+    top = n - 1
+    return (
+        all(0 <= d <= top for d in digits)
+        and not any(a == top and b == 0 for a, b in zip(digits, digits[1:]))
+        and not (len(digits) >= 2 and digits[0] <= alpha - 2 and digits[0] + digits[-1] == top)
+    )
+
+
+def _rule_test(poset: SGPoset):
+    """Membership of a code in the built poset by `_rule_member` on its
+    digits, with no code set.  A raised digit n-1 reads n, and a lowered
+    digit 0 reads 2^f - 1 (a lowered d_1 = 0 leaves the code negative, whose
+    top field then reads 2^f - 1 too), so a cover step off the digit ranges
+    fails."""
+    n, k, alpha, f = poset.n, poset.k, poset.alpha, _width(poset.n)
+    shifts, ones = range(f * (k - 1), -1, -f), (1 << f) - 1
+
+    def member(code: int) -> bool:
+        return _rule_member([(code >> s) & ones for s in shifts], n, alpha)
+
+    return member
+
+
+def _minimal_strings(n: int, k: int, alpha: int) -> list:
+    """Digit strings of the minimal elements of the built poset (n, k, alpha),
+    k >= 1: the members with no digit that can be raised.
+
+    A digit n-1 cannot be raised, and raising a smaller one breaks a rule
+    only through a pair it sits in.  So a middle digit is n-1, or n-2
+    followed by a 0; d_1 is n-1, n-2 (followed by a 0) or at most alpha-3
+    (the raise meets a forbidden end pair); d_k is n-1, or n-2-d_1 when
+    d_1 <= alpha-2.  For each d_1 a backward pass keeps the middle digits
+    that lead on to an allowed d_k, so the search below meets no dead end,
+    where a blind product of the middle candidates would grow as 2^(k-2).
+    Each candidate is confirmed by the rule test on it and on each one-digit
+    raise.
+    """
+    top = n - 1
+
+    def step(d, e):  # a middle d before e: (d, e) allowed and d not raisable
+        return e != 0 if d == top else d == top - 1 and e == 0
+
+    found = []
+    firsts = {top} if k == 1 else {top, top - 1, *range(alpha - 2)}
+    for first in firsts:
+        reach = [()] * k  # reach[j]: the digits at j that lead on to a d_k
+        reach[k - 1] = (top, top - 1 - first) if first <= alpha - 2 else (top,)
+        for j in range(k - 2, 0, -1):
+            reach[j] = tuple(d for d in (top, top - 1) if any(step(d, e) for e in reach[j + 1]))
+        stack = [(first,)]
+        while stack:
+            prefix = stack.pop()
+            j = len(prefix)
+            if j == k:
+                found.append(prefix)
+                continue
+            d = prefix[-1]
+            for e in reach[j]:
+                if step(d, e) if j > 1 else not (d == top and e == 0):
+                    stack.append(prefix + (e,))
+    return [
+        ds
+        for ds in found
+        if _rule_member(ds, n, alpha)
+        and not any(
+            d < top and _rule_member(ds[:j] + (d + 1,) + ds[j + 1 :], n, alpha)
+            for j, d in enumerate(ds)
+        )
+    ]
+
+
+def _rule_extremes(n: int, k: int, alpha: int) -> tuple:
+    """(minimal, maximal) codes of the built poset (n, k, alpha), k >= 1, in
+    ascending order, from the digit rules alone: no code is visited.
+
+    The map d -> (n-1-d_k, ..., n-1-d_1) takes members to members (an
+    adjacent pair (a, b) becomes (n-1-b, n-1-a), which is (n-1, 0) exactly
+    when (a, b) is, and an end pair with d_1 + d_k = n-1 maps to itself)
+    and a one-digit raise into a one-digit lowering, so the maximal strings
+    are the images of the minimal ones.
+    """
+    f, top = _width(n), n - 1
+    minimal = _minimal_strings(n, k, alpha)
+    maximal = [[top - d for d in reversed(ds)] for ds in minimal]
+    return sorted(_packed(ds, f) for ds in minimal), sorted(_packed(ds, f) for ds in maximal)
+
+
+def _greedy_end(c: int, member, steps: list) -> int:
     """Follow covers from c, taking the first step that stays a member,
     until none does."""
     while True:
         for w in steps:
-            if c + w in members:
+            if member(c + w):
                 c += w
                 break
         else:
@@ -352,29 +492,34 @@ def is_connected(poset: SGPoset) -> bool:
     is connected when one minimal or one maximal element exists, or when
     greedy cover paths from each extreme element to one on the other side
     join all the extremes: the paths are Hasse paths, so that certificate is
-    sound.  Only when it leaves the extremes apart (or codes repeat, as the
-    k = 0 antichain's do) does the exact union-find sweep decide."""
-    members = poset._members
-    if len(members) == poset.size:
-        minimal, maximal = poset._extremes
-        if len(minimal) == 1 or len(maximal) == 1:
-            return True
-        down = _weights(poset)
-        parent = {c: c for c in minimal + maximal}  # an isolated element is both
-        components = len(parent)
-        for ends, steps in ((minimal, [-w for w in down]), (maximal, down)):
-            for c in ends:
-                a, b = c, _greedy_end(c, members, steps)
-                while parent[a] != a:
-                    a = parent[a]
-                while parent[b] != b:
-                    b = parent[b]
-                if a != b:
-                    parent[b] = a
-                    components -= 1
-        if components <= 1:
-            return True
-    return _swept(poset)
+    sound.  A built poset takes its extremes from the digit rules and tests
+    each path step by `_rule_test`, so it builds no code set; any other code
+    set tests membership in its set.  Only when the paths leave the extremes
+    apart (or codes repeat, as the k = 0 antichain's do) does the exact
+    union-find sweep decide."""
+    if _built(poset):
+        member = _rule_test(poset)
+    elif len(poset._members) == poset.size:
+        member = poset._members.__contains__
+    else:
+        return _swept(poset)
+    minimal, maximal = poset._extremes
+    if len(minimal) == 1 or len(maximal) == 1:
+        return True
+    down = _weights(poset)
+    parent = {c: c for c in minimal + maximal}  # an isolated element is both
+    components = len(parent)
+    for ends, steps in ((minimal, [-w for w in down]), (maximal, down)):
+        for c in ends:
+            a, b = c, _greedy_end(c, member, steps)
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            if a != b:
+                parent[b] = a
+                components -= 1
+    return components <= 1 or _swept(poset)
 
 
 def _swept(poset: SGPoset) -> bool:
@@ -421,18 +566,19 @@ def check_lattice(poset: SGPoset) -> LatticeReport:
     """Closure of every pair under componentwise min and max, plus extreme
     element counts.
 
-    When the codes are exactly those that (n, k, alpha) builds, the digit
-    relations decide (`_relation_rows`).  A conjunction of relations each
-    closed under componentwise max and min is closed too (Jeavons and
-    Cooper, "Tractable constraints on ordered domains", Artificial
-    Intelligence 79, 1995), so if they are closed the poset is a sublattice
-    of a product of chains, hence distributive, and no pair is visited.  If
-    not, two member strings s and t whose join or meet is missing bound the
-    pairwise scan: it stops by row min(index(s), index(t)), and its first
-    failing pair is the reported witness, the pair the full scan would
-    report.  Any other code set, such as a subset of a built poset, gets the
-    full scan.  LATTICE_PAIR_BUDGET guards only the scan, charged as rows
-    times size for a bounded scan and as all N(N-1)/2 pairs for a full one.
+    When build_poset made the poset (its mark, `_built`), the codes are
+    exactly the strings of (n, k, alpha) and the digit relations decide
+    (`_relation_rows`).  A conjunction of relations each closed under
+    componentwise max and min is closed too (Jeavons and Cooper, "Tractable
+    constraints on ordered domains", Artificial Intelligence 79, 1995), so
+    if they are closed the poset is a sublattice of a product of chains,
+    hence distributive, and no pair is visited.  If not, two member strings
+    s and t whose join or meet is missing bound the pairwise scan: it stops
+    by row min(index(s), index(t)), and its first failing pair is the
+    reported witness, the pair the full scan would report.  Any other code
+    set, such as a subset or a copy of a built poset, gets the full scan.
+    LATTICE_PAIR_BUDGET guards only the scan, charged as rows times size for
+    a bounded scan and as all N(N-1)/2 pairs for a full one.
     """
     if poset.k == 0:
         return LatticeReport(poset.alpha == 1, poset.size, poset.size)
@@ -440,15 +586,9 @@ def check_lattice(poset: SGPoset) -> LatticeReport:
 
 
 def _built(poset: SGPoset) -> bool:
-    """Whether the codes are exactly the ones that (n, k, alpha) builds."""
-    n, k, alpha = poset.n, poset.k, poset.alpha
-    if not (1 <= alpha < n and k >= 1):
-        return False
-    try:
-        size = _checked_size(n, k, alpha)
-    except ExactError:  # more than any built poset holds
-        return False
-    return size == poset.size and _enumerate(n, k, alpha)[0] == poset.codes
+    """Whether build_poset made the poset, so its codes are exactly the
+    strings of (n, k, alpha), k >= 1: its provenance mark."""
+    return poset.built
 
 
 def _broken_pairs(forbidden: set, n: int):
@@ -499,9 +639,7 @@ def _relation_rows(poset: SGPoset) -> Optional[int]:
     f = _width(n)
 
     def index(digits):
-        code = 0
-        for d in digits:
-            code = (code << f) | d
+        code = _packed(digits, f)
         i = bisect_left(codes, code)
         return i if i < len(codes) and codes[i] == code else None
 
@@ -528,8 +666,8 @@ def _scan_lattice(poset: SGPoset, rows: Optional[int] = None) -> LatticeReport:
         )
     codes, f = poset.codes, _width(poset.n)
     guards = sum(1 << (f * pos + f - 1) for pos in range(poset.k))
-    members = poset._members
     minimal, maximal = map(len, poset._extremes)
+    members = poset._members if rows != 0 else None  # a closed verdict builds no set
     for i, x in enumerate(codes[:rows]):
         tail = codes[i + 1 :]
         joins = _joins(x, tail, guards, f)

@@ -252,6 +252,15 @@ class TestPosetCommands:
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and err.startswith("error:") and "element budget" in err
 
+    @pytest.mark.parametrize("command", ["enum", "rgf", "check"])
+    def test_length_budget_is_one_line_error(self, capsys, command):
+        # the n = 2 chain passes the element budget up to k of about 2,000,000
+        code, out, err = run_cli(
+            capsys, "poset", command, "--n", "2", "--k", "1001", "--alpha", "1"
+        )
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "length budget of 1,000" in err
+
     def test_pair_budget_is_one_line_error(self, capsys):
         # the scan up to the witness row needs more than the budget: (369, 2, 3)
         # is the smallest such poset, (36, 4, 3) the smallest with k = 4

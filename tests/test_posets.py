@@ -2,6 +2,8 @@
 
 import dataclasses
 import random
+import time
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -182,6 +184,40 @@ def tuple_lattice(elements, edges, k, alpha):
     return LatticeReport(True, maximal, minimal)
 
 
+def post_filter_enumerate(n, k, alpha):
+    """(codes, ranks) as `posets._enumerate` made them before the end pairs
+    moved into the last level: every no-successor string, then a filter over
+    the codes with d_1 <= alpha - 2."""
+    f, top = _width(n), n - 1
+    ones = (1 << f) - 1
+    codes, ranks = list(range(n)), list(range(top, -1, -1))
+    for _ in range(k - 1):
+        next_codes, next_ranks = [], []
+        for c, r in zip(codes, ranks):
+            lo = 1 if c & ones == top else 0
+            next_codes.extend(range((c << f) + lo, (c << f) + n))
+            next_ranks.extend(range(r + top - lo, r - 1, -1))
+        codes, ranks = next_codes, next_ranks
+    lead = f * (k - 1)
+    cut = bisect_left(codes, (alpha - 1) << lead) if k >= 2 else 0
+    keep = [i for i in range(cut) if (codes[i] >> lead) + (codes[i] & ones) != top]
+    codes[:cut] = [codes[i] for i in keep]
+    ranks[:cut] = [ranks[i] for i in keep]
+    return codes, ranks
+
+
+def random_seed_grid(count, size_max, rng):
+    """`count` distinct (n, k, alpha) with n <= 40, 1 <= k <= 7, 1 <= alpha < n
+    and at most size_max elements."""
+    grid = set()
+    while len(grid) < count:
+        n = rng.randint(2, 40)
+        k, alpha = rng.randint(1, 7), rng.randint(1, n - 1)
+        if count_by_formula(n, k, alpha) <= size_max:
+            grid.add((n, k, alpha))
+    return sorted(grid)
+
+
 # every n = 2..6 with every alpha and k = 0..5, plus n = 2 (radix 3, the
 # tightest digit fields) up to k = 12
 ORACLE_GRID = [
@@ -287,6 +323,102 @@ class TestSharedMembers:
         assert topless._members == set(poset.codes[1:]) != poset._members
         fresh = SGPoset(topless.n, topless.k, topless.alpha, topless.codes, topless.ranks)
         assert topless._extremes == fresh._extremes != poset._extremes
+
+
+class TestRuleExtremes:
+    """A built poset's extremes come from the digit rules and its
+    connectivity from a rule membership test; the code-set scan, which every
+    unmarked poset takes, is the oracle."""
+
+    @staticmethod
+    def scanned(poset):
+        copy = dataclasses.replace(poset)  # unmarked, so the set scan runs
+        assert not posets._built(copy)
+        return copy._extremes
+
+    def test_oracle_grid(self):
+        for n, k, alpha in ORACLE_GRID:
+            poset = build_poset(n, k, alpha)
+            if k >= 1:
+                assert posets._built(poset)
+                assert poset._extremes == self.scanned(poset), (n, k, alpha)
+
+    def test_random_grid(self):
+        grid = random_seed_grid(150, 20_000, random.Random(20201020))
+        several = 0
+        for n, k, alpha in grid:
+            poset = build_poset(n, k, alpha)
+            minimal, maximal = poset._extremes
+            assert (minimal, maximal) == self.scanned(poset), (n, k, alpha)
+            several += len(minimal) > 1
+        assert several > 30
+
+    def test_anti_automorphism(self):
+        # d -> (n-1-d_k, ..., n-1-d_1) maps the members onto themselves and
+        # reverses the order, which is why the maximal strings are images
+        for n, k, alpha in [(5, 3, 4), (7, 4, 6), (9, 2, 5), (2, 9, 1)]:
+            poset = build_poset(n, k, alpha)
+            # on the strings: T_j -> kn + 1 - T_(k+1-j)
+            image = {tuple(k * n + 1 - t for t in reversed(e)) for e in poset.elements}
+            assert image == set(poset.elements)
+
+    def test_enumeration_folds_the_end_pairs(self):
+        for n, k, alpha in ORACLE_GRID + [(23, 4, 20), (40, 3, 39), (31, 2, 30)]:
+            if k >= 1:
+                poset = build_poset(n, k, alpha)
+                want = post_filter_enumerate(n, k, alpha)
+                assert (poset.codes, poset.ranks) == want, (n, k, alpha)
+        for n, k, alpha in random_seed_grid(60, 20_000, random.Random(7)):
+            assert posets._enumerate(n, k, alpha) == post_filter_enumerate(n, k, alpha)
+
+    def test_copies_are_unmarked(self, monkeypatch):
+        def no_rules(*args):
+            raise AssertionError("the digit rules were read")
+
+        poset = build_poset(9, 4, 8)
+        minimal, maximal = poset._extremes
+        copy = dataclasses.replace(poset)
+        hand = SGPoset(poset.n, poset.k, poset.alpha, poset.codes, poset.ranks)
+        assert poset.built and not copy.built and not hand.built
+        assert copy == hand == poset  # the mark is not compared
+        monkeypatch.setattr(posets, "_rule_extremes", no_rules)
+        monkeypatch.setattr(posets, "_rule_test", no_rules)
+        for unmarked in (copy, hand):
+            assert unmarked._extremes == (minimal, maximal)
+            assert is_connected(unmarked) and "_members" in vars(unmarked)
+        assert not posets._built(build_poset(4, 0, 3))  # repeated codes stay unmarked
+
+    @pytest.mark.parametrize("n, k, alpha", [(9, 4, 8), (21, 4, 16), (30, 4, 2), (5, 1, 3)])
+    def test_connected_without_members_or_sweep(self, n, k, alpha, monkeypatch):
+        def unread(*args):
+            raise AssertionError("the code set or the sweep was read")
+
+        monkeypatch.setattr(SGPoset, "_members", property(unread))
+        monkeypatch.setattr(posets, "_swept", unread)
+        poset = build_poset(n, k, alpha)
+        assert is_connected(poset)
+        if alpha <= 2:  # a closed lattice verdict scans no row, so it needs no set either
+            assert check_lattice(poset).distributive
+
+    def test_rule_test_matches_the_codes(self):
+        # every member passes, and every cover step off the poset fails: a
+        # raised n-1, a lowered 0 (borrowing, or below zero) and a broken rule
+        for n, k, alpha in [(2, 6, 1), (4, 3, 3), (5, 4, 2), (8, 3, 7), (16, 2, 5)]:
+            poset = build_poset(n, k, alpha)
+            member, members = posets._rule_test(poset), set(poset.codes)
+            steps = [s * w for w in posets._weights(poset) for s in (1, -1)]
+            for c in poset.codes:
+                assert member(c)
+                for w in steps:
+                    assert member(c + w) == (c + w in members), (n, k, alpha, c, w)
+
+    @pytest.mark.parametrize("n, k, alpha", [(2, 1000, 1), (3, 13, 1)])
+    def test_extremes_are_not_exponential_in_k(self, n, k, alpha):
+        poset = build_poset(n, k, alpha)
+        start = time.perf_counter()
+        minimal, maximal = poset._extremes
+        assert time.perf_counter() - start < 0.1
+        assert (minimal, maximal) == ([poset.codes[-1]], [poset.codes[0]])
 
 
 class TestDigitCodesAgainstTuples:
@@ -450,6 +582,21 @@ class TestBudgets:
             build_poset(3, 10**6, 1)
         with pytest.raises(ExactError, match="more than"):
             build_poset(2, 10**9, 1)
+
+    def test_length_budget(self):
+        # the n = 2 chain has k + 1 elements, so only the length budget stops it
+        assert posets.POSET_LENGTH_BUDGET == 1_000
+        assert build_poset(2, 1_000, 1).size == 1_001
+        with pytest.raises(ExactError, match="length budget"):
+            build_poset(2, 1_001, 1)
+        start = time.perf_counter()
+        with pytest.raises(ExactError, match="length budget of 1,000") as err:
+            build_poset(2, 100_000, 1)
+        assert time.perf_counter() - start < 1
+        assert str(err.value) == (
+            "poset (n=2, k=100000, alpha=1) has strings of 100,000 digits, "
+            "over the length budget of 1,000"
+        )
 
     def test_pair_budget(self):
         # the built (3, 10, 1) is decided by its digit relations; without its
