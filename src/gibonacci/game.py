@@ -28,9 +28,10 @@ largest root).  A `RingElement` is built only where a value is read
 Play runs on the pair (u, w) with w = v/p, where g1 maps it to (-u, u + w)
 and g2 to (u + pq*w, -w): a firing knows only pq, the one number the game's
 fate depends on.  The pair is held as (U, W, S) over one positive scale S,
-integers or coefficient vectors, so `_step` fires without a gcd; linear
-forms step at (pq, 1) with S = 1.  A move signs one value, as the fired one
-is negated.  A `Firing` builds u and v = p*W/S only when they are read.
+integers or coefficient vectors, so `_step` fires without a gcd; the seeded
+opening (`_opening`) starts it there too, and linear forms step at (pq, 1).
+A move signs one value, as the fired one is negated.  A `Firing` builds u
+and v = p*W/S only when they are read.
 
 `_scan` keeps the first non-positive row at pq, its sign and rows k-1 and k
 over one positive scale in the frozen config's instance dict, so classify,
@@ -201,10 +202,10 @@ class Firing:
     element per move would cost gcds on numbers that grow with the move
     count.  U and W are integers in a rational game and integer coefficient
     vectors (`_Coeffs`) in a ring game, whose ring the firing keeps.  The
-    opening firing keeps its values as given (U = u, W = w, S = 1).  A
-    firing negates one value (g1 keeps -u, g2 keeps -v), so that value is
-    taken from the previous firing when it has been read or is the opening,
-    and only the other one is built.
+    opening's v involves no pq, so it is read as a rational.  A firing
+    negates one value (g1 keeps -u, g2 keeps -v), so that value is taken
+    from the previous firing when it has been read or is the opening, and
+    only the other one is built.
     """
 
     __slots__ = ("node", "_scaled", "_values", "_prev")
@@ -221,7 +222,10 @@ class Firing:
         if self._values is None:
             u, w, s, p, ring = self._scaled
             prev = self._prev
-            before = None if prev is None else prev._values if prev._prev is not None else prev._read()
+            if prev is None:
+                self._values = (_value(u, Fraction(1, s), ring), (p / s) * (w if ring is None else w[0]))
+                return self._values
+            before = prev._values if prev._prev is not None else prev._read()
             u = -before[0] if before is not None and self.node == NODE1 else _value(u, Fraction(1, s), ring)
             v = -before[1] if before is not None and self.node == NODE2 else _value(w, p / s, ring)
             self._values = (u, v)
@@ -272,7 +276,7 @@ def _step(node: str, u: Value, w: Value, s: int, x: tuple) -> tuple:
     g1 maps (u, w, s) to (-u, u + w, s).  g2 maps it to (u*d + n*w, -w*d,
     s*d) for the multiplier x = pq split as (n, d): integers in a rational
     game, a `_RingMultiplier` and its integer d in a ring game, and (pq, 1)
-    for linear forms and `fire`, whose values keep s = 1.
+    for linear forms and for `fire`, whose values keep their scale.
     """
     if node == NODE1:
         return -u, u + w, s
@@ -347,19 +351,6 @@ def _value(v, c, ring) -> Value:
     return c * v if ring is None else RingElement(ring, Poly.from_ints(v, c))
 
 
-def _over_one_scale(values: Sequence, one) -> tuple:
-    """([vectors], S): rationals and ring elements as multiples of `one`
-    (integers, or integer coefficient vectors of its length) over one
-    positive scale S."""
-    parts = [(y.poly.content, y.poly.ints) if isinstance(y, RingElement) else (y, None) for y in values]
-    s = lcm(*(c.denominator for c, _ in parts))
-    vectors = []
-    for c, ints in parts:
-        k = c.numerator * (s // c.denominator)
-        vectors.append(one * k if ints is None else _Coeffs([k * i for i in ints] + [0] * (len(one) - len(ints))))
-    return vectors, s
-
-
 def _ring_sign(theta: AlgebraicNumber, cs: _Coeffs) -> int:
     """Sign of a coefficient vector at theta: integer interval Horner over
     theta's kept box, and the exact `sign_at_algebraic` when that holds 0."""
@@ -388,16 +379,34 @@ def fire(state: GameState, node: str, config: GameConfig) -> GameState:
     return GameState(u, p * w, state.moves_made + 1, True)
 
 
-def _seeded_transition(a: Value, b: Value, node: str, config: GameConfig):
-    alpha, beta = config.params.alpha, config.params.beta
-    p, q = config.p, config.q
-    if node == NODE1:
-        new_u = -(alpha * a + q * (alpha - beta) * b)
-        new_v = p * beta * a + alpha * b
+def _opening(node: str, config: GameConfig, a=None, b=None) -> tuple:
+    """(U, W, S, x, sign, ring): the seeded opening, ready for `_run`.
+
+    On (a, c) with c = b/p, g1 gives u = -(alpha*a + pq*(alpha - beta)*c)
+    and w = beta*a + alpha*c, and g2 gives u = alpha*a + pq*beta*c and
+    w = -((alpha - beta)*a + alpha*c), with the seeds over
+    L = den(alpha)*den(beta) as `_row_walk` starts them.  A checked pair over
+    its common denominator D steps at the split pq = n/d, to integers or
+    `_Coeffs` over S = L*D*d; with no pair, the linear forms a and b/p step
+    at (pq, 1) over S = L.
+    """
+    params = config.params
+    if a is None:
+        _check_node(node)
+        x, sign, one, ring = (config.pq, 1), value_sign, 1, None
+        a, c, s = LinearForm(Fraction(1), Fraction(0)), LinearForm(Fraction(0), 1 / config.p), 1
     else:
-        new_u = alpha * a + q * beta * b
-        new_v = -(p * (alpha - beta) * a + alpha * b)
-    return new_u, new_v
+        x, sign, one, ring = _split(config.pq)
+        c = b / config.p
+        s = lcm(a.denominator, c.denominator)
+        a, c = a.numerator * (s // a.denominator), c.numerator * (s // c.denominator)
+    n, d = x
+    va, vb = islice(_row_walk(params, n, d, one), 2)
+    if node == NODE1:
+        u, w = -(va * (a * d) + n * ((va - vb) * c)), (vb * a + va * c) * d
+    else:
+        u, w = va * (a * d) + n * (vb * c), ((va - vb) * a + va * c) * -d
+    return u, w, _row_scale(params, d, 2) * s, x, sign, ring
 
 
 def _check_pair(a, b) -> tuple:
@@ -413,7 +422,7 @@ def _check_pair(a, b) -> tuple:
 
 def _check_opening(a, b, node: str) -> tuple:
     """(a, b) as Fractions if the seeded opening may fire node first; one rule
-    for `seeded_fire` and `predicted_moves`."""
+    for `seeded_fire`, `play` and `predicted_moves`."""
     _check_node(node)
     a, b = _check_pair(a, b)
     if node == NODE1 and a == 0:
@@ -429,19 +438,16 @@ def seeded_fire(a, b, node: str, config: GameConfig) -> GameState:
     Firing g1 first requires a > 0 and firing g2 first requires b > 0,
     mirroring the ordinary legality rule on the fired coordinate.
     """
-    a, b = _check_opening(a, b, node)
-    new_u, new_v = _seeded_transition(a, b, node, config)
-    return GameState(new_u, new_v, 1, True)
+    u, w, s, _, _, ring = _opening(node, config, *_check_opening(a, b, node))
+    first = Firing(node, u, w, s, config.p, None, ring)
+    return GameState(first.u, first.v, 1, True)
 
 
 def seeded_fire_symbolic(node: str, config: GameConfig) -> GameState:
     """Opening move over formal coordinates (a, b), both treated as positive."""
-    _check_node(node)
-    one, zero = Fraction(1), Fraction(0)
-    a = LinearForm(one, zero)
-    b = LinearForm(zero, one)
-    new_u, new_v = _seeded_transition(a, b, node, config)
-    return GameState(new_u, new_v, 1, True)
+    u, w, s, _, _, _ = _opening(node, config)
+    first = Firing(node, u, w, s, config.p)
+    return GameState(first.u, first.v, 1, True)
 
 
 # ---------------------------------------------------------------------------
@@ -485,23 +491,16 @@ def _certify_divergence(config: GameConfig, budget: int) -> bool:
     return all(sign(v) > 0 for v in islice(_row_walk(config.params, n, d, one), budget + 1))
 
 
-def _run(trace: GameTrace, first_node: str, opening: GameState, strategy, budget: int) -> GameTrace:
-    """Play on from the seeded opening on (u, w) with w = v/p, over one
-    positive scale S at the split pq (`_split`), or over S = 1 at (pq, 1)
-    for linear forms.
+def _run(trace: GameTrace, first_node: str, opening: tuple, strategy, budget: int) -> GameTrace:
+    """Play on from the seeded opening's (U, W, S, x, sign, ring) (`_opening`)
+    on (u, w) with w = v/p, over one positive scale S.
 
     The opening signs both values.  After that a move signs one: the fired
     value was positive and is negated, so after g1 u < 0 and after g2 v < 0.
     """
-    p, pq = trace.config.p, trace.config.pq
-    u, w = opening.u, (1 / p) * opening.v
-    firings = trace.firings
-    firings.append(Firing(first_node, u, w, 1, p))
-    if isinstance(u, LinearForm):
-        s, x, sign, ring = 1, (pq, 1), value_sign, None
-    else:
-        x, sign, one, ring = _split(pq)
-        (u, w), s = _over_one_scale((u, w), one)
+    u, w, s, x, sign, ring = opening
+    p, firings = trace.config.p, trace.firings
+    firings.append(Firing(first_node, u, w, s, p, None, ring))
     su, sw = sign(u), sign(w)
     last = first_node
     while True:
@@ -531,18 +530,17 @@ def play(a, b, first_node: str, config: GameConfig, strategy="alternate", budget
     """
     if budget <= 0:
         raise ExactError("budget must be positive")
-    opening = seeded_fire(a, b, first_node, config)
-    return _run(GameTrace(config, (rational(a), rational(b))), first_node, opening, strategy, budget)
+    a, b = _check_opening(a, b, first_node)
+    return _run(GameTrace(config, (a, b)), first_node, _opening(first_node, config, a, b), strategy, budget)
 
 
 def play_symbolic(first_node: str, config: GameConfig, strategy="alternate", budget: int = 64) -> GameTrace:
     """Play with (a, b) as formal coordinates of a strongly dominant pair."""
     if budget <= 0:
         raise ExactError("budget must be positive")
-    opening = seeded_fire_symbolic(first_node, config)
     one, zero = Fraction(1), Fraction(0)
     trace = GameTrace(config, (LinearForm(one, zero), LinearForm(zero, one)))
-    return _run(trace, first_node, opening, strategy, budget)
+    return _run(trace, first_node, _opening(first_node, config), strategy, budget)
 
 
 # ---------------------------------------------------------------------------

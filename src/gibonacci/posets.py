@@ -163,7 +163,7 @@ class SGPoset:
         scanned.  A raised digit n-1 reads n and a lowered digit 0 borrows
         into a guard bit (or below zero), and no member has either, so both
         scan tests are exact."""
-        if _built(self):
+        if self.built:
             return _rule_extremes(self.n, self.k, self.alpha)
         members = self._members
         minimal = maximal = self.codes
@@ -497,7 +497,7 @@ def is_connected(poset: SGPoset) -> bool:
     set tests membership in its set.  Only when the paths leave the extremes
     apart (or codes repeat, as the k = 0 antichain's do) does the exact
     union-find sweep decide."""
-    if _built(poset):
+    if poset.built:
         member = _rule_test(poset)
     elif len(poset._members) == poset.size:
         member = poset._members.__contains__
@@ -566,7 +566,7 @@ def check_lattice(poset: SGPoset) -> LatticeReport:
     """Closure of every pair under componentwise min and max, plus extreme
     element counts.
 
-    When build_poset made the poset (its mark, `_built`), the codes are
+    When build_poset made the poset (its mark, `SGPoset.built`), the codes are
     exactly the strings of (n, k, alpha) and the digit relations decide
     (`_relation_rows`).  A conjunction of relations each closed under
     componentwise max and min is closed too (Jeavons and Cooper, "Tractable
@@ -582,13 +582,7 @@ def check_lattice(poset: SGPoset) -> LatticeReport:
     """
     if poset.k == 0:
         return LatticeReport(poset.alpha == 1, poset.size, poset.size)
-    return _scan_lattice(poset, _relation_rows(poset) if _built(poset) else None)
-
-
-def _built(poset: SGPoset) -> bool:
-    """Whether build_poset made the poset, so its codes are exactly the
-    strings of (n, k, alpha), k >= 1: its provenance mark."""
-    return poset.built
+    return _scan_lattice(poset, _relation_rows(poset) if poset.built else None)
 
 
 def _broken_pairs(forbidden: set, n: int):

@@ -119,6 +119,70 @@ class TestSeededFire:
         assert st.initial_done and st.moves_made == 1
 
 
+def seeded_transition(a, b, node, config) -> tuple:
+    """The opening (u, v) as the seeded firing rule is written, on values:
+    Fraction, `RingElement` or `LinearForm` sums, q a ring element at a ring pq."""
+    alpha, beta = config.params.alpha, config.params.beta
+    p, q = config.p, config.q
+    if node == NODE1:
+        return -(alpha * a + q * (alpha - beta) * b), p * beta * a + alpha * b
+    return alpha * a + q * beta * b, -(p * (alpha - beta) * a + alpha * b)
+
+
+def same_value(got, want) -> bool:
+    """Equal in value and type, a linear form coefficient by coefficient."""
+    if isinstance(want, LinearForm):
+        return type(got) is LinearForm and same_value(got.ca, want.ca) and same_value(got.cb, want.cb)
+    return type(got) is type(want) and got == want and game.value_to_json(got) == game.value_to_json(want)
+
+
+class TestOpeningOracle:
+    """`seeded_fire`, `play` and `play_symbolic` open on the integer step
+    (`_opening`); their first firing must equal the value-level transition,
+    value and type: v a Fraction at every pq, u a ring element at a ring pq."""
+
+    SEEDS = (GibParams.of(Fraction(7, 3), Fraction(1, 2)), WIDE)
+    STARTS = ((Fraction(5, 3), Fraction(7, 4)), (Fraction(1, 3), 0), (0, Fraction(2, 9)), (2, 3), (1, 1))
+
+    def configs(self) -> list:
+        pqs = ((Fraction(7, 5), Fraction(19, 7)), (Fraction(3, 2), 2), (1, Fraction(9, 2)))
+        rational = [GameConfig.rational(params, p, q) for params in self.SEEDS for p, q in pqs]
+        ring = [cfg for cfg, _, _ in random_ring_games()] + degree_two_configs() + [negative_lead_config()]
+        ring += [GameConfig.at_largest_root(params, 12, Fraction(3, 2)) for params in self.SEEDS]
+        return rational + ring
+
+    def assert_opening(self, a, b, node, cfg):
+        u, v = seeded_transition(F(a), F(b), node, cfg)
+        assert type(v) is Fraction
+        assert type(u) is (RingElement if isinstance(cfg.pq, RingElement) else Fraction)
+        opening = seeded_fire(a, b, node, cfg)
+        first = play(a, b, node, cfg, budget=1).firings[0]
+        assert same_value(opening.u, u) and same_value(opening.v, v)
+        assert first.node == node and same_value(first.u, u) and same_value(first.v, v)
+
+    def test_concrete_openings(self):
+        rings = opened = 0
+        for cfg in self.configs():
+            rings += isinstance(cfg.pq, RingElement)
+            for a, b in self.STARTS:
+                for node in NODES:
+                    if (a, b)[node == NODE2] != 0:
+                        self.assert_opening(a, b, node, cfg)
+                        opened += 1
+        assert rings == 15 and opened == 21 * 8
+
+    def test_symbolic_openings(self):
+        a, b = form(1, 0), form(0, 1)
+        for cfg in self.configs():
+            for node in NODES:
+                u, v = seeded_transition(a, b, node, cfg)
+                assert type(v.ca) is Fraction and type(v.cb) is Fraction
+                opening = seeded_fire_symbolic(node, cfg)
+                first = play_symbolic(node, cfg, budget=1).firings[0]
+                assert same_value(opening.u, u) and same_value(opening.v, v)
+                assert first.node == node and same_value(first.u, u) and same_value(first.v, v)
+
+
 EXPECTED_G1_FIRST = [
     (form(-5, Fraction(-24, 7)), form(7, 5)),
     (form(3, Fraction(16, 7)), form(-7, -5)),

@@ -333,14 +333,14 @@ class TestRuleExtremes:
     @staticmethod
     def scanned(poset):
         copy = dataclasses.replace(poset)  # unmarked, so the set scan runs
-        assert not posets._built(copy)
+        assert not copy.built
         return copy._extremes
 
     def test_oracle_grid(self):
         for n, k, alpha in ORACLE_GRID:
             poset = build_poset(n, k, alpha)
             if k >= 1:
-                assert posets._built(poset)
+                assert poset.built
                 assert poset._extremes == self.scanned(poset), (n, k, alpha)
 
     def test_random_grid(self):
@@ -386,7 +386,7 @@ class TestRuleExtremes:
         for unmarked in (copy, hand):
             assert unmarked._extremes == (minimal, maximal)
             assert is_connected(unmarked) and "_members" in vars(unmarked)
-        assert not posets._built(build_poset(4, 0, 3))  # repeated codes stay unmarked
+        assert not build_poset(4, 0, 3).built  # repeated codes stay unmarked
 
     @pytest.mark.parametrize("n, k, alpha", [(9, 4, 8), (21, 4, 16), (30, 4, 2), (5, 1, 3)])
     def test_connected_without_members_or_sweep(self, n, k, alpha, monkeypatch):
@@ -711,7 +711,7 @@ class TestLatticeRelations:
         for n, k, alpha in ORACLE_GRID:
             poset = build_poset(n, k, alpha)
             if k >= 2 and poset.size <= ORACLE_LATTICE_MAX:
-                assert posets._built(poset)
+                assert poset.built
                 assert check_lattice(poset) == posets._scan_lattice(poset), (n, k, alpha)
 
     def test_small_posets(self):
@@ -760,8 +760,8 @@ class TestLatticeRelations:
         poset = build_poset(4, 3, 1)
         topless = dataclasses.replace(poset, codes=poset.codes[1:], ranks=poset.ranks[1:])
         relabelled = dataclasses.replace(poset, alpha=3)
-        assert posets._built(poset)
-        assert not posets._built(topless) and not posets._built(relabelled)
+        assert poset.built
+        assert not topless.built and not relabelled.built
         assert check_lattice(relabelled) == posets._scan_lattice(poset) == check_lattice(poset)
 
 
