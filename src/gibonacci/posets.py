@@ -46,10 +46,16 @@ that can be raised, which leaves few candidates per digit; a pruned search
 over them, each confirmed by the rules, finds the minimal strings, and the
 map d -> (n-1-d_k, ..., n-1-d_1), which takes members to members and
 reverses the order, gives the maximal ones.  Connectivity joins the
-extremes by greedy cover paths whose steps the digit rules test, so no code
-set is built.  An unmarked code set scans its codes for its extremes and
-tests path steps in its set, with the union-find sweep over every cover as
-the fallback.
+extremes by greedy cover paths walked on a digit list: a step moves one
+digit, so it re-tests only the rules that touch that digit, and no code set
+is built.  An unmarked code set scans its codes for its extremes and tests
+path steps in its set, with the union-find sweep over every cover as the
+fallback.
+
+The enumeration appends each prefix's last digits as one run of
+consecutive ranks, so a marked poset also carries its rank counts, tallied
+run by run while it was built; the rank generating function reads those
+and visits no element.  An unmarked poset counts its ranks.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import accumulate, islice
 from typing import Optional
 
@@ -135,6 +141,16 @@ class SGPoset:
     # set by build_poset on the strings of (n, k, alpha), k >= 1; copies made by
     # dataclasses.replace and hand-made posets start unmarked
     built: bool = field(default=False, init=False, repr=False, compare=False)
+
+    @cached_property
+    def _rank_counts(self) -> list:
+        """The number of elements of each rank 0, 1, ..., max(ranks).
+        build_poset fills it in from the enumeration's runs; any other poset
+        counts its ranks on first read."""
+        counts = [0] * (max(self.ranks, default=0) + 1)
+        for r in self.ranks:
+            counts[r] += 1
+        return counts
 
     @property
     def size(self) -> int:
@@ -254,25 +270,36 @@ def build_poset(n: int, k: int, alpha: int) -> SGPoset:
         )
     if k == 0:
         return SGPoset(n, 0, alpha, [0] * alpha, [0] * alpha)
-    poset = SGPoset(n, k, alpha, *_enumerate(n, k, alpha))
+    codes, ranks, counts = _enumerate(n, k, alpha)
+    poset = SGPoset(n, k, alpha, codes, ranks)
     poset.built = True
+    poset._rank_counts = counts
     return poset
 
 
 def _enumerate(n: int, k: int, alpha: int) -> tuple:
-    """(codes, ranks) of the strings for 1 <= alpha < n and k >= 1, in
-    ascending code order.  Each level appends one digit to every prefix; the
-    last level also drops the forbidden end pairs, so a prefix with
-    d_1 <= alpha - 2 (the first `cut` prefixes) skips the last digit
-    n-1-d_1."""
+    """(codes, ranks, counts) of the strings for 1 <= alpha < n and k >= 1,
+    in ascending code order, with counts[r] the number of strings of rank r.
+    Each level appends one digit to every prefix; the last level also drops
+    the forbidden end pairs, so a prefix with d_1 <= alpha - 2 (the first
+    `cut` prefixes) skips the last digit n-1-d_1.
+
+    A prefix of rank r whose next digit starts at lo appends the ranks
+    r + n-1-lo down to r as one run, and a skipped digit leaves a hole at
+    rank r + d_1.  Each level tallies its runs by (r, lo) in `runs[2r + lo]`
+    and its holes by rank, one update per prefix, and the counts are those
+    runs spread over their ranks by a difference array, less the holes."""
     f, top = _width(n), n - 1
     ones = (1 << f) - 1
-    # level 1: the first digit, rank so far (n-1) - d_1
+    # level 1: the first digit, rank so far (n-1) - d_1: one run from the
+    # empty prefix
     codes, ranks = list(range(n)), list(range(top, -1, -1))
+    runs, holes = [1, 0], [0] * n
     for level in range(2, k + 1):
         lead = f * (level - 2)  # the shift of d_1 in a prefix
         cut = bisect_left(codes, (alpha - 1) << lead) if level == k else 0
         next_codes, next_ranks = [], []
+        runs, holes = [0] * (2 * (level - 1) * top + 2), [0] * (level * top + 1)
         prefixes = zip(codes, ranks)
         for c, r in islice(prefixes, cut):
             lo = 1 if c & ones == top else 0  # no (n-1, 0) digit pair
@@ -281,12 +308,21 @@ def _enumerate(n: int, k: int, alpha: int) -> tuple:
             next_codes.extend(range((c << f) + skip + 1, (c << f) + n))
             next_ranks.extend(range(r + top - lo, r + top - skip, -1))
             next_ranks.extend(range(r + top - skip - 1, r - 1, -1))
+            runs[r + r + lo] += 1
+            holes[r + top - skip] += 1
         for c, r in prefixes:
             lo = 1 if c & ones == top else 0
-            next_codes.extend(range((c << f) + lo, (c << f) + n))
+            c <<= f
+            next_codes.extend(range(c + lo, c + n))
             next_ranks.extend(range(r + top - lo, r - 1, -1))
+            runs[r + r + lo] += 1
         codes, ranks = next_codes, next_ranks
-    return codes, ranks
+    diff = [0] * (k * top + 2)
+    for i, m in enumerate(runs):
+        r, lo = divmod(i, 2)
+        diff[r] += m
+        diff[r + n - lo] -= m
+    return codes, ranks, [d - h for d, h in zip(accumulate(diff), holes)]
 
 
 def count_by_formula(n: int, k: int, alpha: int) -> int:
@@ -366,11 +402,10 @@ def count_by_inclusion_exclusion(n: int, k: int, alpha: int) -> int:
 
 
 def rank_generating_function(poset: SGPoset) -> Poly:
-    """Coefficient of q^r counts the elements of rank r."""
-    coeffs = [0] * (max(poset.ranks, default=0) + 1)
-    for r in poset.ranks:
-        coeffs[r] += 1
-    return Poly(coeffs)
+    """Coefficient of q^r counts the elements of rank r.  A built poset reads
+    the counts its enumeration made from its rank runs and visits no
+    element; any other poset counts its ranks once."""
+    return Poly.from_ints(poset._rank_counts)
 
 
 def q_integer(m: int) -> Poly:
@@ -392,21 +427,6 @@ def _rule_member(digits, n: int, alpha: int) -> bool:
         and not any(a == top and b == 0 for a, b in zip(digits, digits[1:]))
         and not (len(digits) >= 2 and digits[0] <= alpha - 2 and digits[0] + digits[-1] == top)
     )
-
-
-def _rule_test(poset: SGPoset):
-    """Membership of a code in the built poset by `_rule_member` on its
-    digits, with no code set.  A raised digit n-1 reads n, and a lowered
-    digit 0 reads 2^f - 1 (a lowered d_1 = 0 leaves the code negative, whose
-    top field then reads 2^f - 1 too), so a cover step off the digit ranges
-    fails."""
-    n, k, alpha, f = poset.n, poset.k, poset.alpha, _width(poset.n)
-    shifts, ones = range(f * (k - 1), -1, -f), (1 << f) - 1
-
-    def member(code: int) -> bool:
-        return _rule_member([(code >> s) & ones for s in shifts], n, alpha)
-
-    return member
 
 
 def _minimal_strings(n: int, k: int, alpha: int) -> list:
@@ -485,6 +505,44 @@ def _greedy_end(c: int, member, steps: list) -> int:
             return c
 
 
+def _keeps_member(ds: list, j: int, e: int, top: int, alpha: int) -> bool:
+    """Whether the member digit string ds stays a member with d_j set to e.
+    Only the digit range, the pairs (d_(j-1), d_j) and (d_j, d_(j+1)) against
+    (n-1, 0) and, for an end digit of a string of two or more, the end rule
+    can break, so only those are tested."""
+    last = len(ds) - 1
+    if not 0 <= e <= top or (j > 0 and e == 0 and ds[j - 1] == top):
+        return False
+    if j < last and e == top and ds[j + 1] == 0:
+        return False
+    if last == 0 or 0 < j < last:
+        return True
+    first, end = (e, ds[last]) if j == 0 else (ds[0], e)
+    return not (first <= alpha - 2 and first + end == top)
+
+
+def _rule_walk(poset: SGPoset, code: int, step: int) -> int:
+    """The end of the greedy cover path from a member code of a built poset
+    that moves one digit by `step` (-1 lowers, +1 raises) at a time, taking
+    the first digit from d_1 whose move keeps a member (`_keeps_member`),
+    until none does: the path `_greedy_end` follows over a code set.  The
+    path is walked on the digit list.  A move of d_j changes only the tests
+    of its neighbours and, through the end rule, of the other end digit, so
+    a digit before d_(j-1) that could not move still cannot: the scan
+    resumes at d_(j-1), or at d_1 after d_k moved."""
+    alpha, f = poset.alpha, _width(poset.n)
+    top, last, ones = poset.n - 1, poset.k - 1, (1 << f) - 1
+    ds = [(code >> s) & ones for s in range(f * last, -1, -f)]
+    j = 0
+    while j <= last:
+        if _keeps_member(ds, j, ds[j] + step, top, alpha):
+            ds[j] += step
+            j = 0 if j == last else max(j - 1, 0)
+        else:
+            j += 1
+    return _packed(ds, f)
+
+
 def is_connected(poset: SGPoset) -> bool:
     """Connectivity of the underlying Hasse graph.
 
@@ -492,26 +550,30 @@ def is_connected(poset: SGPoset) -> bool:
     is connected when one minimal or one maximal element exists, or when
     greedy cover paths from each extreme element to one on the other side
     join all the extremes: the paths are Hasse paths, so that certificate is
-    sound.  A built poset takes its extremes from the digit rules and tests
-    each path step by `_rule_test`, so it builds no code set; any other code
-    set tests membership in its set.  Only when the paths leave the extremes
-    apart (or codes repeat, as the k = 0 antichain's do) does the exact
-    union-find sweep decide."""
+    sound.  A built poset takes its extremes from the digit rules and walks
+    each path on a digit list (`_rule_walk`), re-testing only the rules that
+    touch the moved digit, so it builds no code set; any other code set
+    tests each step's code in its set.  Only when the paths leave the
+    extremes apart (or codes repeat, as the k = 0 antichain's do) does the
+    exact union-find sweep decide."""
     if poset.built:
-        member = _rule_test(poset)
+        walk = partial(_rule_walk, poset)
     elif len(poset._members) == poset.size:
-        member = poset._members.__contains__
+        member, weights = poset._members.__contains__, _weights(poset)
+
+        def walk(c: int, step: int) -> int:
+            return _greedy_end(c, member, [step * w for w in weights])
+
     else:
         return _swept(poset)
     minimal, maximal = poset._extremes
     if len(minimal) == 1 or len(maximal) == 1:
         return True
-    down = _weights(poset)
     parent = {c: c for c in minimal + maximal}  # an isolated element is both
     components = len(parent)
-    for ends, steps in ((minimal, [-w for w in down]), (maximal, down)):
+    for ends, step in ((minimal, -1), (maximal, 1)):
         for c in ends:
-            a, b = c, _greedy_end(c, member, steps)
+            a, b = c, walk(c, step)
             while parent[a] != a:
                 a = parent[a]
             while parent[b] != b:

@@ -9,7 +9,7 @@ use, and those are certified outward roundings, not float guesses.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -412,7 +412,10 @@ def _is_zero(value) -> bool:
 
 def check_poset_counts(n_max: int, k_grid: int) -> CheckResult:
     """The 48-element figure poset with its printed rank polynomial, the two
-    named n=3 cardinality sequences, and three-way count agreement."""
+    named n=3 cardinality sequences, and three-way count agreement.  Each
+    built poset's rank counts (from its enumeration's rank runs) and its
+    connectivity (from digit walks) are also checked against an unmarked
+    copy, which counts its ranks and tests its code set."""
     res = CheckResult("poset-counts")
     poset = build_poset(4, 3, 3)
     if poset.size != 48:
@@ -428,14 +431,21 @@ def check_poset_counts(n_max: int, k_grid: int) -> CheckResult:
     for n in range(2, n_max + 1):
         for alpha in range(1, n):
             for k in range(0, k_grid + 1):
-                built = build_poset(n, k, alpha)
+                built, where = build_poset(n, k, alpha), f"(n={n}, k={k}, alpha={alpha})"
                 size = built.size
                 if size != count_by_formula(n, k, alpha):
-                    res.fail(f"formula disagrees at (n={n}, k={k}, alpha={alpha})")
+                    res.fail(f"formula disagrees at {where}")
                 if size != count_by_inclusion_exclusion(n, k, alpha):
-                    res.fail(f"inclusion-exclusion disagrees at (n={n}, k={k}, alpha={alpha})")
-                if k >= 1 and not is_connected(built):
-                    res.fail(f"poset (n={n}, k={k}, alpha={alpha}) is disconnected")
+                    res.fail(f"inclusion-exclusion disagrees at {where}")
+                copy = replace(built)
+                if rank_generating_function(built) != rank_generating_function(copy):
+                    res.fail(f"rank counts disagree with the ranks at {where}")
+                if k >= 1:
+                    connected = is_connected(built)
+                    if connected != is_connected(copy):
+                        res.fail(f"connectivity disagrees with the code set at {where}")
+                    if not connected:
+                        res.fail(f"poset {where} is disconnected")
     return res
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import random
 import time
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from gibonacci.exactnum import ExactError, Poly
 from gibonacci.polys import GibParams, binet_eval, eigen_pair
 from gibonacci import posets
+from gibonacci import verify as verify_module
 from gibonacci.posets import (
     TRIANGLE_ENTRY_BUDGET,
     LatticeReport,
@@ -218,6 +220,28 @@ def random_seed_grid(count, size_max, rng):
     return sorted(grid)
 
 
+def rule_test(poset):
+    """Membership of a code in the built poset by `posets._rule_member` on
+    all of its digits, as connectivity tested each greedy step before the
+    paths were walked on digit lists.  A raised digit n-1 reads n, and a
+    lowered digit 0 reads 2^f - 1 (a lowered d_1 = 0 leaves the code
+    negative, whose top field then reads 2^f - 1 too), so a cover step off
+    the digit ranges fails."""
+    n, k, alpha, f = poset.n, poset.k, poset.alpha, _width(poset.n)
+    shifts, ones = range(f * (k - 1), -1, -f), (1 << f) - 1
+
+    def member(code):
+        return posets._rule_member([(code >> s) & ones for s in shifts], n, alpha)
+
+    return member
+
+
+def rank_histogram(ranks):
+    """The number of ranks equal to 0, 1, ..., max(ranks), one rank at a time."""
+    counts = Counter(ranks)
+    return [counts[r] for r in range(max(ranks, default=0) + 1)]
+
+
 # every n = 2..6 with every alpha and k = 0..5, plus n = 2 (radix 3, the
 # tightest digit fields) up to k = 12
 ORACLE_GRID = [
@@ -368,8 +392,12 @@ class TestRuleExtremes:
                 poset = build_poset(n, k, alpha)
                 want = post_filter_enumerate(n, k, alpha)
                 assert (poset.codes, poset.ranks) == want, (n, k, alpha)
+                assert poset._rank_counts == rank_histogram(want[1]), (n, k, alpha)
         for n, k, alpha in random_seed_grid(60, 20_000, random.Random(7)):
-            assert posets._enumerate(n, k, alpha) == post_filter_enumerate(n, k, alpha)
+            codes, ranks, counts = posets._enumerate(n, k, alpha)
+            want = post_filter_enumerate(n, k, alpha)
+            assert (codes, ranks) == want, (n, k, alpha)
+            assert counts == rank_histogram(want[1]), (n, k, alpha)
 
     def test_copies_are_unmarked(self, monkeypatch):
         def no_rules(*args):
@@ -382,7 +410,7 @@ class TestRuleExtremes:
         assert poset.built and not copy.built and not hand.built
         assert copy == hand == poset  # the mark is not compared
         monkeypatch.setattr(posets, "_rule_extremes", no_rules)
-        monkeypatch.setattr(posets, "_rule_test", no_rules)
+        monkeypatch.setattr(posets, "_rule_walk", no_rules)
         for unmarked in (copy, hand):
             assert unmarked._extremes == (minimal, maximal)
             assert is_connected(unmarked) and "_members" in vars(unmarked)
@@ -405,12 +433,61 @@ class TestRuleExtremes:
         # raised n-1, a lowered 0 (borrowing, or below zero) and a broken rule
         for n, k, alpha in [(2, 6, 1), (4, 3, 3), (5, 4, 2), (8, 3, 7), (16, 2, 5)]:
             poset = build_poset(n, k, alpha)
-            member, members = posets._rule_test(poset), set(poset.codes)
+            member, members = rule_test(poset), set(poset.codes)
             steps = [s * w for w in posets._weights(poset) for s in (1, -1)]
             for c in poset.codes:
                 assert member(c)
                 for w in steps:
                     assert member(c + w) == (c + w in members), (n, k, alpha, c, w)
+
+    def test_digit_walks_match_the_rule_oracle(self):
+        # from every extreme, the path walked on digits ends where the greedy
+        # path over the rule membership test ends: lowering from the minimal
+        # strings, raising from the maximal ones, d_1 first
+        grid = ORACLE_GRID + random_seed_grid(150, 20_000, random.Random(20201020))
+        walks = 0
+        for n, k, alpha in grid:
+            if k == 0:
+                continue
+            poset = build_poset(n, k, alpha)
+            member, down = rule_test(poset), posets._weights(poset)
+            minimal, maximal = poset._extremes
+            for ends, step in ((minimal, -1), (maximal, 1)):
+                for c in ends:
+                    want = posets._greedy_end(c, member, [step * w for w in down])
+                    assert posets._rule_walk(poset, c, step) == want, (n, k, alpha, c, step)
+                    walks += 1
+        assert walks > 1000
+
+    def test_one_digit_moves_match_the_rules(self):
+        # every walk step is a Hasse cover: setting one digit of a member one
+        # up or down keeps a member exactly when the whole-string rules say so
+        moves = 0
+        for n, k, alpha in ORACLE_GRID + [(9, 4, 8), (7, 4, 6), (23, 3, 20)]:
+            if k == 0:
+                continue
+            poset = build_poset(n, k, alpha)
+            f = _width(n)
+            for c in poset.codes:
+                ds = [(c >> (f * pos)) & ((1 << f) - 1) for pos in range(k - 1, -1, -1)]
+                for j in range(k):
+                    for e in (ds[j] - 1, ds[j] + 1):
+                        moved = ds[:j] + [e] + ds[j + 1 :]
+                        want = posets._rule_member(moved, n, alpha)
+                        assert posets._keeps_member(ds, j, e, n - 1, alpha) == want, (ds, j, e)
+                        moves += 1
+        assert moves > 100_000
+
+    @pytest.mark.parametrize("n, k, alpha", [(9, 4, 8), (21, 4, 16), (17, 4, 16), (7, 6, 5)])
+    def test_connected_without_rule_members(self, n, k, alpha, monkeypatch):
+        def unread(*args):
+            raise AssertionError("a whole string was tested by the digit rules")
+
+        poset = build_poset(n, k, alpha)
+        minimal, maximal = poset._extremes
+        assert len(minimal) > 1 and len(maximal) > 1  # the paths are walked
+        monkeypatch.setattr(posets, "_rule_member", unread)
+        assert is_connected(poset)
 
     @pytest.mark.parametrize("n, k, alpha", [(2, 1000, 1), (3, 13, 1)])
     def test_extremes_are_not_exponential_in_k(self, n, k, alpha):
@@ -677,6 +754,72 @@ class TestCounts:
     def test_enumeration_cross_check_larger_window(self):
         for alpha in (1, 3, 5):
             assert build_poset(6, 4, alpha).size == count_by_inclusion_exclusion(6, 4, alpha)
+
+
+class TestRankCounts:
+    """A built poset's rank counts come from its enumeration's rank runs;
+    the oracle counts its ranks one element at a time."""
+
+    def test_counts_match_the_ranks(self):
+        grid = ORACLE_GRID + random_seed_grid(150, 20_000, random.Random(20201020))
+        grid += [(n, 1, alpha) for n in (2, 7, 40) for alpha in (1, n - 1)]  # the chains
+        grid += [(2, posets.POSET_LENGTH_BUDGET, 1), (4, 0, 3)]  # the n = 2 chain, an antichain
+        # alpha >= 3: the cut prefixes skip a digit of their run
+        grid += [(9, 4, 8), (23, 4, 20), (40, 3, 39), (31, 2, 30), (6, 5, 3)]
+        for n, k, alpha in grid:
+            poset = build_poset(n, k, alpha)
+            assert poset._rank_counts == rank_histogram(poset.ranks), (n, k, alpha)
+            assert rank_generating_function(poset) == Poly(rank_histogram(poset.ranks))
+
+    def test_built_rgf_reads_no_rank(self):
+        class Unread(list):
+            def __iter__(self):
+                raise AssertionError("a rank was read")
+
+        for n, k, alpha in [(4, 3, 3), (3, 13, 2), (17, 4, 16), (5, 1, 2)]:
+            poset = build_poset(n, k, alpha)
+            poset.ranks = Unread(poset.ranks)
+            assert rank_generating_function(poset) == triangle_polynomial(alpha, n, k)
+
+    def test_copies_count_their_ranks(self):
+        poset = build_poset(4, 3, 3)
+        assert rank_generating_function(poset) == FIGURE_RGF
+        head = dataclasses.replace(poset, codes=poset.codes[:10], ranks=poset.ranks[:10])
+        assert "_rank_counts" not in vars(head)
+        assert head._rank_counts == rank_histogram(poset.ranks[:10])
+        assert rank_generating_function(head) == Poly(rank_histogram(poset.ranks[:10]))
+        assert rank_generating_function(head) != FIGURE_RGF
+        assert rank_generating_function(dataclasses.replace(poset)) == FIGURE_RGF
+
+
+class TestVerifyCrossChecks:
+    """`verify`'s poset-counts check sets each built poset against an
+    unmarked copy, so a fault in the run counts or the digit walks fails it."""
+
+    def test_broken_run_counts_fail(self, monkeypatch):
+        enumerate_ = posets._enumerate
+
+        def off_by_one(n, k, alpha):
+            codes, ranks, counts = enumerate_(n, k, alpha)
+            counts[0] += k == 4  # the figure poset has k = 3
+            return codes, ranks, counts
+
+        monkeypatch.setattr(posets, "_enumerate", off_by_one)
+        res = verify_module.check_poset_counts(3, 4)
+        assert not res.ok
+        assert res.details[0] == "rank counts disagree with the ranks at (n=2, k=4, alpha=1)"
+
+    def test_broken_walks_fail(self, monkeypatch):
+        # walks that never move leave the extremes apart, and a sweep that
+        # answers "apart" then disconnects every built poset with several
+        monkeypatch.setattr(posets, "_rule_walk", lambda poset, c, step: c)
+        monkeypatch.setattr(posets, "_swept", lambda poset: False)
+        res = verify_module.check_poset_counts(4, 3)
+        assert not res.ok
+        assert res.details[:2] == [
+            "connectivity disagrees with the code set at (n=4, k=2, alpha=3)",
+            "poset (n=4, k=2, alpha=3) is disconnected",
+        ]
 
 
 class TestRankGeneratingFunctions:
