@@ -32,10 +32,9 @@ relation closed under componentwise max and min makes their conjunction
 closed (Jeavons and Cooper, "Tractable constraints on ordered domains",
 Artificial Intelligence 79, 1995), so the poset is a sublattice of a product
 of chains and distributive; for k >= 2 this holds exactly when
-alpha <= 2.  Otherwise two member strings s and t whose join or meet is
-missing bound the pairwise scan: it stops by row min(index(s), index(t)),
-and its first failing pair is the witness.  LATTICE_PAIR_BUDGET guards only
-that scan, which runs in full for any other code set.
+alpha <= 2.  Otherwise two member strings whose join or meet is missing,
+confirmed by the digit rules, are the witness, and no code is read.
+LATTICE_PAIR_BUDGET guards only the pairwise scan that other code sets get.
 
 Which posets those are is a provenance mark: build_poset sets
 SGPoset.built, and a copy made by dataclasses.replace or a hand-made
@@ -628,23 +627,23 @@ def check_lattice(poset: SGPoset) -> LatticeReport:
     """Closure of every pair under componentwise min and max, plus extreme
     element counts.
 
-    When build_poset made the poset (its mark, `SGPoset.built`), the codes are
-    exactly the strings of (n, k, alpha) and the digit relations decide
-    (`_relation_rows`).  A conjunction of relations each closed under
-    componentwise max and min is closed too (Jeavons and Cooper, "Tractable
-    constraints on ordered domains", Artificial Intelligence 79, 1995), so
-    if they are closed the poset is a sublattice of a product of chains,
-    hence distributive, and no pair is visited.  If not, two member strings
-    s and t whose join or meet is missing bound the pairwise scan: it stops
-    by row min(index(s), index(t)), and its first failing pair is the
-    reported witness, the pair the full scan would report.  Any other code
-    set, such as a subset or a copy of a built poset, gets the full scan.
-    LATTICE_PAIR_BUDGET guards only the scan, charged as rows times size for
-    a bounded scan and as all N(N-1)/2 pairs for a full one.
+    A poset that build_poset marked (`SGPoset.built`) holds exactly the
+    strings of (n, k, alpha), so its digit relations decide: if they are
+    closed under componentwise max and min, so is their conjunction (Jeavons
+    and Cooper, "Tractable constraints on ordered domains", Artificial
+    Intelligence 79, 1995), and the poset is a sublattice of a product of
+    chains, hence distributive; if not, `_relation_witness` gives the failing
+    pair.  Its extremes come from the rules too, so no code is read.  Other
+    code sets, copies of a built poset included, get `_scan_lattice`.
     """
     if poset.k == 0:
         return LatticeReport(poset.alpha == 1, poset.size, poset.size)
-    return _scan_lattice(poset, _relation_rows(poset) if poset.built else None)
+    if not poset.built:
+        return _scan_lattice(poset)
+    minimal, maximal = map(len, poset._extremes)
+    pair = _relation_witness(poset.n, poset.k, poset.alpha)
+    witness = pair and tuple(tuple(d + j * poset.n + 1 for j, d in enumerate(ds)) for ds in pair)
+    return LatticeReport(pair is None, maximal, minimal, witness)
 
 
 def _broken_pairs(forbidden: set, n: int):
@@ -664,57 +663,43 @@ def _broken_pairs(forbidden: set, n: int):
                 yield (f1, x), (y, f2)
 
 
-def _relation_rows(poset: SGPoset) -> Optional[int]:
-    """Rows of the pairwise scan that decide the lattice check of a built
-    poset: 0 when the digit relations are closed, None when they cannot
-    decide.
+def _relation_witness(n: int, k: int, alpha: int) -> Optional[tuple]:
+    """Digit strings of two members of the built poset (n, k, alpha), k >= 1,
+    in code order, whose join or meet is not one, or None when the digit
+    relations are closed.
 
-    The strings form the subset of the product of k digit chains cut out by
-    two binary relations: adjacent digits avoid (n-1, 0), and the end pair
-    (d_1, d_k) avoids d_1 <= alpha-2 with d_1 + d_k = n-1.  The adjacency
-    relation is always closed: a max equal to (n-1, 0) needs a second digit
-    below 0, a min one a first digit above n-1.  So the end relation
-    decides, conjoined with the adjacency relation when k = 2, where both
-    act on the one pair.  For k = 1 there is no relation.
-
-    When the end relation is not closed, each broken pair (u, v) is extended
-    to strings s = (u_1, 0, ..., 0, u_2) and t = (v_1, 0, ..., 0, v_2): the
-    first digits of a broken pair are at most alpha-1 < n-1, so no adjacent
-    pair is (n-1, 0).  Lookups in the sorted codes confirm that s and t are
-    members and that their join or meet is not.  The pair (s, t) then fails
-    on row min(index(s), index(t)) of the scan, so that many rows plus one
-    suffice; the least such bound is returned.
+    The strings are cut out of the product of k digit chains by two binary
+    relations.  Adjacent digits avoid (n-1, 0), which is closed: a max equal
+    to it needs a second digit below 0, a min a first digit above n-1.  So
+    the end relation decides, with the adjacency relation when k = 2, where
+    both act on the one pair; k = 1 has no relation.  A broken pair (u, v)
+    extends to s = (u_1, 0, ..., 0, u_2) and t = (v_1, 0, ..., 0, v_2):
+    their first digits are at most alpha-1 < n-1, so no adjacent pair is
+    (n-1, 0), and their join or meet ends in the forbidden pair.
+    `_rule_member` confirms that on the strings, and ExactError is raised
+    if no pair is confirmed.
     """
-    n, k, codes = poset.n, poset.k, poset.codes
-    forbidden = {(a, n - 1 - a) for a in range(poset.alpha - 1)}
+    forbidden = {(a, n - 1 - a) for a in range(alpha - 1)}
     if k == 2:
         forbidden.add((n - 1, 0))
     broken = list(_broken_pairs(forbidden, n)) if k >= 2 else []
-    if not broken:
-        return 0
-    f = _width(n)
-
-    def index(digits):
-        code = _packed(digits, f)
-        i = bisect_left(codes, code)
-        return i if i < len(codes) and codes[i] == code else None
-
-    bounds, middle = [], (0,) * (k - 2)
+    middle, member = (0,) * (k - 2), partial(_rule_member, n=n, alpha=alpha)
     for u, v in broken:
         s, t = (u[0], *middle, u[1]), (v[0], *middle, v[1])
-        i, j = index(s), index(t)
-        if None in (i, j) or None not in (index(map(max, s, t)), index(map(min, s, t))):
-            continue
-        bounds.append(min(i, j) + 1)
-    return min(bounds, default=None)
+        join, meet = tuple(map(max, s, t)), tuple(map(min, s, t))
+        if member(s) and member(t) and not (member(join) and member(meet)):
+            return min(s, t), max(s, t)
+    if broken:
+        raise ExactError(f"poset (n={n}, k={k}, alpha={alpha}): no failing relation pair")
+    return None
 
 
-def _scan_lattice(poset: SGPoset, rows: Optional[int] = None) -> LatticeReport:
-    """The pairwise check over the first `rows` rows (all of them when None):
-    row i tests code i against every later code, stopping at the first pair
-    whose meet or join is missing, which is reported as the witness."""
+def _scan_lattice(poset: SGPoset) -> LatticeReport:
+    """The pairwise check of a code set: row i tests code i against every
+    later code, and the first pair whose meet or join is missing is the
+    witness.  LATTICE_PAIR_BUDGET caps its N(N-1)/2 pairs."""
     size = poset.size
-    pairs = size * (size - 1) // 2 if rows is None else rows * size
+    pairs = size * (size - 1) // 2
     if pairs > LATTICE_PAIR_BUDGET:
         raise ExactError(
             f"lattice check of {size:,} elements needs up to {pairs:,} pairs, "
@@ -723,8 +708,8 @@ def _scan_lattice(poset: SGPoset, rows: Optional[int] = None) -> LatticeReport:
     codes, f = poset.codes, _width(poset.n)
     guards = sum(1 << (f * pos + f - 1) for pos in range(poset.k))
     minimal, maximal = map(len, poset._extremes)
-    members = poset._members if rows != 0 else None  # a closed verdict builds no set
-    for i, x in enumerate(codes[:rows]):
+    members = poset._members
+    for i, x in enumerate(codes):
         tail = codes[i + 1 :]
         joins = _joins(x, tail, guards, f)
         meets = [x ^ y ^ z for y, z in zip(tail, joins)]

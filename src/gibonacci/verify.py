@@ -483,18 +483,25 @@ def check_identity_suite(n_max: int, k_max: int) -> CheckResult:
 
 
 def check_lattice_relations(n_max: int, k_max: int, size_max: int) -> CheckResult:
-    """The lattice verdict from the digit relations, witness and extreme
-    counts included, against the full pairwise scan for n <= n_max,
-    k = 2..k_max, alpha < n and at most size_max elements."""
+    """The lattice verdict and extreme counts from the digit relations
+    against the full pairwise scan of an unmarked copy, which scans its
+    extremes too, for n <= n_max, k = 2..k_max, alpha < n and at most
+    size_max elements.  The witness must be two elements whose meet or join
+    is not one exactly when the verdict is not distributive."""
     res = CheckResult("lattice-relations")
     for n in range(2, n_max + 1):
         for alpha in range(1, n):
             for k in range(2, k_max + 1):
                 if count_by_formula(n, k, alpha) > size_max:
                     continue
-                poset = build_poset(n, k, alpha)
-                if check_lattice(poset) != _scan_lattice(poset):
-                    res.fail(f"(n={n}, k={k}, alpha={alpha}): verdict differs from the pairwise scan")
+                poset, where = build_poset(n, k, alpha), f"(n={n}, k={k}, alpha={alpha})"
+                report, scan = check_lattice(poset), _scan_lattice(replace(poset))
+                if replace(report, witness=None) != replace(scan, witness=None):
+                    res.fail(f"{where}: verdict or extremes differ from the pairwise scan")
+                members, (s, t) = set(poset.elements), report.witness or ((), ())
+                ends = {tuple(map(min, s, t)), tuple(map(max, s, t))}
+                if ({s, t} <= members and not ends <= members) == report.distributive:
+                    res.fail(f"{where}: the witness is not a failing pair of the poset")
     return res
 
 

@@ -101,8 +101,10 @@ def test_supplement_recurrence_identities():
 
 
 def test_supplement_lattice_relations():
-    # the lattice verdict from the digit relations, witness included, equals
-    # the full pairwise scan for n <= 5, k = 2..5, alpha < n, <= 800 elements
+    # the lattice verdict and extreme counts from the digit relations equal
+    # the full pairwise scan of an unmarked copy, and a non-distributive
+    # report names a failing pair, for n <= 5, k = 2..5, alpha < n, <= 800
+    # elements
     _report("supplement", _run("check_lattice_relations"))
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: formats, round trips, exit codes, and the repl."""
 
+import dataclasses
 import io
 import json
 import shlex
@@ -11,7 +12,12 @@ from gibonacci.cli import main, run_repl
 from gibonacci.exactnum import poly_from_strings, rational
 from gibonacci.game import GameConfig
 from gibonacci.polys import GibParams, _sa_poly_cached, sign_alternating_poly
-from gibonacci.posets import _triangle_rows
+from gibonacci.posets import (
+    _triangle_rows,
+    build_poset,
+    count_by_formula,
+    count_by_inclusion_exclusion,
+)
 from test_polys import comb_entry, recurrence_rows
 
 
@@ -261,16 +267,24 @@ class TestPosetCommands:
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and err.startswith("error:") and "length budget of 1,000" in err
 
-    def test_pair_budget_is_one_line_error(self, capsys):
-        # the scan up to the witness row needs more than the budget: (369, 2, 3)
-        # is the smallest such poset, (36, 4, 3) the smallest with k = 4
-        for n, k, pairs in [(369, 2, "50,106,144"), (36, 4, "58,559,865")]:
+    def test_non_closed_check_past_the_pair_budget(self, capsys):
+        # not closed, and far past the pair budget of a pairwise scan: the digit
+        # relations answer, with the extreme counts an unmarked copy scans
+        payloads = {}
+        for n, k in [(369, 2), (36, 4)]:
             code, out, err = run_cli(
-                capsys, "poset", "check", "--n", str(n), "--k", str(k), "--alpha", "3"
+                capsys, "poset", "check", "--n", str(n), "--k", str(k), "--alpha", "3",
+                "--format", "json",
             )
-            assert code == 1 and out == ""
-            assert err.count("\n") == 1 and err.startswith("error:") and "pair budget" in err
-            assert f"needs up to {pairs} pairs" in err
+            assert code == 0 and err == ""
+            payloads[n] = payload = json.loads(out)
+            assert payload["size"] == count_by_formula(n, k, 3) == count_by_inclusion_exclusion(n, k, 3)
+            assert payload["distributive"] is False and payload["connected"] is True
+        minimal, maximal = dataclasses.replace(build_poset(369, 2, 3))._extremes  # scanned
+        assert (payloads[369]["maximal_count"], payloads[369]["minimal_count"]) == (
+            len(maximal),
+            len(minimal),
+        )
 
     def test_check_past_the_pair_budget(self, capsys):
         # 17,711 elements, 156,830,905 pairs: the digit relations decide

@@ -186,6 +186,33 @@ def tuple_lattice(elements, edges, k, alpha):
     return LatticeReport(True, maximal, minimal)
 
 
+def failing_pair(pair, n, k, alpha):
+    """Whether `validate_string` finds both strings of the pair in the poset
+    (n, k, alpha) and their meet or their join outside it."""
+    s, t = pair
+    ends = (tuple(map(min, s, t)), tuple(map(max, s, t)))
+    member = [bool(validate_string(x, n, k, alpha)) for x in (s, t, *ends)]
+    return member[0] and member[1] and not (member[2] and member[3])
+
+
+def assert_lattice_report(report, oracle, n, k, alpha):
+    """`check_lattice`'s report on the built poset against an oracle's: the
+    same verdict and extreme counts, and a witness exactly where the oracle
+    names one, which need not be the oracle's pair but must fail."""
+    where = (n, k, alpha)
+    assert dataclasses.replace(report, witness=None) == dataclasses.replace(oracle, witness=None), where
+    if oracle.witness is None:
+        assert report.witness is None, where
+    else:
+        assert failing_pair(report.witness, n, k, alpha), (where, report.witness)
+
+
+def scan_oracle(poset):
+    """The full pairwise scan of an unmarked copy, which scans its extremes
+    from the codes too."""
+    return posets._scan_lattice(dataclasses.replace(poset))
+
+
 def post_filter_enumerate(n, k, alpha):
     """(codes, ranks) as `posets._enumerate` made them before the end pairs
     moved into the last level: every no-successor string, then a filter over
@@ -317,8 +344,8 @@ class TestBuildPoset:
 
 
 class TestSharedMembers:
-    """The code set and the extremes are computed once per built poset and
-    read by both `check_lattice` and `is_connected`."""
+    """The extremes are computed once per built poset and read by both
+    `check_lattice` and `is_connected`; the code set, on first read."""
 
     @pytest.mark.parametrize("n, k, alpha", [(4, 3, 2), (9, 4, 8), (12, 3, 5)])
     def test_extremes_computed_once(self, n, k, alpha, monkeypatch):
@@ -425,8 +452,8 @@ class TestRuleExtremes:
         monkeypatch.setattr(posets, "_swept", unread)
         poset = build_poset(n, k, alpha)
         assert is_connected(poset)
-        if alpha <= 2:  # a closed lattice verdict scans no row, so it needs no set either
-            assert check_lattice(poset).distributive
+        # the lattice verdict reads no pair either, closed or not
+        assert check_lattice(poset).distributive == (alpha <= 2 or k == 1)
 
     def test_rule_test_matches_the_codes(self):
         # every member passes, and every cover step off the poset fails: a
@@ -509,7 +536,8 @@ class TestDigitCodesAgainstTuples:
             assert poset.hasse_edges == edges  # same order
             assert is_connected(poset) == dfs_connected(len(elements), edges)
             if len(elements) <= ORACLE_LATTICE_MAX:
-                assert check_lattice(poset) == tuple_lattice(elements, edges, k, alpha)
+                oracle = tuple_lattice(elements, edges, k, alpha)
+                assert_lattice_report(check_lattice(poset), oracle, n, k, alpha)
 
     def test_non_closed_witness_on_larger_posets(self):
         # the non-closed seeds fail on an early pair, so the oracle stays cheap
@@ -517,7 +545,7 @@ class TestDigitCodesAgainstTuples:
             poset = build_poset(n, k, alpha)
             elements, _, edges = tuple_poset(n, k, alpha)
             report = check_lattice(poset)
-            assert report == tuple_lattice(elements, edges, k, alpha)
+            assert_lattice_report(report, tuple_lattice(elements, edges, k, alpha), n, k, alpha)
             assert not report.distributive and report.witness is not None
 
     def test_meet_only_failure(self):
@@ -685,13 +713,18 @@ class TestBudgets:
             check_lattice(topless)
         assert "\n" not in str(err.value) and "156,813,195 pairs" in str(err.value)
 
-    def test_pair_budget_charges_the_witness_rows(self):
-        # (369, 2, 3): the witness (0, 367) has index 367, so 368 rows of
-        # 136,158 codes, just past the budget; one n less stays under it
+    def test_pair_budget_spares_built_posets(self):
+        # (369, 2, 3) is answered from its digit relations, with the extreme
+        # counts its unmarked copy scans; that copy meets the pair budget
+        poset = build_poset(369, 2, 3)
+        copy = dataclasses.replace(poset)
+        report = check_lattice(poset)
+        assert not report.distributive and failing_pair(report.witness, 369, 2, 3)
+        minimal, maximal = copy._extremes  # scanned from the codes
+        assert (report.minimal_count, report.maximal_count) == (len(minimal), len(maximal)) == (2, 2)
         with pytest.raises(ExactError, match="pair budget") as err:
-            check_lattice(build_poset(369, 2, 3))
-        assert "50,106,144 pairs" in str(err.value)
-        assert posets._relation_rows(build_poset(368, 2, 3)) * 135_421 <= posets.LATTICE_PAIR_BUDGET
+            check_lattice(copy)
+        assert "9,269,432,403 pairs" in str(err.value)
 
     def test_triangle_entry_budget(self):
         # rows 1..k take (n-1)k(k+1)/2 + k entries: (1; 3) row 1,413 takes
@@ -848,14 +881,22 @@ class TestRankGeneratingFunctions:
 
 class TestLatticeRelations:
     """The digit-relation verdict of `check_lattice` against the pairwise
-    scan, forced through `posets._scan_lattice` with no row bound."""
+    scan of an unmarked copy (`scan_oracle`)."""
 
     def test_oracle_grid(self):
         for n, k, alpha in ORACLE_GRID:
             poset = build_poset(n, k, alpha)
             if k >= 2 and poset.size <= ORACLE_LATTICE_MAX:
                 assert poset.built
-                assert check_lattice(poset) == posets._scan_lattice(poset), (n, k, alpha)
+                assert_lattice_report(check_lattice(poset), scan_oracle(poset), n, k, alpha)
+
+    def test_random_grid(self):
+        # n <= 40, k <= 6, alpha < n and at most 3,000 elements
+        grid = [c for c in random_seed_grid(60, 3_000, random.Random(20261022)) if c[1] <= 6]
+        assert sum(alpha >= 3 and k >= 2 for _, k, alpha in grid) >= 20
+        for n, k, alpha in grid:
+            poset = build_poset(n, k, alpha)
+            assert_lattice_report(check_lattice(poset), scan_oracle(poset), n, k, alpha)
 
     def test_small_posets(self):
         seen = {"closed": 0, "open": 0}
@@ -865,10 +906,10 @@ class TestLatticeRelations:
                     if count_by_formula(n, k, alpha) > 1500:
                         continue
                     poset = build_poset(n, k, alpha)
-                    rows = posets._relation_rows(poset)
+                    pair = posets._relation_witness(n, k, alpha)
                     report = check_lattice(poset)
-                    assert report == posets._scan_lattice(poset), (n, k, alpha)
-                    assert report.distributive == (alpha <= 2) == (rows == 0)
+                    assert_lattice_report(report, scan_oracle(poset), n, k, alpha)
+                    assert report.distributive == (alpha <= 2) == (pair is None)
                     seen["closed" if report.distributive else "open"] += 1
         assert seen == {"closed": 55, "open": 79}
 
@@ -880,17 +921,44 @@ class TestLatticeRelations:
         report = check_lattice(build_poset(30, 4, 2))  # 806,402 elements
         assert report == LatticeReport(True, 1, 1)
 
-    def test_witness_bounds_the_scan(self, monkeypatch):
+    def test_witness_from_the_relations(self, monkeypatch):
         # (12, 4, 3): the end pair (1, 10) is the join of (1, 0) and (0, 10),
-        # extended to (1, 0, 0, 0) and (0, 0, 0, 10), which has index 10; the
-        # full scan stops there too, but its budget is charged on every pair
+        # extended to (0, 0, 0, 10) and (1, 0, 0, 0); the full scan, past its
+        # budget here, stops on the same pair at row 10
         poset = build_poset(12, 4, 3)
-        assert poset.elements[10] == (1, 13, 25, 47)  # digits (0, 0, 0, 10)
-        assert posets._relation_rows(poset) == 11
+        assert posets._relation_witness(12, 4, 3) == ((0, 0, 0, 10), (1, 0, 0, 0))
         report = check_lattice(poset)
+        assert report.witness == ((1, 13, 25, 47), (2, 13, 25, 37))
+        assert poset.elements[10] == report.witness[0]
         monkeypatch.setattr(posets, "LATTICE_PAIR_BUDGET", poset.size**2)
-        assert report == posets._scan_lattice(poset)
-        assert poset.elements.index(report.witness[0]) <= 10
+        assert report == scan_oracle(poset)
+        # (30, 4, 3): the scan's first failing pair is another one; both fail
+        report = check_lattice(build_poset(30, 4, 3))
+        assert report == LatticeReport(False, 2, 2, ((1, 31, 61, 119), (2, 31, 61, 91)))
+        assert failing_pair(report.witness, 30, 4, 3)
+
+    @pytest.mark.parametrize("n, k, alpha", [(30, 4, 3), (36, 4, 3)])
+    def test_built_poset_is_never_scanned(self, n, k, alpha, monkeypatch):
+        def unread(*args):
+            raise AssertionError("a pair, the code set or the codes were read")
+
+        class Unreadable:
+            __getattribute__ = __len__ = __iter__ = __getitem__ = __contains__ = unread
+
+        poset = build_poset(n, k, alpha)
+        poset.codes, poset.ranks = Unreadable(), Unreadable()
+        monkeypatch.setattr(posets, "_joins", unread)
+        monkeypatch.setattr(SGPoset, "_members", property(unread))
+        report = check_lattice(poset)
+        assert (report.distributive, report.maximal_count, report.minimal_count) == (False, 2, 2)
+        assert failing_pair(report.witness, n, k, alpha)
+
+    def test_unconfirmed_relation_pair_is_refused(self, monkeypatch):
+        # were every string a member, the broken pair's join would be one too:
+        # an open relation without a confirmed failing pair is no verdict
+        monkeypatch.setattr(posets, "_rule_member", lambda *args, **kwargs: True)
+        with pytest.raises(ExactError, match="no failing relation pair"):
+            posets._relation_witness(12, 4, 3)
 
     def test_closure_test(self):
         # (n-1, 0) alone is closed; an end pair (a, n-1-a) with 0 < a < n-1 is
